@@ -27,13 +27,10 @@ from .errors import CapacityError, FalsificationError, NoWitnessFound
 from .gale import (
     GaleEmbedding,
     HemispherePartition,
-    SignVector,
     Witness,
     WitnessSearch,
-    antipodal_witness,
     build_embedding,
     canonical_hemispheres,
-    enumerate_cells,
     enumerate_faces,
     general_position_check,
     verify_gale_property,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import NoWitnessFound
 from .setfam import enumerate_stable_ksubsets
@@ -46,31 +46,6 @@ class HemispherePartition:
 
     def signs_string(self) -> str:
         return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in self.signs)
-
-
-@dataclass(frozen=True)
-class SignVector:
-    """A full-dimensional cell: strict signs plus an exact realizing direction."""
-
-    signs: tuple[int, ...]  # -1 or +1 per point
-    direction: tuple[int, ...]
-
-    @property
-    def plus_mask(self) -> int:
-        return _mask_of(self.signs, 1)
-
-    @property
-    def minus_mask(self) -> int:
-        return _mask_of(self.signs, -1)
-
-    def signs_string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signs)
-
-
-@dataclass(frozen=True)
-class CellSet:
-    cells: tuple[SignVector, ...]
-    certified_exhaustive: bool
 
 
 @dataclass(frozen=True)
@@ -218,243 +193,80 @@ def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     return None
 
 
-def _adjugate_columns(mat) -> list[list[int]]:
-    """Columns u_j of adj(M), i.e. solutions of M u_j = det(M) e_j."""
-    d = len(mat)
-    cols = []
-    for j in range(d):
-        col = []
-        for i in range(d):
-            minor = [
-                [mat[r][c] for c in range(d) if c != i]
-                for r in range(d)
-                if r != j
-            ]
-            col.append((-1) ** (i + j) * (det_exact(minor) if minor else 1))
-        cols.append(col)
-    return cols
-
-
-def enumerate_cells(emb: GaleEmbedding) -> CellSet:
-    """All strict sign vectors of the central arrangement of the n points.
-
-    Every full-dimensional cone of the arrangement is pointed (the points
-    span R^d), so each cell has an extreme ray lying on exactly d-1 of the
-    hyperplanes; perturbing the two orientations of each canonical normal to
-    every side-assignment of its boundary points therefore reaches every
-    cell.  Perturbations are realized exactly: directions built from the
-    adjugate of [boundary points; normal] with a dominance factor large
-    enough that non-boundary signs cannot flip, then re-verified by exact
-    sign evaluation.  Falls back to a span-projection when the points do not
-    span R^d; the result is flagged uncertified if general position fails.
-    """
-    points = list(emb.points)
-    d = emb.d
-    cells, certified = _enumerate_cells_raw(points, d)
-    ordered = tuple(cells[k] for k in sorted(cells))
-    return CellSet(cells=ordered, certified_exhaustive=certified)
-
-
-def _enumerate_cells_raw(points, d):
-    n = len(points)
-    rank, basis = _row_space_basis(points, d)
-    if rank == 0:
-        return {}, True
-    if rank < d:
-        projected = [tuple(_dot(p, b) for b in basis) for p in points]
-        sub, certified = _enumerate_cells_raw(projected, rank)
-        lifted = {}
-        for signs, cell in sub.items():
-            direction = tuple(
-                sum(cell.direction[r] * basis[r][c] for r in range(rank))
-                for c in range(d)
-            )
-            check = tuple(_sign(_dot(p, direction)) for p in points)
-            if check != signs:
-                raise RuntimeError("projection lift produced inconsistent signs")
-            lifted[signs] = SignVector(signs=signs, direction=_primitive(direction))
-        return lifted, certified
-
-    cells: dict[tuple[int, ...], SignVector] = {}
-    certified = True
-    for idx in combinations(range(n), d - 1):
-        rows = [points[i] for i in idx]
-        normal = _primitive(_cross_normal(rows))
-        if all(x == 0 for x in normal):
-            certified = False
-            continue
-        base = [_sign(_dot(p, normal)) for p in points]
-        zeros = tuple(i for i, s in enumerate(base) if s == 0)
-        if zeros != idx:
-            # not in general position; this ray handled only partially
-            certified = False
-            continue
-        mat = rows + [list(normal)]
-        det_m = det_exact(mat)
-        cols = _adjugate_columns(mat)
-        pert = cols[: d - 1]
-        sgn_det = _sign(det_m)
-        corr = max(
-            (
-                sum(abs(_dot(points[m], u)) for u in pert)
-                for m in range(n)
-                if m not in idx
-            ),
-            default=0,
-        )
-        scale = corr + 1
-        for assign in product((1, -1), repeat=d - 1):
-            direction = [scale * x for x in normal]
-            for a, u in zip(assign, pert):
-                f = a * sgn_det
-                for c in range(d):
-                    direction[c] += f * u[c]
-            signs = tuple(_sign(_dot(p, direction)) for p in points)
-            if 0 in signs:
-                raise RuntimeError("perturbed direction still on a hyperplane")
-            for i, a in zip(idx, assign):
-                if signs[i] != a:
-                    raise RuntimeError("perturbation failed to realize assignment")
-            if signs not in cells:
-                cells[signs] = SignVector(
-                    signs=signs, direction=_primitive(direction)
-                )
-            neg = tuple(-s for s in signs)
-            if neg not in cells:
-                cells[neg] = SignVector(
-                    signs=neg, direction=tuple(-x for x in cells[signs].direction)
-                )
-    return cells, certified
-
-
-def _nullspace_basis(rows, d) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the orthogonal complement of the rows."""
-    from fractions import Fraction
-
-    mat = [[Fraction(x) for x in r] for r in rows]
-    m = len(mat)
-    pivots: list[int] = []
-    row = 0
-    for col in range(d):
-        pivot = next((r for r in range(row, m) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = mat[row][col]
-        mat[row] = [x / inv for x in mat[row]]
-        for r in range(m):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    basis = []
-    free_cols = [c for c in range(d) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * d
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        basis.append(_primitive([int(x * lcm) for x in vec]))
-    return basis
+def _times_linear(poly: list[int], a: int, b: int) -> list[int]:
+    """Coefficients, constant term first, of poly(x) * (a x + b)."""
+    out = [b * c for c in poly] + [0]
+    for i, c in enumerate(poly):
+        out[i + 1] += a * c
+    return out
 
 
 def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
-    """Every realizable sign vector of the arrangement, zeros included.
+    """Every realizable sign vector of the moment-curve arrangement, zeros included.
 
-    Faces are grouped by their zero set T (any subset of up to d-1 points):
-    directions orthogonal to exactly T form cells of the arrangement induced
-    on T's orthogonal complement.  Emitted with zero count ascending, cells
-    first, each group in a fixed deterministic order.
+    Point i (1-based) is (-1)^i (1, i, ..., i^(d-1)), so a direction c with
+    polynomial f(x) = sum_j c_j x^j has <point_i, c> = (-1)^i f(i).  A sign
+    vector sigma with zero set Z, |Z| = j < d, is realizable iff the corrected
+    signs tau_i = sigma_i (-1)^i (-1)^#{z in Z : z > i} change sign at most
+    d-1-j times along the points i not in Z.
+    Proof: f = prod_{z in Z} (x - z) * g with g != 0, deg g <= d-1-j and
+    tau_i = sign g(i), so each change of tau needs its own root of g; conversely
+    g = +-prod (2x - (a+b)) over the neighbours a < b of each change realizes tau.
+
+    That f, made primitive, is each face's normal; every face is re-checked by
+    exact dot products.  Faces come in (|Z|, Z, signs) order: zero count
+    ascending (full cells first), zero sets in ``combinations`` order, sign
+    tuples ascending.  ``WitnessSearch.find`` reports the first witness in this
+    order.  ``certified_exhaustive`` is the check that the face count equals
+    Cover's formula.  Any other point set raises ValueError: the criterion
+    holds only on this curve.
     """
-    points = list(emb.points)
-    n, d = emb.n, emb.d
-    certified = True
-    faces: dict[tuple[int, ...], HemispherePartition] = {}
-    order: list[tuple[int, ...]] = []
-
-    def admit(signs, direction):
-        if signs not in faces:
-            faces[signs] = HemispherePartition(
-                normal=_primitive(direction), signs=signs
-            )
-            order.append(signs)
-
+    if emb != build_embedding(emb.n, emb.s):
+        raise ValueError(
+            "enumerate_faces needs the alternating moment curve "
+            f"build_embedding({emb.n}, {emb.s})"
+        )
+    n, d, points = emb.n, emb.d, emb.points
+    xs = range(1, n + 1)
+    faces = []
     for j in range(d):
-        for t_set in combinations(range(n), j):
-            if j == 0:
-                sub, cert = _enumerate_cells_raw(points, d)
-                certified = certified and cert
-                for signs in sorted(sub):
-                    admit(signs, sub[signs].direction)
-                continue
-            basis = _nullspace_basis([points[t] for t in t_set], d)
-            if len(basis) != d - j:
-                certified = False
-                continue
-            projected = [tuple(_dot(p, b) for b in basis) for p in points]
-            rest = [m for m in range(n) if m not in t_set]
-            if any(all(x == 0 for x in projected[m]) for m in rest):
-                # another point vanishes on this complement: not general position
-                certified = False
-                continue
-            sub_points = [projected[m] for m in rest]
-            sub, cert = _enumerate_cells_raw(sub_points, d - j)
-            certified = certified and cert
-            for sub_signs in sorted(sub):
-                y = sub[sub_signs].direction
-                direction = tuple(
-                    sum(y[r] * basis[r][c] for r in range(len(basis)))
-                    for c in range(d)
-                )
-                signs = tuple(_sign(_dot(p, direction)) for p in points)
-                if tuple(i for i, s in enumerate(signs) if s == 0) != t_set:
-                    raise RuntimeError("face lift produced wrong zero set")
-                admit(signs, direction)
-    return FaceSet(
-        faces=tuple(faces[s] for s in order), certified_exhaustive=certified
+        for zeros in combinations(xs, j):
+            rest = [x for x in xs if x not in zeros]
+            # sigma_x / tau_x at each point off the zero set
+            flip = {x: (-1) ** (x + sum(z > x for z in zeros)) for x in rest}
+            zero_poly = [1]
+            for z in zeros:
+                zero_poly = _times_linear(zero_poly, 1, -z)
+            group = []
+            for changes in range(d - j):
+                # cut c: tau changes sign between rest[c-1] and rest[c]
+                for cuts in combinations(range(1, len(rest)), changes):
+                    poly = zero_poly
+                    for c in cuts:
+                        poly = _times_linear(poly, 2, -(rest[c - 1] + rest[c]))
+                    normal = _primitive(poly + [0] * (d - len(poly)))
+                    signs = [0] * n
+                    tau = 1  # g > 0 above its largest root
+                    for r in range(len(rest) - 1, -1, -1):
+                        signs[rest[r] - 1] = tau * flip[rest[r]]
+                        if r in cuts:
+                            tau = -tau
+                    signs = tuple(signs)
+                    # signs are linear in the normal: one check covers both
+                    # orientations
+                    if tuple(_sign(_dot(p, normal)) for p in points) != signs:
+                        raise RuntimeError(f"normal {normal} does not realize {signs}")
+                    group.append((signs, normal))
+                    group.append(
+                        (tuple(-s for s in signs), tuple(-x for x in normal))
+                    )
+            group.sort()
+            faces.extend(HemispherePartition(normal=c, signs=s) for s, c in group)
+    cover = sum(
+        math.comb(n, j) * 2 * sum(math.comb(n - j - 1, i) for i in range(d - j))
+        for j in range(d)
     )
-
-
-def _row_space_basis(points, d):
-    """Greedy maximal linearly independent subset of the points (exact)."""
-    basis: list = []
-    for p in points:
-        cand = basis + [list(p)]
-        if _rank_exact(cand) == len(cand):
-            basis.append(list(p))
-        if len(basis) == d:
-            break
-    return len(basis), basis
-
-
-def _rank_exact(rows) -> int:
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    if m == 0:
-        return 0
-    w = len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(w):
-        pivot = next((r for r in range(row, m) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        for r in range(row + 1, m):
-            if mat[r][col]:
-                f1, f2 = mat[row][col], mat[r][col]
-                mat[r] = [f1 * a - f2 * b for a, b in zip(mat[r], mat[row])]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
+    return FaceSet(faces=tuple(faces), certified_exhaustive=len(faces) == cover)
 
 
 class WitnessSearch:
@@ -519,33 +331,10 @@ class WitnessSearch:
             + (
                 ""
                 if self.faceset.certified_exhaustive
-                else " (face coverage sampled)"
+                else " (face count differs from Cover's formula)"
             ),
             certified=self.faceset.certified_exhaustive,
         )
-
-
-def antipodal_witness(
-    emb: GaleEmbedding, k: int, coloring, search: WitnessSearch | None = None
-) -> Witness:
-    """Find a cell and color meeting the per-side popularity thresholds.
-
-    ``coloring`` is indexed by the colex rank of the stable k-subsets of [n]
-    and must take values in 0..d-1.
-    """
-    if search is None:
-        search = WitnessSearch(emb, k)
-    return search.find(coloring)
-
-
-def hemisphere_stable_counts(emb: GaleEmbedding, k: int):
-    """Per canonical partition: counts of stable k-subsets strictly inside."""
-    stable_masks = [t.mask for t in enumerate_stable_ksubsets(emb.n, k)]
-    for part in canonical_hemispheres(emb):
-        plus, minus = part.plus_mask, part.minus_mask
-        np_ = sum(1 for m in stable_masks if m & plus == m)
-        nm = sum(1 for m in stable_masks if m & minus == m)
-        yield part, np_, nm
 
 
 def witness_to_json_dict(w: Witness) -> dict:
@@ -569,8 +358,6 @@ def partition_to_json_dict(p: HemispherePartition) -> dict:
 __all__ = [
     "GaleEmbedding",
     "HemispherePartition",
-    "SignVector",
-    "CellSet",
     "FaceSet",
     "Witness",
     "WitnessSearch",
@@ -578,10 +365,7 @@ __all__ = [
     "general_position_check",
     "canonical_hemispheres",
     "verify_gale_property",
-    "enumerate_cells",
     "enumerate_faces",
-    "antipodal_witness",
-    "hemisphere_stable_counts",
     "det_exact",
     "witness_to_json_dict",
     "partition_to_json_dict",

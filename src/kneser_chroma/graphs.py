@@ -175,8 +175,18 @@ def from_json_dict(obj: dict) -> Graph:
     for v in vertices:
         if v.k != k:
             raise ValueError(f"vertex mask {v.mask:#x} is not a {k}-subset")
-    adj = [0] * len(vertices)
+    for a, b in zip(vertices, vertices[1:]):
+        if a.mask >= b.mask:
+            raise ValueError(
+                f"vertex masks must strictly increase (colex order): "
+                f"{b.mask:#x} follows {a.mask:#x}"
+            )
+    m = len(vertices)
+    adj = [0] * m
     for u, v in obj["edges"]:
+        # checked before the shift below, which would allocate a 2^v-bit int
+        if not (0 <= u < m and 0 <= v < m):
+            raise ValueError(f"edge [{u}, {v}] has an index outside 0..{m - 1}")
         if u == v:
             raise ValueError("self-loop in edge list")
         adj[u] |= 1 << v

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from kneser_chroma.chromatic import chromatic_number
 from kneser_chroma.cli import (
     CSV_HEADER,
@@ -106,6 +108,26 @@ class TestChi:
         bad.write_text('{"definitely": "not a graph"}')
         rc, _, _ = run_cli(["chi", str(bad)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "vertices,edges",
+        [
+            ([3, 5, 6, 9, 10, 12], [[0, 6]]),  # index past the last vertex
+            ([3, 5, 6, 9, 10, 12], [[0, 10**9]]),  # would shift a 125 MB int
+            ([3, 5, 6, 9, 10, 12], [[-1, 2]]),
+            ([5, 5, 6, 9, 10, 12], [[0, 5]]),  # duplicate vertex
+            ([5, 3, 6, 9, 10, 12], [[0, 5]]),  # not in colex order
+        ],
+    )
+    def test_invalid_graph_file_exit_2(self, tmp_path, vertices, edges):
+        bad = tmp_path / "bad.json"
+        obj = {"family": "kneser", "n": 4, "k": 2, "p": None, "seed": None,
+               "rng_id": None, "vertices": vertices, "edges": edges}
+        bad.write_text(json.dumps(obj))
+        rc, out, err = run_cli(["chi", str(bad)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestRandomChi:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,14 +8,11 @@ from kneser_chroma.errors import NoWitnessFound
 from kneser_chroma.gale import (
     GaleEmbedding,
     WitnessSearch,
-    antipodal_witness,
     build_embedding,
     canonical_hemispheres,
     det_exact,
-    enumerate_cells,
     enumerate_faces,
     general_position_check,
-    hemisphere_stable_counts,
     verify_gale_property,
     witness_to_json_dict,
 )
@@ -38,6 +36,11 @@ def random_integer_direction(rng, d, bound=10**6):
         v = tuple(rng.randint(-bound, bound) for _ in range(d))
         if any(v):
             return v
+
+
+def cells(emb):
+    """Full-dimensional cells: the faces with no zero sign."""
+    return [f for f in enumerate_faces(emb).faces if f.zero_mask == 0]
 
 
 def signs_of(points, x):
@@ -162,40 +165,36 @@ class TestGaleProperty:
                 emb = build_embedding(n, s)
                 for k in range(1, s + 1):
                     floor = math.comb(s, k)
-                    for _, np_, nm in hemisphere_stable_counts(emb, k):
-                        assert np_ >= floor
-                        assert nm >= floor
+                    masks = [t.mask for t in enumerate_stable_ksubsets(n, k)]
+                    for part in canonical_hemispheres(emb):
+                        for side in (part.plus_mask, part.minus_mask):
+                            assert sum(m & side == m for m in masks) >= floor
 
 
 class TestCells:
-    def test_planar_count(self):
-        emb = GaleEmbedding(
-            n=4, s=1, d=2, points=((1, 1), (1, 2), (-1, 3), (2, -1))
-        )
-        cs = enumerate_cells(emb)
-        assert len(cs.cells) == 8  # 2n cells of a central line arrangement
-        assert cs.certified_exhaustive
-
     def test_negation_closure(self):
         for emb in (build_embedding(7, 3), build_embedding(8, 3)):
-            cs = enumerate_cells(emb)
-            present = {c.signs for c in cs.cells}
-            for c in cs.cells:
+            cs = cells(emb)
+            present = {c.signs for c in cs}
+            for c in cs:
                 assert tuple(-s for s in c.signs) in present
 
     def test_directions_realize_signs(self):
         emb = build_embedding(8, 3)
-        for c in enumerate_cells(emb).cells:
-            assert signs_of(emb.points, c.direction) == c.signs
+        for c in cells(emb):
+            assert signs_of(emb.points, c.normal) == c.signs
 
     def test_strictness(self):
-        for c in enumerate_cells(build_embedding(9, 3)).cells:
-            assert 0 not in c.signs
+        # full cells come first: the zero-free faces are a prefix
+        faces = enumerate_faces(build_embedding(9, 3)).faces
+        head = sum(f.zero_mask == 0 for f in faces)
+        assert head > 0
+        assert all(0 not in f.signs for f in faces[:head])
 
     def test_sampling_finds_no_extra_cell(self):
         # random integer directions always land in an enumerated cell
         emb = build_embedding(6, 2)
-        present = {c.signs for c in enumerate_cells(emb).cells}
+        present = {c.signs for c in cells(emb)}
         rng = random.Random(0)
         found = set()
         for _ in range(100_000):
@@ -213,7 +212,7 @@ class TestCells:
         for n, s in [(6, 2), (7, 2), (7, 3), (9, 3)]:
             emb = build_embedding(n, s)
             expected = 2 * sum(math.comb(n - 1, i) for i in range(emb.d))
-            assert len(enumerate_cells(emb).cells) == expected
+            assert len(cells(emb)) == expected
 
 
 class TestFaces:
@@ -248,6 +247,40 @@ class TestFaces:
             )
             assert len(enumerate_faces(emb).faces) == expected
 
+    def test_rejects_other_point_sets(self):
+        # the sign-change rule holds only on the alternating moment curve
+        pts = tuple(tuple(i**j for j in range(3)) for i in range(1, 7))
+        with pytest.raises(ValueError):
+            enumerate_faces(GaleEmbedding(n=6, s=2, d=3, points=pts))
+
+    def test_sign_strings_pinned(self):
+        # sha256 of the ordered sign strings, one line per face and a blank
+        # line per instance; the value comes from an independent enumeration
+        # through exact null spaces of the point arrangement
+        h = hashlib.sha256()
+        for n, s in [(6, 2), (7, 2), (7, 3), (8, 3), (9, 3), (9, 4), (10, 3),
+                     (10, 4), (11, 4), (11, 5), (12, 4), (12, 5)]:
+            for f in enumerate_faces(build_embedding(n, s)).faces:
+                h.update(f.signs_string().encode() + b"\n")
+            h.update(b"\n")
+        assert h.hexdigest() == (
+            "5f312085b350c863fc5ced1f825afccccbe33752b58842198364337b192aa151"
+        )
+
+    def test_normals_primitive_and_canonical(self):
+        # faces on d-1 zeros have a unique primitive normal up to sign
+        for n, s in [(7, 2), (8, 3), (9, 3), (10, 4)]:
+            emb = build_embedding(n, s)
+            faces = enumerate_faces(emb).faces
+            assert all(math.gcd(*f.normal) == 1 for f in faces)
+            boundary = {
+                f.signs: f.normal
+                for f in faces
+                if f.zero_mask.bit_count() == emb.d - 1
+            }
+            canonical = {p.signs: p.normal for p in canonical_hemispheres(emb)}
+            assert boundary == canonical
+
     def test_sampled_boundary_faces_are_enumerated(self):
         # directions orthogonal to one point land on enumerated faces
         emb = build_embedding(7, 3)
@@ -281,7 +314,7 @@ class TestWitness:
     def test_constant_coloring(self):
         emb = build_embedding(8, 3)
         num = len(enumerate_stable_ksubsets(8, 2))
-        w = antipodal_witness(emb, 2, [0] * num)
+        w = WitnessSearch(emb, 2).find([0] * num)
         assert w.color == 0
         assert w.count_pos >= w.t_pos >= 1
         assert w.count_neg >= w.t_neg >= 1
@@ -327,15 +360,16 @@ class TestWitness:
     def test_coloring_validation(self):
         emb = build_embedding(8, 3)
         num = len(enumerate_stable_ksubsets(8, 2))
+        search = WitnessSearch(emb, 2)
         with pytest.raises(ValueError):
-            antipodal_witness(emb, 2, [0] * (num - 1))
+            search.find([0] * (num - 1))
         with pytest.raises(ValueError):
-            antipodal_witness(emb, 2, [emb.d] * num)
+            search.find([emb.d] * num)
 
     def test_json_shape(self):
         emb = build_embedding(7, 3)
         num = len(enumerate_stable_ksubsets(7, 2))
-        w = antipodal_witness(emb, 2, [0] * num)
+        w = WitnessSearch(emb, 2).find([0] * num)
         obj = witness_to_json_dict(w)
         assert set(obj) == {"normal", "signs", "color", "counts"}
         assert set(obj["counts"]) == {"pos", "neg", "t_pos", "t_neg"}
@@ -361,7 +395,7 @@ def test_boundary_faces_needed_for_some_coloring():
     coloring = [0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1]
     d = emb.d
     stables = search.stables
-    for cell in enumerate_cells(emb).cells:
+    for cell in cells(emb):
         plus, minus = cell.plus_mask, cell.minus_mask
         ip = [i for i, t in enumerate(stables) if t.mask & plus == t.mask]
         im = [i for i, t in enumerate(stables) if t.mask & minus == t.mask]
