@@ -7,7 +7,8 @@
 from collections import Counter
 
 from kneser_chroma import build_schrijver, chromatic_number, derived_params
-from kneser_chroma.cli import event_a_oracle, run_random_chi
+from kneser_chroma.cli import run_random_chi
+from kneser_chroma.events import event_a_oracle
 
 n, k, ell = 8, 2, 1
 parent_chi = chromatic_number(build_schrijver(n, k)).chi

@@ -176,9 +176,7 @@ class RegimeEntry:
     d: int | None
     t: int | None
     rhs: float | None
-    lhs: float
     holds: bool
-    t_vs_sqrt_n: str | None
     conclusion: str | None
 
 
@@ -205,41 +203,20 @@ def corollary_regime_report(
     lhs = (1.0 - eps) * p
     entries = []
     certified = []
-    sqrt_n = math.isqrt(n)
     for ell in ells:
         try:
             d, t = derived_params(n, k, ell)
         except ValueError:
-            entries.append(
-                RegimeEntry(
-                    ell=ell,
-                    d=None,
-                    t=None,
-                    rhs=None,
-                    lhs=lhs,
-                    holds=False,
-                    t_vs_sqrt_n=None,
-                    conclusion=None,
-                )
-            )
-            continue
-        rhs = condition_rhs(n, k, ell)
-        holds = lhs > rhs
+            d = t = rhs = None
+        else:
+            rhs = condition_rhs(n, k, ell)
+        holds = rhs is not None and lhs > rhs
         conclusion = None
         if holds:
             conclusion = f"chi >= n-2k+2 - {2 * ell} (gap <= {2 * ell})"
             certified.append(conclusion)
         entries.append(
-            RegimeEntry(
-                ell=ell,
-                d=d,
-                t=t,
-                rhs=rhs,
-                lhs=lhs,
-                holds=holds,
-                t_vs_sqrt_n=f"t={t} vs sqrt(n)={sqrt_n}",
-                conclusion=conclusion,
-            )
+            RegimeEntry(ell=ell, d=d, t=t, rhs=rhs, holds=holds, conclusion=conclusion)
         )
     return RegimeReport(
         n=n, k=k, p=p, eps=eps, entries=tuple(entries), certified=tuple(certified)

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .graphs import Graph
+from .setfam import iter_bits
 
 EXACT = "exact"
 TIMEOUT = "timeout"
@@ -61,17 +62,10 @@ class ColoringResult:
     upper: int
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _greedy_clique(adj: tuple[int, ...], active: int) -> list[int]:
     """Deterministic maximal clique: grow in (degree desc, index asc) order."""
     verts = sorted(
-        _iter_bits(active), key=lambda v: (-(adj[v] & active).bit_count(), v)
+        iter_bits(active), key=lambda v: (-(adj[v] & active).bit_count(), v)
     )
     clique: list[int] = []
     cmask = 0
@@ -175,7 +169,7 @@ def greedy_upper(graph: Graph, order) -> int:
     used = 0
     for v in order:
         forbidden = 0
-        for u in _iter_bits(graph.adj[v]):
+        for u in iter_bits(graph.adj[v]):
             if colors[u] >= 0:
                 forbidden |= 1 << colors[u]
         c = 0
@@ -196,7 +190,7 @@ def _dsatur_greedy(adj: tuple[int, ...], active: int) -> tuple[list[int], int]:
     used = 0
     while uncolored:
         best_v, best_key = -1, None
-        for v in _iter_bits(uncolored):
+        for v in iter_bits(uncolored):
             key = (ncm[v].bit_count(), degs[v], -v)
             if best_key is None or key > best_key:
                 best_v, best_key = v, key
@@ -206,7 +200,7 @@ def _dsatur_greedy(adj: tuple[int, ...], active: int) -> tuple[list[int], int]:
         colors[best_v] = c
         used = max(used, c + 1)
         uncolored ^= 1 << best_v
-        for u in _iter_bits(adj[best_v] & uncolored):
+        for u in iter_bits(adj[best_v] & uncolored):
             ncm[u] |= 1 << c
     return colors, used
 
@@ -217,7 +211,7 @@ def _kernelize(adj: tuple[int, ...], active: int, m: int) -> tuple[int, list[int
     changed = True
     while changed:
         changed = False
-        for v in _iter_bits(active):
+        for v in iter_bits(active):
             if (adj[v] & active).bit_count() < m:
                 active ^= 1 << v
                 removed.append(v)
@@ -254,7 +248,7 @@ def _decide_colorable(
             colors[v] = i
             uncolored ^= 1 << v
             bit = 1 << i
-            for u in _iter_bits(adj[v] & kernel):
+            for u in iter_bits(adj[v] & kernel):
                 ncm[u] |= bit
         used0 = len(clique)
 
@@ -313,7 +307,7 @@ def _decide_colorable(
     seen = kernel
     for v in reversed(removed):
         forbidden = 0
-        for u in _iter_bits(adj[v] & seen):
+        for u in iter_bits(adj[v] & seen):
             if colors[u] >= 0:
                 forbidden |= 1 << colors[u]
         c = 0

@@ -14,17 +14,15 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import seeds
 from .chromatic import EXACT, Budget, chromatic_number
 from .errors import CapacityError, NoWitnessFound
+from .events import event_a_json_dict, event_a_oracle
 from .gale import (
-    HemispherePartition,
     WitnessSearch,
     build_embedding,
-    canonical_hemispheres,
     general_position_check,
     partition_to_json_dict,
     verify_gale_property,
@@ -143,6 +141,8 @@ def run_random_chi(
     parent = _build_family(family, n, k, max_vertices)
     jobs = [(parent, p, t, master_seed, max_nodes, max_ms) for t in range(trials)]
     nworkers = workers if workers is not None else worker_count()
+    # the pool forks all its workers up front: no more than the trials or the CPUs
+    nworkers = min(nworkers, trials, os.cpu_count() or 1)
     if nworkers > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             rows = list(pool.map(_random_chi_trial, jobs, chunksize=8))
@@ -178,134 +178,6 @@ def random_chi_csv(rows, summary, config: dict, emit_elapsed: bool) -> str:
         lines.append(f"{trial},{seed},{chi},{status},{ms}")
     lines.append("# summary " + json.dumps(summary, separators=(",", ":")))
     return "\n".join(lines) + "\n"
-
-
-# --- event A --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EventAReport:
-    holds: bool
-    partition: HemispherePartition | None
-    m_plus: tuple[int, ...]
-    m_minus: tuple[int, ...]
-    partitions_examined: int
-
-
-class _FoundWitness(Exception):
-    pass
-
-
-def event_a_oracle(
-    n: int,
-    k: int,
-    ell: int,
-    p: float,
-    seed: int,
-    max_side: int = 128,
-    max_t: int = 8,
-    max_nodes: int = 10**7,
-) -> EventAReport:
-    """Exhaustive cross-independent-set search over canonical partitions.
-
-    Holds iff some canonical great-sphere partition admits M+ and M- of the
-    pigeonhole sizes t(S+), t(S-) drawn from the stable k-subsets strictly
-    inside each side, with no sampled edge between them.  M+ candidates are
-    enumerated in colex order with partial cross-edge pruning.
-    """
-    d, _ = bounds_mod.derived_params(n, k, ell)
-    emb = build_embedding(n, k + ell)
-    parent = build_schrijver(n, k)
-    sampled = sample_subgraph(parent, p, seed)
-    masks = [v.mask for v in sampled.vertices]
-    nodes = 0
-    examined = 0
-
-    for part in canonical_hemispheres(emb):
-        examined += 1
-        plus, minus = part.plus_mask, part.minus_mask
-        sp = [i for i, m in enumerate(masks) if m & plus == m]
-        sm = [i for i, m in enumerate(masks) if m & minus == m]
-        t_p = -(-len(sp) // d)
-        t_m = -(-len(sm) // d)
-        if len(sp) > max_side or len(sm) > max_side or t_p > max_t or t_m > max_t:
-            raise CapacityError(
-                f"instance too large for event-A oracle "
-                f"(sides {len(sp)}/{len(sm)}, t {t_p}/{t_m})"
-            )
-        full_minus = (1 << len(sm)) - 1
-        nb = []
-        for u in sp:
-            row = 0
-            for j, w in enumerate(sm):
-                if sampled.adj[u] >> w & 1:
-                    row |= 1 << j
-            nb.append(row)
-
-        chosen: list[int] = []
-
-        def search(need: int, cap: int, allowed: int):
-            nonlocal nodes
-            if allowed.bit_count() < t_m:
-                return
-            if need == 0:
-                raise _FoundWitness
-            for top in range(need - 1, cap):
-                nodes += 1
-                if nodes > max_nodes:
-                    raise CapacityError(
-                        "event-A search exceeded the node cap "
-                        f"({max_nodes}); instance too large"
-                    )
-                nxt = allowed & ~nb[top]
-                if nxt.bit_count() < t_m:
-                    continue
-                chosen.append(top)
-                search(need - 1, top, nxt)
-                chosen.pop()
-
-        try:
-            search(t_p, len(sp), full_minus)
-        except _FoundWitness:
-            allowed = full_minus
-            for i in chosen:
-                allowed &= ~nb[i]
-            m_minus = []
-            rem = allowed
-            while rem and len(m_minus) < t_m:
-                low = rem & -rem
-                m_minus.append(sm[low.bit_length() - 1])
-                rem ^= low
-            return EventAReport(
-                holds=True,
-                partition=part,
-                m_plus=tuple(sorted(sp[i] for i in chosen)),
-                m_minus=tuple(m_minus),
-                partitions_examined=examined,
-            )
-    return EventAReport(
-        holds=False,
-        partition=None,
-        m_plus=(),
-        m_minus=(),
-        partitions_examined=examined,
-    )
-
-
-def event_a_json_dict(report: EventAReport) -> dict:
-    out = {
-        "holds": report.holds,
-        "partitions_examined": report.partitions_examined,
-    }
-    if report.holds:
-        out["witness"] = {
-            "partition": partition_to_json_dict(report.partition),
-            "m_plus": list(report.m_plus),
-            "m_minus": list(report.m_minus),
-        }
-    else:
-        out["witness"] = None
-    return out
 
 
 # --- witness --------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NoWitnessFound
-from .setfam import enumerate_stable_ksubsets
+from .setfam import SubsetIndex, enumerate_stable_ksubsets
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,9 @@ def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     extends the check to arbitrary ones.
     """
     stable_masks = [t.mask for t in enumerate_stable_ksubsets(emb.n, emb.s)]
+    index = SubsetIndex(stable_masks, emb.n)
     for part in canonical_hemispheres(emb):
-        plus = part.plus_mask
-        if not any(m & plus == m for m in stable_masks):
+        if index.within(part.plus_mask) == 0:
             return part
     return None
 
@@ -273,10 +273,10 @@ class WitnessSearch:
     """Reusable antipodal-witness search for many colorings of one instance.
 
     Precomputes the face arrangement of an embedding (full cells first, then
-    boundary faces with 1..d-1 zeros) and, per face, which stable k-subsets
-    lie strictly inside each open side.  Some colorings admit no witness on
-    any full cell, so the boundary faces are part of the search space, with
-    per-face thresholds ceil(|side census| / d).
+    boundary faces with 1..d-1 zeros) and, per face, the bitset of stable
+    k-subsets lying strictly inside each open side.  Some colorings admit no
+    witness on any full cell, so the boundary faces are part of the search
+    space, with per-face thresholds ceil(|side census| / d).
     """
 
     def __init__(self, emb: GaleEmbedding, k: int):
@@ -285,19 +285,14 @@ class WitnessSearch:
         self.stables = enumerate_stable_ksubsets(emb.n, k)
         self.num_stable = len(self.stables)
         self.faceset = enumerate_faces(emb)
+        index = SubsetIndex([t.mask for t in self.stables], emb.n)
         d = emb.d
         self._per_face = []
         for face in self.faceset.faces:
-            plus, minus = face.plus_mask, face.minus_mask
-            inside_pos = [
-                i for i, t in enumerate(self.stables) if t.mask & plus == t.mask
-            ]
-            inside_neg = [
-                i for i, t in enumerate(self.stables) if t.mask & minus == t.mask
-            ]
-            t_pos = -(-len(inside_pos) // d)
-            t_neg = -(-len(inside_neg) // d)
-            self._per_face.append((face, inside_pos, inside_neg, t_pos, t_neg))
+            pos, neg = index.within(face.plus_mask), index.within(face.minus_mask)
+            t_pos = -(-pos.bit_count() // d)
+            t_neg = -(-neg.bit_count() // d)
+            self._per_face.append((face, pos, neg, t_pos, t_neg))
 
     def find(self, coloring) -> Witness:
         """First witness in (face order, color index) order; raises if none."""
@@ -309,20 +304,19 @@ class WitnessSearch:
             )
         if any(not 0 <= c < d for c in colors):
             raise ValueError(f"colors must lie in 0..{d - 1}")
-        for face, inside_pos, inside_neg, t_pos, t_neg in self._per_face:
-            cp = [0] * d
-            for i in inside_pos:
-                cp[colors[i]] += 1
-            cn = [0] * d
-            for i in inside_neg:
-                cn[colors[i]] += 1
-            for color in range(d):
-                if cp[color] >= t_pos and cn[color] >= t_neg:
+        classes = [0] * d
+        for i, c in enumerate(colors):
+            classes[c] |= 1 << i
+        for face, pos, neg, t_pos, t_neg in self._per_face:
+            for color, cls in enumerate(classes):
+                cp = (pos & cls).bit_count()
+                cn = (neg & cls).bit_count()
+                if cp >= t_pos and cn >= t_neg:
                     return Witness(
                         face=face,
                         color=color,
-                        count_pos=cp[color],
-                        count_neg=cn[color],
+                        count_pos=cp,
+                        count_neg=cn,
                         t_pos=t_pos,
                         t_neg=t_neg,
                     )

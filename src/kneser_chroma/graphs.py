@@ -2,6 +2,8 @@
 
 Adjacency is stored as one bitset per vertex (Python ints), so neighbor
 queries are O(1) mask probes and the structures are immutable and picklable.
+Row u is the set of vertices inside the complement of u, read off a
+``SubsetIndex`` in O(k) big-int operations.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from .errors import CapacityError
 from .setfam import (
     MAX_GROUND_SET,
     KSubset,
+    SubsetIndex,
     enumerate_ksubsets,
     enumerate_stable_ksubsets,
+    iter_bits,
+    mask_is_stable,
 )
 
 DEFAULT_VERTEX_CAP = 5000
@@ -75,19 +80,11 @@ def _check_capacity(n: int, k: int, max_vertices: int) -> None:
         )
 
 
-def _disjointness_adjacency(vertices: tuple[KSubset, ...]) -> tuple[int, ...]:
-    m = len(vertices)
-    adj = [0] * m
+def _disjointness_adjacency(vertices: tuple[KSubset, ...], n: int) -> tuple[int, ...]:
     masks = [v.mask for v in vertices]
-    for u in range(m):
-        mu = masks[u]
-        row = adj[u]
-        for v in range(u + 1, m):
-            if mu & masks[v] == 0:
-                row |= 1 << v
-                adj[v] |= 1 << u
-        adj[u] = row
-    return tuple(adj)
+    index = SubsetIndex(masks, n)
+    # only the empty set lies inside its own complement; it is never a loop
+    return tuple(index.within(~m) if m else 0 for m in masks)
 
 
 def build_kneser(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -96,7 +93,7 @@ def build_kneser(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Grap
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     _check_capacity(n, k, max_vertices)
     vertices = tuple(enumerate_ksubsets(n, k))
-    return Graph(KNESER, n, k, vertices, _disjointness_adjacency(vertices))
+    return Graph(KNESER, n, k, vertices, _disjointness_adjacency(vertices, n))
 
 
 def build_schrijver(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -105,7 +102,7 @@ def build_schrijver(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> G
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     _check_capacity(n, k, max_vertices)
     vertices = tuple(enumerate_stable_ksubsets(n, k))
-    return Graph(SCHRIJVER, n, k, vertices, _disjointness_adjacency(vertices))
+    return Graph(SCHRIJVER, n, k, vertices, _disjointness_adjacency(vertices, n))
 
 
 def sample_subgraph(graph: Graph, p: float, seed: int) -> Graph:
@@ -124,12 +121,8 @@ def sample_subgraph(graph: Graph, p: float, seed: int) -> Graph:
     ranks = [v.rank for v in graph.vertices]
     adj = [0] * m
     for u in range(m):
-        row = graph.adj[u] >> (u + 1)
         ru = ranks[u]
-        while row:
-            low = row & -row
-            v = u + low.bit_length()
-            row ^= low
+        for v in iter_bits((graph.adj[u] >> (u + 1)) << (u + 1)):
             if seeds.keep_edge(seed, ru, ranks[v], p):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
@@ -169,12 +162,33 @@ def to_canonical_json(graph: Graph) -> str:
     return json.dumps(to_json_dict(graph), separators=(",", ":")) + "\n"
 
 
+def _provenance(obj: dict) -> Provenance | None:
+    """None for an unsampled file; the triple must be all null or all valid."""
+    p, seed, rng_id = obj.get("p"), obj.get("seed"), obj.get("rng_id")
+    if p is None and seed is None and rng_id is None:
+        return None
+    # type(...) rather than isinstance: a JSON true must not pass as 1
+    valid = type(p) in (int, float) and 0 <= p <= 1 and type(seed) is int
+    if not valid or rng_id != seeds.EDGE_RNG_ID:
+        raise ValueError(
+            f"provenance p={p!r}, seed={seed!r}, rng_id={rng_id!r} is neither "
+            f"all null nor a p in [0, 1], an int seed and {seeds.EDGE_RNG_ID!r}"
+        )
+    return Provenance(p=p, seed=seed, parent_family=obj["family"], rng_id=rng_id)
+
+
 def from_json_dict(obj: dict) -> Graph:
-    n, k = obj["n"], obj["k"]
+    family, n, k = obj["family"], obj["n"], obj["k"]
+    if family not in (KNESER, SCHRIJVER):
+        raise ValueError(f"family {family!r} is neither {KNESER!r} nor {SCHRIJVER!r}")
+    if not 0 <= n <= MAX_GROUND_SET:
+        raise CapacityError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
     vertices = tuple(KSubset.from_mask(m, n) for m in obj["vertices"])
     for v in vertices:
         if v.k != k:
             raise ValueError(f"vertex mask {v.mask:#x} is not a {k}-subset")
+        if family == SCHRIJVER and not mask_is_stable(v.mask, n):
+            raise ValueError(f"schrijver vertex mask {v.mask:#x} is not stable")
     for a, b in zip(vertices, vertices[1:]):
         if a.mask >= b.mask:
             raise ValueError(
@@ -191,9 +205,10 @@ def from_json_dict(obj: dict) -> Graph:
             raise ValueError("self-loop in edge list")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    if obj.get("p") is None:
-        return Graph(obj["family"], n, k, vertices, tuple(adj))
-    prov = Provenance(
-        p=obj["p"], seed=obj["seed"], parent_family=obj["family"], rng_id=obj["rng_id"]
-    )
-    return Graph(SAMPLED, n, k, vertices, tuple(adj), prov)
+    prov = _provenance(obj)
+    disjoint = _disjointness_adjacency(vertices, n)
+    if any(row & ~fit for row, fit in zip(adj, disjoint)):
+        raise ValueError("an edge joins two intersecting vertex masks")
+    if prov is None and tuple(adj) != disjoint:
+        raise ValueError("an unsampled graph lacks an edge between disjoint vertices")
+    return Graph(SAMPLED if prov else family, n, k, vertices, tuple(adj), prov)

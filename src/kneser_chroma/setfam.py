@@ -128,6 +128,39 @@ def enumerate_stable_ksubsets(n: int, k: int) -> list[KSubset]:
     return [s for s in enumerate_ksubsets(n, k) if mask_is_stable(s.mask, n)]
 
 
+def iter_bits(mask: int):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class SubsetIndex:
+    """Which members of a family of subsets of [n] lie inside a ground set.
+
+    Built once from a list of masks: for each element e it keeps the bitset of
+    list positions whose mask avoids e.  ``within(ground)`` is the bitset of
+    positions i with ``masks[i]`` a subset of ``ground``, at one big-int AND
+    per element of [n] missing from ``ground``.
+    """
+
+    def __init__(self, masks, n: int):
+        self._elements = (1 << n) - 1
+        self._positions = (1 << len(masks)) - 1
+        has = [0] * n
+        for i, m in enumerate(masks):
+            for e in iter_bits(m):
+                has[e] |= 1 << i
+        self._avoid = [self._positions ^ h for h in has]
+
+    def within(self, ground: int) -> int:
+        out = self._positions
+        for e in iter_bits(self._elements & ~ground):
+            out &= self._avoid[e]
+        return out
+
+
 def binomial_exact(a: int, b: int) -> int:
     """Exact C(a, b); zero when b > a."""
     if a < 0 or b < 0:

@@ -26,7 +26,8 @@ from kneser_chroma.bounds import (
     ln_pA_bound,
 )
 from kneser_chroma.chromatic import chromatic_number, vertex_critical
-from kneser_chroma.cli import event_a_oracle, run_random_chi
+from kneser_chroma.cli import run_random_chi
+from kneser_chroma.events import event_a_oracle
 from kneser_chroma.errors import NoWitnessFound
 from kneser_chroma.gale import WitnessSearch, build_embedding, verify_gale_property
 from kneser_chroma.graphs import build_kneser, build_schrijver

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,14 +6,10 @@ import sys
 
 import pytest
 
+from kneser_chroma import cli
 from kneser_chroma.chromatic import chromatic_number
-from kneser_chroma.cli import (
-    CSV_HEADER,
-    event_a_oracle,
-    main,
-    run_random_chi,
-    run_witness,
-)
+from kneser_chroma.cli import CSV_HEADER, main, run_random_chi, run_witness
+from kneser_chroma.events import event_a_json_dict, event_a_oracle
 from kneser_chroma.graphs import adjacent, build_schrijver, sample_subgraph
 
 PETERSEN_JSON = (
@@ -21,6 +18,13 @@ PETERSEN_JSON = (
     '"edges":[[0,5],[0,8],[0,9],[1,4],[1,7],[1,9],[2,3],[2,6],[2,9],'
     "[3,7],[3,8],[4,6],[4,8],[5,6],[5,7]]}\n"
 )
+
+
+def sha256_of_reports(reports):
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update((json.dumps(rep, separators=(",", ":")) + "\n").encode())
+    return h.hexdigest()
 
 
 def run_cli(args, env_extra=None):
@@ -117,12 +121,32 @@ class TestChi:
             ([3, 5, 6, 9, 10, 12], [[-1, 2]]),
             ([5, 5, 6, 9, 10, 12], [[0, 5]]),  # duplicate vertex
             ([5, 3, 6, 9, 10, 12], [[0, 5]]),  # not in colex order
+            ([3, 5], [[0, 1]]),  # {1,2} and {1,3} intersect
         ],
     )
     def test_invalid_graph_file_exit_2(self, tmp_path, vertices, edges):
         bad = tmp_path / "bad.json"
         obj = {"family": "kneser", "n": 4, "k": 2, "p": None, "seed": None,
                "rng_id": None, "vertices": vertices, "edges": edges}
+        bad.write_text(json.dumps(obj))
+        rc, out, err = run_cli(["chi", str(bad)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"p": 0.5, "seed": None, "rng_id": "bogus"},
+            {"family": "schrijver", "vertices": [3], "edges": []},  # {1,2} on C5
+            {"family": "bogus"},
+            {"p": 2.5, "seed": "x"},
+        ],
+    )
+    def test_contradictory_graph_file_exit_2(self, tmp_path, change):
+        bad = tmp_path / "bad.json"
+        obj = json.loads(PETERSEN_JSON)
+        obj.update(change)
         bad.write_text(json.dumps(obj))
         rc, out, err = run_cli(["chi", str(bad)])
         assert rc == 2
@@ -171,6 +195,30 @@ class TestRandomChi:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("cpus,want", [(64, [3]), (2, [2]), (None, [])])
+    def test_pool_size_capped(self, monkeypatch, cpus, want):
+        sizes = []
+
+        class RecordingPool:  # stands in for the real pool: starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("KNESER_CHROMA_THREADS", str(10**6))
+        rows, _ = run_random_chi("kneser", 6, 2, 0.5, trials=3, master_seed=9)
+        assert sizes == want
+        assert [r[0] for r in rows] == [0, 1, 2]
+
     def test_library_matches_cli(self, tmp_path):
         rows, summary = run_random_chi(
             family="schrijver", n=7, k=2, p=0.6, trials=6, master_seed=4, ell=1
@@ -197,6 +245,21 @@ class TestRandomChi:
 
 
 class TestEventA:
+    def test_reports_pinned(self):
+        # digest of the 224 reports computed before the sides became bitsets
+        grid = [(8, 2, 1), (9, 2, 1), (9, 2, 2), (10, 2, 1), (10, 3, 1),
+                (11, 2, 2), (10, 2, 2)]
+        reports = [
+            event_a_json_dict(event_a_oracle(n, k, ell, p, seed))
+            for n, k, ell in grid
+            for p in (0.1, 0.3, 0.5, 0.9)
+            for seed in range(1, 9)
+        ]
+        assert sum(r["holds"] for r in reports) == 206
+        assert sha256_of_reports(reports) == (
+            "c7d97e4ed4494bd4499b1ec55688ca9fda43e5d18923d92131584311d3f2b074"
+        )
+
     def test_p0_holds(self):
         rep = event_a_oracle(8, 2, 1, 0.0, seed=1)
         assert rep.holds
@@ -246,6 +309,19 @@ class TestEventA:
 
 
 class TestWitnessCmd:
+    def test_reports_pinned(self):
+        # digest computed before the side census became bitsets
+        grid = [(10, 2, 2), (12, 3, 2), (12, 2, 3), (9, 2, 1), (8, 2, 1),
+                (7, 2, 1), (11, 2, 2), (11, 3, 1)]
+        reports = [
+            run_witness(n, k, ell, coloring_seed=seed)
+            for n, k, ell in grid
+            for seed in [*range(1, 21), 321]
+        ]
+        assert sha256_of_reports(reports) == (
+            "3a58a9c94c5ff7a92892ebb582e9071b8248d79ee90fb28a84a8510a11bc7e2c"
+        )
+
     def test_random_seed_witness(self, tmp_path):
         out = tmp_path / "w.json"
         assert main(["witness", "--n", "8", "--k", "2", "--ell", "1",

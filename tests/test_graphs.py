@@ -26,7 +26,29 @@ def brute_edge_count(vertex_sets):
     )
 
 
+def pair_loop_adjacency(vertices):
+    """Reference O(V^2) disjointness scan over every vertex pair."""
+    m = len(vertices)
+    adj = [0] * m
+    for u in range(m):
+        for v in range(u + 1, m):
+            if vertices[u].mask & vertices[v].mask == 0:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return tuple(adj)
+
+
 class TestBuilders:
+    def test_adjacency_matches_pair_loop(self):
+        for n in range(0, 13):
+            for k in range(0, n + 1):
+                for build in (build_kneser, build_schrijver):
+                    try:
+                        g = build(n, k)
+                    except CapacityError:
+                        continue
+                    assert g.adj == pair_loop_adjacency(g.vertices), (build, n, k)
+
     def test_petersen(self):
         g = build_kneser(5, 2)
         assert g.num_vertices == 10
@@ -224,6 +246,34 @@ class TestJson:
         obj2["vertices"][0] = 7  # popcount 3, not a 2-subset
         with pytest.raises(ValueError):
             from_json_dict(obj2)
+
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"edges": [[0, 5]]},  # an unsampled graph missing edges
+            {"edges": [[0, 1]]},  # {1,2} and {1,3} intersect
+            {"family": "sampled"},
+            {"p": 0.5, "seed": 1, "rng_id": None},
+            {"p": True, "seed": 1, "rng_id": "splitmix64-edge-v1"},
+            {"p": 0.5, "seed": 1.0, "rng_id": "splitmix64-edge-v1"},
+        ],
+    )
+    def test_rejects_contradictions(self, change):
+        obj = to_json_dict(build_kneser(4, 2))
+        obj.update(change)
+        with pytest.raises(ValueError):
+            from_json_dict(obj)
+
+    def test_rejects_unstable_schrijver_vertex(self):
+        obj = to_json_dict(build_kneser(5, 2))
+        obj["family"] = "schrijver"
+        with pytest.raises(ValueError):
+            from_json_dict(obj)
+        obj = to_json_dict(sample_subgraph(build_kneser(5, 2), 0.5, seed=3))
+        obj["family"] = "schrijver"
+        with pytest.raises(ValueError):
+            from_json_dict(obj)
 
 
 def test_ksubset_validation():

@@ -2,14 +2,18 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kneser_chroma.errors import CapacityError
 from kneser_chroma.setfam import (
     KSubset,
+    SubsetIndex,
     binomial_exact,
     enumerate_ksubsets,
     enumerate_stable_ksubsets,
     is_stable,
+    iter_bits,
     ln_binomial,
     mask_is_stable,
     rank_mask,
@@ -190,3 +194,28 @@ class TestBinomials:
     def test_ln_domain(self):
         with pytest.raises(ValueError):
             ln_binomial(10, 11)
+
+
+@st.composite
+def family_and_grounds(draw):
+    n = draw(st.integers(0, 12))
+    full = (1 << n) - 1
+    mask = st.integers(0, full)
+    masks = draw(st.lists(mask, max_size=40))
+    grounds = draw(st.lists(mask, max_size=8)) + [0, full]
+    return n, masks, grounds
+
+
+class TestSubsetIndex:
+    @given(family_and_grounds())
+    def test_within_matches_bruteforce(self, case):
+        n, masks, grounds = case
+        index = SubsetIndex(masks, n)
+        for g in grounds:
+            want = sum(1 << i for i, m in enumerate(masks) if m & g == m)
+            assert index.within(g) == want
+
+    def test_iter_bits(self):
+        assert list(iter_bits(0)) == []
+        assert list(iter_bits(0b101001)) == [0, 3, 5]
+        assert list(iter_bits(1 << 200)) == [200]
