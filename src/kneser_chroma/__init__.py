@@ -18,12 +18,10 @@ from .chromatic import (
     ColoringResult,
     chromatic_number,
     clique_lower,
-    greedy_upper,
-    is_proper,
     max_independent_set,
     vertex_critical,
 )
-from .errors import CapacityError, FalsificationError, NoWitnessFound
+from .errors import CapacityError, NoWitnessFound
 from .gale import (
     GaleEmbedding,
     HemispherePartition,
@@ -37,7 +35,6 @@ from .gale import (
 )
 from .graphs import (
     Graph,
-    adjacent,
     build_kneser,
     build_schrijver,
     from_json_dict,
@@ -49,9 +46,7 @@ from .setfam import (
     binomial_exact,
     enumerate_ksubsets,
     enumerate_stable_ksubsets,
-    is_stable,
     ln_binomial,
-    unrank_ksubset,
 )
 
 __version__ = "0.1.0"

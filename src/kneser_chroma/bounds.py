@@ -17,7 +17,7 @@ LN3 = math.log(3.0)
 
 @dataclass(frozen=True)
 class TheoremParams:
-    """Finite parameter tuple (n, k, ell, p, eps) with derived d and t."""
+    """Finite parameter tuple (n, k, ell, p, eps), validated on construction."""
 
     n: int
     k: int
@@ -31,14 +31,6 @@ class TheoremParams:
             raise ValueError(f"p={self.p} outside (0, 1]")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps={self.eps} outside (0, 1)")
-
-    @property
-    def d(self) -> int:
-        return self.n - 2 * self.k - 2 * self.ell + 1
-
-    @property
-    def t(self) -> int:
-        return derived_params(self.n, self.k, self.ell)[1]
 
 
 def derived_params(n: int, k: int, ell: int) -> tuple[int, int]:
@@ -182,10 +174,6 @@ class RegimeEntry:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    n: int
-    k: int
-    p: float
-    eps: float
     entries: tuple[RegimeEntry, ...]
     certified: tuple[str, ...]
 
@@ -218,6 +206,4 @@ def corollary_regime_report(
         entries.append(
             RegimeEntry(ell=ell, d=d, t=t, rhs=rhs, holds=holds, conclusion=conclusion)
         )
-    return RegimeReport(
-        n=n, k=k, p=p, eps=eps, entries=tuple(entries), certified=tuple(certified)
-    )
+    return RegimeReport(entries=tuple(entries), certified=tuple(certified))

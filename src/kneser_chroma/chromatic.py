@@ -117,19 +117,22 @@ def _max_clique_exact(
     return sorted(best)
 
 
+def _clique(adj: tuple[int, ...], active: int, counter: _Counter) -> list[int]:
+    """Maximum clique up to 64 vertices; greedy beyond or once the budget runs out."""
+    if active.bit_length() <= 64:
+        try:
+            return _max_clique_exact(adj, active, counter)
+        except _OutOfBudget:
+            pass
+    return sorted(_greedy_clique(adj, active))
+
+
 def clique_lower(graph: Graph, budget: Budget | None = None) -> int:
     """Size of a clique found: exact for <= 64 vertices, greedy beyond."""
     m = graph.num_vertices
     if m == 0:
         raise ValueError("empty graph")
-    active = (1 << m) - 1
-    if m <= 64:
-        counter = _Counter(budget)
-        try:
-            return len(_max_clique_exact(graph.adj, active, counter))
-        except _OutOfBudget:
-            pass
-    return max(1, len(_greedy_clique(graph.adj, active)))
+    return len(_clique(graph.adj, (1 << m) - 1, _Counter(budget)))
 
 
 @dataclass(frozen=True)
@@ -157,27 +160,6 @@ def max_independent_set(
         best = _greedy_clique(comp, full)
         status = TIMEOUT
     return IndependentSetResult(len(best), tuple(sorted(best)), status, counter.nodes)
-
-
-def greedy_upper(graph: Graph, order) -> int:
-    """Colors used by sequential greedy coloring along the given order."""
-    m = graph.num_vertices
-    order = list(order)
-    if sorted(order) != list(range(m)):
-        raise ValueError("order is not a permutation of the vertices")
-    colors = [-1] * m
-    used = 0
-    for v in order:
-        forbidden = 0
-        for u in iter_bits(graph.adj[v]):
-            if colors[u] >= 0:
-                forbidden |= 1 << colors[u]
-        c = 0
-        while forbidden >> c & 1:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-    return max(used, 1)
 
 
 def _dsatur_greedy(adj: tuple[int, ...], active: int) -> tuple[list[int], int]:
@@ -327,83 +309,33 @@ def chromatic_number(graph: Graph, budget: Budget | None = None) -> ColoringResu
         sys.setrecursionlimit(4 * nv + 1000)
     active = (1 << nv) - 1
     counter = _Counter(budget)
-
-    if graph.num_edges == 0:
-        return ColoringResult(
-            chi=1,
-            coloring=(0,) * nv,
-            clique=(0,),
-            nodes_explored=0,
-            status=EXACT,
-            lower=1,
-            upper=1,
-        )
-
-    if nv <= 64:
-        try:
-            clique = _max_clique_exact(graph.adj, active, counter)
-        except _OutOfBudget:
-            clique = sorted(_greedy_clique(graph.adj, active))
-    else:
-        clique = sorted(_greedy_clique(graph.adj, active))
-    lower = max(2, len(clique))
-
-    gcolors, upper = _dsatur_greedy(graph.adj, active)
-    best = gcolors
-
+    clique, best, lower, upper = [0], [0] * nv, 1, 1
     status = EXACT
-    m = upper - 1
-    while m >= lower - 1:
-        try:
-            attempt = _decide_colorable(graph.adj, m, active, counter)
-        except _OutOfBudget:
-            status = TIMEOUT
-            break
-        if attempt is None:
-            break
-        best = attempt
-        upper = m
-        m -= 1
 
-    if status == EXACT:
-        return ColoringResult(
-            chi=upper,
-            coloring=tuple(best),
-            clique=tuple(clique),
-            nodes_explored=counter.nodes,
-            status=EXACT,
-            lower=upper,
-            upper=upper,
-        )
+    if graph.num_edges:
+        clique = _clique(graph.adj, active, counter)
+        lower = max(2, len(clique))
+        best, upper = _dsatur_greedy(graph.adj, active)
+        # refute one color fewer until that fails or reaches lower - 1
+        for m in range(upper - 1, lower - 2, -1):
+            try:
+                attempt = _decide_colorable(graph.adj, m, active, counter)
+            except _OutOfBudget:
+                status = TIMEOUT
+                break
+            if attempt is None:
+                break
+            best, upper = attempt, m
+
     return ColoringResult(
         chi=upper,
         coloring=tuple(best),
         clique=tuple(clique),
         nodes_explored=counter.nodes,
-        status=TIMEOUT,
-        lower=lower,
+        status=status,
+        lower=upper if status == EXACT else lower,
         upper=upper,
     )
-
-
-def is_proper(graph: Graph, coloring) -> bool:
-    """True iff every vertex is colored and no edge is monochromatic."""
-    colors = list(coloring)
-    if len(colors) != graph.num_vertices or any(c is None for c in colors):
-        raise ValueError("coloring must assign every vertex a color")
-    for u in range(graph.num_vertices):
-        row = graph.adj[u] >> (u + 1)
-        while row:
-            low = row & -row
-            v = u + low.bit_length()
-            row ^= low
-            if colors[u] == colors[v]:
-                return False
-    return True
-
-
-def _subgraph_active(nv: int, dropped: int) -> int:
-    return ((1 << nv) - 1) ^ (1 << dropped)
 
 
 def vertex_critical(graph: Graph, budget: Budget | None = None) -> bool | None:
@@ -426,7 +358,7 @@ def vertex_critical(graph: Graph, budget: Budget | None = None) -> bool | None:
     for v in range(nv):
         try:
             attempt = _decide_colorable(
-                graph.adj, chi - 1, _subgraph_active(nv, v), counter
+                graph.adj, chi - 1, ((1 << nv) - 1) ^ (1 << v), counter
             )
         except _OutOfBudget:
             return None

@@ -298,19 +298,32 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Flags beat config-file entries, which beat parser defaults."""
-    merged = dict(vars(args))
-    path = merged.pop("config", None)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        for key, value in file_cfg.items():
-            key = key.replace("-", "_")
-            if merged.get(key) is None:
-                merged[key] = value
-    merged.pop("func", None)
-    return merged
+def _config_flags(argv: list[str]) -> list[str]:
+    """The entries of the --config file in argv, spelled as command-line flags.
+
+    ``"budget_nodes": 10`` becomes ``--budget-nodes=10``, a list gives one
+    value per item, ``true`` gives a bare switch such as ``--sweep``, and
+    ``false`` or ``null`` gives nothing.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    with open(path, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
+        raise ValueError(f"config file {path} does not hold a JSON object")
+    flags = []
+    for key, value in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif isinstance(value, list):
+            flags += [flag, *map(str, value)]
+        elif value is not None and value is not False:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _budget_args(cfg) -> Budget | None:
@@ -324,7 +337,6 @@ def _config_echo(cfg: dict, keys) -> dict:
 
 
 def _cmd_gen_graph(cfg) -> int:
-    _require_json_format(cfg)
     graph = gen_graph(
         cfg["family"],
         cfg["n"],
@@ -338,7 +350,6 @@ def _cmd_gen_graph(cfg) -> int:
 
 
 def _cmd_chi(cfg) -> int:
-    _require_json_format(cfg)
     with open(cfg["input"], encoding="utf-8") as fh:
         try:
             graph = from_json_dict(json.load(fh))
@@ -348,11 +359,6 @@ def _cmd_chi(cfg) -> int:
     report["config"] = _config_echo(cfg, ("input", "budget_nodes", "budget_ms"))
     _write_out(_canonical_json(report), cfg.get("out"))
     return EXIT_OK if report["status"] == EXACT else EXIT_TIMEOUT
-
-
-def _require_json_format(cfg) -> None:
-    if cfg.get("format") == "csv":
-        raise ValueError("this command emits JSON only")
 
 
 def _cmd_random_chi(cfg) -> int:
@@ -394,15 +400,12 @@ def _cmd_random_chi(cfg) -> int:
 
 
 def _cmd_event_a(cfg) -> int:
-    _require_json_format(cfg)
     report = event_a_oracle(
         n=cfg["n"],
         k=cfg["k"],
         ell=cfg["ell"],
         p=cfg["p"],
         seed=cfg["seed"],
-        max_side=cfg.get("max_side") or 128,
-        max_t=cfg.get("max_t") or 8,
         max_nodes=cfg.get("max_nodes") or 10**7,
     )
     out = event_a_json_dict(report)
@@ -412,7 +415,6 @@ def _cmd_event_a(cfg) -> int:
 
 
 def _cmd_witness(cfg) -> int:
-    _require_json_format(cfg)
     coloring = None
     num_colors = None
     if cfg.get("coloring_file"):
@@ -440,7 +442,6 @@ def _cmd_witness(cfg) -> int:
 
 
 def _cmd_bounds(cfg) -> int:
-    _require_json_format(cfg)
     out = bounds_report(
         n=cfg["n"],
         k=cfg["k"],
@@ -450,13 +451,12 @@ def _cmd_bounds(cfg) -> int:
         sweep=bool(cfg.get("sweep")),
         extra_ells=cfg.get("ells") or (),
     )
-    out["config"] = _config_echo(cfg, ("n", "k", "ell", "p", "eps", "sweep"))
+    out["config"] = _config_echo(cfg, ("n", "k", "ell", "p", "eps", "sweep", "ells"))
     _write_out(_canonical_json(out), cfg.get("out"))
     return EXIT_OK
 
 
 def _cmd_gale_verify(cfg) -> int:
-    _require_json_format(cfg)
     s = cfg.get("s")
     if s is None:
         if cfg.get("k") is None or cfg.get("ell") is None:
@@ -471,12 +471,6 @@ def _cmd_gale_verify(cfg) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file (flags take precedence)")
     sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default=None,
-        help="output format where a command supports both",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, required=True, help="master seed")
     sub.add_argument("--budget-nodes", type=int, default=None, dest="budget_nodes")
     sub.add_argument("--budget-ms", type=float, default=None, dest="budget_ms")
+    sub.add_argument("--format", choices=("csv", "json"), default=None)
     _add_common(sub)
     sub.set_defaults(func=_cmd_random_chi)
 
@@ -522,8 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ell", type=int, required=True)
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--max-side", type=int, default=None, dest="max_side")
-    sub.add_argument("--max-t", type=int, default=None, dest="max_t")
     sub.add_argument("--max-nodes", type=int, default=None, dest="max_nodes")
     _add_common(sub)
     sub.set_defaults(func=_cmd_event_a)
@@ -560,11 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _merge_config(args)
-        return args.func(cfg)
+        # config entries go first, so that the command line's own flags win
+        argv[1:1] = _config_flags(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(vars(args))
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -5,11 +5,7 @@ class CapacityError(Exception):
     """Instance exceeds a documented desk-scale capacity limit."""
 
 
-class FalsificationError(Exception):
-    """An exhaustively verified claim failed; this should never happen on valid inputs."""
-
-
-class NoWitnessFound(FalsificationError):
+class NoWitnessFound(Exception):
     """Antipodal witness search exhausted every cell without success.
 
     ``certified`` records whether the cell enumeration was provably exhaustive;

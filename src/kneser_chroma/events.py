@@ -16,6 +16,10 @@ from .gale import (
 from .graphs import build_schrijver, sample_subgraph
 from .setfam import SubsetIndex, iter_bits
 
+# the largest side and pigeonhole size the exhaustive search takes on
+MAX_SIDE = 128
+MAX_T = 8
+
 
 @dataclass(frozen=True)
 class EventAReport:
@@ -32,8 +36,6 @@ def event_a_oracle(
     ell: int,
     p: float,
     seed: int,
-    max_side: int = 128,
-    max_t: int = 8,
     max_nodes: int = 10**7,
 ) -> EventAReport:
     """Exhaustive cross-independent-set search over canonical partitions.
@@ -57,7 +59,7 @@ def event_a_oracle(
         sm = index.within(part.minus_mask)
         t_p = -(-len(sp) // d)
         t_m = -(-sm.bit_count() // d)
-        if max(len(sp), sm.bit_count()) > max_side or max(t_p, t_m) > max_t:
+        if max(len(sp), sm.bit_count()) > MAX_SIDE or max(t_p, t_m) > MAX_T:
             raise CapacityError(
                 f"instance too large for event-A oracle "
                 f"(sides {len(sp)}/{sm.bit_count()}, t {t_p}/{t_m})"

@@ -22,21 +22,19 @@ from .setfam import (
     enumerate_stable_ksubsets,
     iter_bits,
     mask_is_stable,
+    stable_count,
 )
 
 DEFAULT_VERTEX_CAP = 5000
 
 KNESER = "kneser"
 SCHRIJVER = "schrijver"
-SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
 class Provenance:
     p: float
     seed: int
-    parent_family: str
-    rng_id: str
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,6 @@ class Graph:
                 out.append((u, u + low.bit_length()))
                 higher ^= low
         return out
-
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
 
 
 def _check_capacity(n: int, k: int, max_vertices: int) -> None:
@@ -126,18 +121,8 @@ def sample_subgraph(graph: Graph, p: float, seed: int) -> Graph:
             if seeds.keep_edge(seed, ru, ranks[v], p):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    prov = Provenance(
-        p=p, seed=seed, parent_family=graph.family, rng_id=seeds.EDGE_RNG_ID
-    )
-    return Graph(SAMPLED, graph.n, graph.k, graph.vertices, tuple(adj), prov)
-
-
-def adjacent(graph: Graph, u: int, v: int) -> bool:
-    """O(1) symmetric adjacency probe; false on the diagonal."""
-    m = len(graph.vertices)
-    if not (0 <= u < m and 0 <= v < m):
-        raise IndexError(f"vertex index out of range 0..{m - 1}")
-    return bool(graph.adj[u] >> v & 1)
+    prov = Provenance(p=p, seed=seed)
+    return Graph(graph.family, graph.n, graph.k, graph.vertices, tuple(adj), prov)
 
 
 # --- canonical JSON format (read/written by the CLI) ---------------------
@@ -146,12 +131,12 @@ def adjacent(graph: Graph, u: int, v: int) -> bool:
 def to_json_dict(graph: Graph) -> dict:
     prov = graph.provenance
     return {
-        "family": prov.parent_family if prov else graph.family,
+        "family": graph.family,
         "n": graph.n,
         "k": graph.k,
         "p": prov.p if prov else None,
         "seed": prov.seed if prov else None,
-        "rng_id": prov.rng_id if prov else None,
+        "rng_id": seeds.EDGE_RNG_ID if prov else None,
         "vertices": [v.mask for v in graph.vertices],
         "edges": [[u, v] for u, v in graph.edges()],
     }
@@ -174,7 +159,7 @@ def _provenance(obj: dict) -> Provenance | None:
             f"provenance p={p!r}, seed={seed!r}, rng_id={rng_id!r} is neither "
             f"all null nor a p in [0, 1], an int seed and {seeds.EDGE_RNG_ID!r}"
         )
-    return Provenance(p=p, seed=seed, parent_family=obj["family"], rng_id=rng_id)
+    return Provenance(p=p, seed=seed)
 
 
 def from_json_dict(obj: dict) -> Graph:
@@ -195,7 +180,11 @@ def from_json_dict(obj: dict) -> Graph:
                 f"vertex masks must strictly increase (colex order): "
                 f"{b.mask:#x} follows {a.mask:#x}"
             )
+    # strictly increasing members of the family, as many as it has, are all of it
+    whole = math.comb(n, k) if family == KNESER else stable_count(n, k)
     m = len(vertices)
+    if m != whole:
+        raise ValueError(f"{family} file lists {m} of the family's {whole} vertices")
     adj = [0] * m
     for u, v in obj["edges"]:
         # checked before the shift below, which would allocate a 2^v-bit int
@@ -211,4 +200,4 @@ def from_json_dict(obj: dict) -> Graph:
         raise ValueError("an edge joins two intersecting vertex masks")
     if prov is None and tuple(adj) != disjoint:
         raise ValueError("an unsampled graph lacks an edge between disjoint vertices")
-    return Graph(SAMPLED if prov else family, n, k, vertices, tuple(adj), prov)
+    return Graph(family, n, k, vertices, tuple(adj), prov)

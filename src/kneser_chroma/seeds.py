@@ -12,8 +12,6 @@ _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
 
 EDGE_RNG_ID = "splitmix64-edge-v1"
-TRIAL_RNG_ID = "splitmix64-trial-v1"
-COLOR_RNG_ID = "splitmix64-color-v1"
 
 TWO53 = float(1 << 53)
 

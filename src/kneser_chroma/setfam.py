@@ -34,15 +34,6 @@ class KSubset:
             raise ValueError(f"mask {mask:#x} has bits outside positions 1..{n}")
         return cls(mask=mask, n=n, k=mask.bit_count(), rank=rank_mask(mask))
 
-    @classmethod
-    def from_elements(cls, elements, n: int) -> "KSubset":
-        mask = 0
-        for e in elements:
-            if not 1 <= e <= n:
-                raise ValueError(f"element {e} outside 1..{n}")
-            mask |= 1 << (e - 1)
-        return cls.from_mask(mask, n)
-
     def elements(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
 
@@ -61,26 +52,6 @@ def rank_mask(mask: int) -> int:
         j += 1
         m ^= low
     return r
-
-
-def unrank_ksubset(n: int, k: int, rank: int) -> KSubset:
-    """Inverse of ``KSubset.rank`` for the colex order on k-subsets of [n]."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if n > MAX_GROUND_SET:
-        raise CapacityError(f"n={n} exceeds {MAX_GROUND_SET}")
-    if not 0 <= rank < math.comb(n, k):
-        raise ValueError(f"rank {rank} outside 0..C({n},{k})-1")
-    mask = 0
-    r = rank
-    c = n - 1
-    for j in range(k, 0, -1):
-        while math.comb(c, j) > r:
-            c -= 1
-        r -= math.comb(c, j)
-        mask |= 1 << c
-        c -= 1
-    return KSubset(mask=mask, n=n, k=k, rank=rank)
 
 
 def _colex_masks(n: int, k: int):
@@ -117,10 +88,6 @@ def mask_is_stable(mask: int, n: int) -> bool:
     full = (1 << n) - 1
     succ = ((mask << 1) | (mask >> (n - 1))) & full
     return mask & succ == 0
-
-
-def is_stable(s: KSubset) -> bool:
-    return mask_is_stable(s.mask, s.n)
 
 
 def enumerate_stable_ksubsets(n: int, k: int) -> list[KSubset]:

@@ -4,12 +4,26 @@ from kneser_chroma.chromatic import (
     Budget,
     chromatic_number,
     clique_lower,
-    greedy_upper,
-    is_proper,
     max_independent_set,
     vertex_critical,
 )
-from kneser_chroma.graphs import build_kneser, build_schrijver, sample_subgraph
+from kneser_chroma.graphs import Graph, build_kneser, build_schrijver, sample_subgraph
+
+
+def is_proper(graph: Graph, coloring) -> bool:
+    """True iff every vertex is colored and no edge is monochromatic."""
+    colors = list(coloring)
+    if len(colors) != graph.num_vertices or any(c is None for c in colors):
+        raise ValueError("coloring must assign every vertex a color")
+    for u in range(graph.num_vertices):
+        row = graph.adj[u] >> (u + 1)
+        while row:
+            low = row & -row
+            v = u + low.bit_length()
+            row ^= low
+            if colors[u] == colors[v]:
+                return False
+    return True
 
 
 def brute_chromatic(graph):
@@ -120,37 +134,6 @@ class TestChromaticNumber:
 
 
 class TestBoundsHelpers:
-    def test_greedy_complete_graph(self):
-        g = build_kneser(6, 1)  # K6
-        assert greedy_upper(g, range(6)) == 6
-        assert greedy_upper(g, reversed(range(6))) == 6
-
-    def test_greedy_edgeless(self):
-        g = build_kneser(3, 2)
-        assert greedy_upper(g, [2, 0, 1]) == 1
-
-    def test_greedy_petersen_identity_order(self):
-        g = build_kneser(5, 2)
-        val = greedy_upper(g, range(10))
-        assert 3 <= val <= 4
-
-    def test_greedy_petersen_degeneracy_order(self):
-        g = build_kneser(5, 2)
-        # degeneracy order: repeatedly remove a minimum-degree vertex
-        remaining = set(range(g.num_vertices))
-        removal = []
-        while remaining:
-            v = min(remaining, key=lambda u: (bin(g.adj[u]).count("1"), u))
-            removal.append(v)
-            remaining.remove(v)
-        order = list(reversed(removal))
-        val = greedy_upper(g, order)
-        assert 3 <= val <= 4
-
-    def test_greedy_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            greedy_upper(build_kneser(4, 2), [0, 0, 1, 2, 3, 4])
-
     def test_clique_kneser_6_2(self):
         assert clique_lower(build_kneser(6, 2)) >= 3
 
@@ -186,7 +169,7 @@ class TestBoundsHelpers:
         graphs += [sample_subgraph(build_kneser(6, 2), 0.5, s) for s in range(5)]
         for g in graphs:
             chi = chromatic_number(g).chi
-            assert clique_lower(g) <= chi <= greedy_upper(g, range(g.num_vertices))
+            assert clique_lower(g) <= chi
 
 
 class TestIsProper:

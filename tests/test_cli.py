@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from kneser_chroma import cli
-from kneser_chroma.chromatic import chromatic_number
-from kneser_chroma.cli import CSV_HEADER, main, run_random_chi, run_witness
+from kneser_chroma import cli, seeds
+from kneser_chroma.chromatic import Budget, chromatic_number
+from kneser_chroma.cli import CSV_HEADER, chi_report, main, run_random_chi, run_witness
 from kneser_chroma.events import event_a_json_dict, event_a_oracle
-from kneser_chroma.graphs import adjacent, build_schrijver, sample_subgraph
+from kneser_chroma.graphs import build_kneser, build_schrijver, sample_subgraph
 
 PETERSEN_JSON = (
     '{"family":"kneser","n":5,"k":2,"p":null,"seed":null,"rng_id":null,'
@@ -80,6 +80,27 @@ class TestGenGraph:
 
 
 class TestChi:
+    def test_reports_pinned(self):
+        # digest computed before the clique rule and the returns were folded
+        reports = []
+        for n in range(2, 10):
+            for k in range(1, n // 2 + 1):
+                for g in (build_kneser(n, k), build_schrijver(n, k)):
+                    reports.append(chi_report(g, None))
+                    for p in (0.3, 0.6, 0.9):
+                        for seed in (1, 2, 3):
+                            sampled = sample_subgraph(g, p, seed)
+                            reports.append(chi_report(sampled, Budget(max_nodes=5000)))
+        parent = build_schrijver(10, 3)
+        for p in (0.9, 0.97):  # coupled: the same trial seeds at both p
+            for trial in range(150):
+                sampled = sample_subgraph(parent, p, seeds.trial_seed(1, trial))
+                reports.append(chi_report(sampled, Budget(max_nodes=5000)))
+        assert sum(r["status"] == "timeout" for r in reports) == 24
+        assert sha256_of_reports(reports) == (
+            "22a2661a50bcd5d294bb96a0576fa39dd408d4d8ffeb2d096a769b2e2a1879ac"
+        )
+
     def test_petersen(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(PETERSEN_JSON)
@@ -121,7 +142,7 @@ class TestChi:
             ([3, 5, 6, 9, 10, 12], [[-1, 2]]),
             ([5, 5, 6, 9, 10, 12], [[0, 5]]),  # duplicate vertex
             ([5, 3, 6, 9, 10, 12], [[0, 5]]),  # not in colex order
-            ([3, 5], [[0, 1]]),  # {1,2} and {1,3} intersect
+            ([3, 5, 6, 9, 10, 12], [[0, 1]]),  # {1,2} and {1,3} intersect
         ],
     )
     def test_invalid_graph_file_exit_2(self, tmp_path, vertices, edges):
@@ -141,6 +162,11 @@ class TestChi:
             {"family": "schrijver", "vertices": [3], "edges": []},  # {1,2} on C5
             {"family": "bogus"},
             {"p": 2.5, "seed": "x"},
+            # chi(KG(5,2)) = 3, but these two vertices alone are 2-colorable
+            {"vertices": [3, 12], "edges": [[0, 1]]},
+            # SG(5,2) is the 5-cycle on 5, 9, 10, 18, 20; one vertex missing
+            {"family": "schrijver", "vertices": [5, 9, 10, 18],
+             "edges": [[0, 2], [0, 3], [1, 3]]},
         ],
     )
     def test_contradictory_graph_file_exit_2(self, tmp_path, change):
@@ -241,7 +267,7 @@ class TestRandomChi:
         rc, _, err = run_cli(["bounds", "--n", "13", "--k", "2", "--ell", "2",
                               "--p", "1.0", "--eps", "0.1", "--format", "csv"])
         assert rc == 2
-        assert "JSON only" in err
+        assert "unrecognized arguments" in err
 
 
 class TestEventA:
@@ -290,7 +316,7 @@ class TestEventA:
             assert set(rep.m_minus) <= set(sm)
             for u in rep.m_plus:
                 for v in rep.m_minus:
-                    assert not adjacent(g, u, v)
+                    assert not g.adj[u] >> v & 1
         assert found > 0
 
     def test_node_cap_exit_4(self, tmp_path):
@@ -409,6 +435,15 @@ class TestBoundsCmd:
         assert rep["best_gap"] is not None
         assert any(e["ell"] == 2 and e["holds"] for e in rep["regime"])
 
+    def test_ells_echoed(self, tmp_path):
+        out = tmp_path / "b.json"
+        assert main(["bounds", "--n", "40", "--k", "2", "--p", "1.0",
+                     "--eps", "0.1", "--sweep", "--ells", "3", "5",
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert [e["ell"] for e in rep["regime"]] == [1, 2, 3, 5]
+        assert rep["config"]["ells"] == [3, 5]
+
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "b.json"
         main(["bounds", "--n", "1000000", "--k", "2", "--ell", "63096",
@@ -448,6 +483,53 @@ class TestConfigPrecedence:
         assert main(["gen-graph", "--family", "kneser", "--n", "5", "--k", "2",
                      "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["p"] == 1.0
+
+    def test_required_flags_from_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "kneser", "n": 5, "k": 2}))
+        out = tmp_path / "g.json"
+        assert main(["gen-graph", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text() == PETERSEN_JSON
+
+    @pytest.mark.parametrize(
+        "args,entries,message",
+        [
+            (["gen-graph", "--family", "kneser", "--n", "5", "--k", "2"],
+             [1, 2], "does not hold a JSON object"),
+            (["gen-graph", "--family", "kneser", "--n", "5", "--k", "2"],
+             {"p": "half", "seed": 4}, "invalid float value: 'half'"),
+            (["bounds", "--n", "13", "--k", "2", "--p", "1.0", "--eps", "0.1"],
+             {"bogus": 1}, "unrecognized arguments: --bogus=1"),
+        ],
+    )
+    def test_bad_config_exit_2(self, tmp_path, args, entries, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        rc, out, err = run_cli([*args, "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_config_value_parses_like_the_flag(self, tmp_path):
+        g, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        main(["gen-graph", "--family", "kneser", "--n", "7", "--k", "2",
+              "--out", str(g)])
+        cfg.write_text(json.dumps({"budget_nodes": "10"}))
+        assert main(["chi", str(g), "--config", str(cfg), "--out", str(a)]) == 3
+        assert main(["chi", str(g), "--budget-nodes", "10", "--out", str(b)]) == 3
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["config"]["budget_nodes"] == 10
+
+    def test_config_switch_turns_sweep_on(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": True}))
+        out = tmp_path / "b.json"
+        assert main(["bounds", "--n", "13", "--k", "2", "--p", "1.0", "--eps", "0.1",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["config"]["sweep"] is True
+        assert rep["best_gap"] == {"ell": 4, "gap": 8, "chi_lower": 3}
 
     def test_config_echoed_into_csv(self, tmp_path):
         out = tmp_path / "r.csv"
