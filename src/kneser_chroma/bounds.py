@@ -2,7 +2,8 @@
 
 Everything is overflow-safe for n up to 1e9: the pigeonhole count t is an
 exact big integer, and no binomial or 3^n is ever materialized outside log
-space.
+space.  The condition is monotone in ell, so ``best_gap`` finds the smallest
+certified gap by a galloping bisection in O(log n) condition evaluations.
 """
 
 from __future__ import annotations
@@ -145,8 +146,34 @@ class BestGap:
 def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
     """Minimal ell >= 1 whose condition holds; None when no ell works.
 
-    Scans ell upward (no structure in ell is assumed), so the first success
-    is the smallest chromatic gap 2*ell the condition certifies.
+    The condition is monotone in ell, so a search over 1..ell_max, with
+    ell_max = (n-2k-1)//2 the last ell keeping d >= 2, finds the first ell
+    that holds in O(log n) calls of ``condition_holds``.  It gallops
+    (ell = 1, 2, 4, ..., then ell_max) until the condition holds and bisects
+    between the last two ells tried, so it never evaluates an ell beyond
+    twice the answer: the exact C(k+ell, k) costs seconds once it has a
+    million bits, and a plain bisection would compute C(k + ell_max/2, k)
+    even where ell = 2 is the answer.  Monotonicity:
+
+    - From ell to ell+1, d = n-2k-2ell+1 drops by 2 and C(k+ell, k) rises,
+      so C(k+ell, k)/d rises and t = ceil(C(k+ell, k)/d) never decreases.
+    - Both terms of rhs = t^-2 n ln3 + 2 t^-1 (1+ln d) are then products of
+      positive factors that never increase (1 + ln d > 0 for d >= 2), so rhs
+      never increases, and ``lhs > rhs`` is false on a prefix of the ells
+      and true on the rest.
+    - The float evaluation keeps this order: it is a chain of rounded
+      operations each monotone in its arguments -- float(t), 1/x, x*x, a
+      product of nonnegative values, a sum and log -- so the computed rhs
+      never increases either, and the search returns exactly the ell a
+      linear scan upward would.
+    - Past float's range (t >~ 1.8e308) ``_inv_powers`` takes exp(-log t).
+      From ell to ell+1, t grows by a factor of at least 1 + k/(ell+1) (the
+      ceiling adds a relative 1e-308 at most), so log t rises by at least
+      ln2 min(k, ell+1)/(ell+1).  The computed log t is off by a few ulps,
+      about 2^-50 log t, and log t <= ln C(k+ell, k) <= min(k, ell)(1+ln n):
+      under 1e-4 of that rise for n <= 1e9.  So the computed log t still
+      rises and exp(-x) keeps the order; the same margin covers the step
+      at which ``_inv_powers`` switches from 1/float(t) to exp(-log t).
     """
     if k < 2:
         raise ValueError(f"precondition k >= 2 violated (k={k})")
@@ -155,11 +182,26 @@ def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps={eps} outside (0, 1)")
     ell_max = (n - 2 * k - 1) // 2
-    for ell in range(1, ell_max + 1):
-        if condition_holds(TheoremParams(n=n, k=k, ell=ell, p=p, eps=eps)):
-            d = n - 2 * k - 2 * ell + 1
-            return BestGap(ell=ell, gap=2 * ell, chi_lower=d + 1)
-    return None
+    if ell_max < 1:
+        return None
+
+    def holds(ell: int) -> bool:
+        return condition_holds(TheoremParams(n=n, k=k, ell=ell, p=p, eps=eps))
+
+    # invariant: the condition fails below lo, and holds at hi once found
+    lo, hi = 1, 1
+    while not holds(hi):
+        if hi == ell_max:
+            return None
+        lo, hi = hi + 1, min(2 * hi, ell_max)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    d = n - 2 * k - 2 * lo + 1
+    return BestGap(ell=lo, gap=2 * lo, chi_lower=d + 1)
 
 
 @dataclass(frozen=True)

@@ -343,7 +343,7 @@ def _cmd_gen_graph(cfg) -> int:
         cfg["k"],
         p=cfg.get("p"),
         seed=cfg.get("seed"),
-        max_vertices=cfg.get("max_vertices") or DEFAULT_VERTEX_CAP,
+        max_vertices=cfg["max_vertices"],
     )
     _write_out(to_canonical_json(graph), cfg.get("out"))
     return EXIT_OK
@@ -406,7 +406,7 @@ def _cmd_event_a(cfg) -> int:
         ell=cfg["ell"],
         p=cfg["p"],
         seed=cfg["seed"],
-        max_nodes=cfg.get("max_nodes") or 10**7,
+        max_nodes=cfg["max_nodes"],
     )
     out = event_a_json_dict(report)
     out["config"] = _config_echo(cfg, ("n", "k", "ell", "p", "seed"))
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--p", type=float, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--max-vertices", type=int, default=None, dest="max_vertices")
+    sub.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP)
     _add_common(sub)
     sub.set_defaults(func=_cmd_gen_graph)
 
@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ell", type=int, required=True)
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--max-nodes", type=int, default=None, dest="max_nodes")
+    sub.add_argument("--max-nodes", type=int, default=10**7, dest="max_nodes")
     _add_common(sub)
     sub.set_defaults(func=_cmd_event_a)
 

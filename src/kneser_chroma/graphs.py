@@ -20,7 +20,6 @@ from .setfam import (
     SubsetIndex,
     enumerate_ksubsets,
     enumerate_stable_ksubsets,
-    iter_bits,
     mask_is_stable,
     stable_count,
 )
@@ -112,15 +111,7 @@ def sample_subgraph(graph: Graph, p: float, seed: int) -> Graph:
         raise ValueError(f"p={p} outside [0, 1]")
     if graph.provenance is not None:
         raise ValueError("refusing to resample an already sampled graph")
-    m = len(graph.vertices)
-    ranks = [v.rank for v in graph.vertices]
-    adj = [0] * m
-    for u in range(m):
-        ru = ranks[u]
-        for v in iter_bits((graph.adj[u] >> (u + 1)) << (u + 1)):
-            if seeds.keep_edge(seed, ru, ranks[v], p):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+    adj = seeds.kept_adjacency(seed, p, [v.rank for v in graph.vertices], graph.adj)
     prov = Provenance(p=p, seed=seed)
     return Graph(graph.family, graph.n, graph.k, graph.vertices, tuple(adj), prov)
 

@@ -6,14 +6,14 @@ so results are identical across runs, platforms, and thread counts.
 
 from __future__ import annotations
 
+import math
+
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
 
 EDGE_RNG_ID = "splitmix64-edge-v1"
-
-TWO53 = float(1 << 53)
 
 
 def mix64(x: int) -> int:
@@ -27,17 +27,41 @@ def mix64(x: int) -> int:
     return x
 
 
-def edge_value(seed: int, rank_lo: int, rank_hi: int) -> int:
-    """53-bit uniform value keyed by (seed, unordered pair of subset ranks)."""
-    x = mix64(seed ^ _GOLDEN)
-    x = mix64(x ^ ((rank_lo * _MIX_C1) & _M64))
-    x = mix64(x ^ ((rank_hi * _MIX_C2) & _M64))
-    return x >> 11
+def kept_adjacency(
+    seed: int, p: float, ranks: list[int], adj: tuple[int, ...]
+) -> list[int]:
+    """Adjacency bitsets of the edges of ``adj`` that sampling keeps.
 
-
-def keep_edge(seed: int, rank_lo: int, rank_hi: int, p: float) -> bool:
-    """Keep iff the derived uniform in [0,1) is < p; exact at p=0 and p=1."""
-    return float(edge_value(seed, rank_lo, rank_hi)) < p * TWO53
+    An edge u < v is kept iff its 53-bit value, the top of
+    mix64(mix64(mix64(seed ^ GOLDEN) ^ ranks[u] C1) ^ ranks[v] C2) with
+    products taken mod 2^64, is < p 2^53; that is exact at p = 0 and p = 1.
+    The first two rounds depend on the row only and run once per row, the
+    last is inlined, and the value is compared with the integer
+    ceil(p 2^53), which is exact since the value has 53 bits.
+    """
+    threshold = math.ceil(p * (1 << 53))
+    seed_key = mix64(seed ^ _GOLDEN)
+    col_keys = [(r * _MIX_C2) & _M64 for r in ranks]
+    out = [0] * len(ranks)
+    for u, (rank_lo, row) in enumerate(zip(ranks, adj)):
+        row_key = mix64(seed_key ^ ((rank_lo * _MIX_C1) & _M64))
+        row = (row >> (u + 1)) << (u + 1)
+        bit = 1 << u
+        kept = 0
+        while row:
+            low = row & -row
+            row ^= low
+            v = low.bit_length() - 1
+            x = row_key ^ col_keys[v]
+            x ^= x >> 30
+            x = (x * _MIX_C1) & _M64
+            x ^= x >> 27
+            x = (x * _MIX_C2) & _M64
+            if (x ^ (x >> 31)) >> 11 < threshold:
+                kept |= low
+                out[v] |= bit
+        out[u] |= kept
+    return out
 
 
 def trial_seed(master_seed: int, trial: int) -> int:

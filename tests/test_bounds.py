@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from kneser_chroma.bounds import (
+    BestGap,
     TheoremParams,
     best_gap,
     condition_holds,
@@ -36,6 +38,22 @@ def exact_g(t1, t2, d, p_frac):
         * Fraction(math.comb(t2 * d, t2))
         * (1 - p_frac) ** (t1 * t2)
     )
+
+
+def linear_best_gap(n, k, p, eps):
+    """The linear scan ``best_gap`` used before the search, kept as the reference."""
+    if k < 2:
+        raise ValueError(f"precondition k >= 2 violated (k={k})")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p={p} outside (0, 1]")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps={eps} outside (0, 1)")
+    ell_max = (n - 2 * k - 1) // 2
+    for ell in range(1, ell_max + 1):
+        if condition_holds(TheoremParams(n=n, k=k, ell=ell, p=p, eps=eps)):
+            d = n - 2 * k - 2 * ell + 1
+            return BestGap(ell=ell, gap=2 * ell, chi_lower=d + 1)
+    return None
 
 
 def brute_min_ell(n, k, p, eps):
@@ -259,6 +277,104 @@ class TestBestGap:
             bg = best_gap(n, k, p, eps)
             if bg is not None:
                 assert bg.chi_lower <= n - 2 * k + 2
+
+
+class TestBisection:
+    PS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.97, 1.0)
+    EPSS = (0.01, 0.05, 0.1, 0.2, 0.5, 0.9)
+
+    def test_matches_linear_scan_on_sample(self):
+        # no ell works, or only ell_max does, only for n <= 212 on this grid,
+        # so half the sample is drawn there
+        rng = random.Random(20151)
+        cases = [
+            (rng.randint(*span), rng.randint(2, 5), rng.choice(self.PS),
+             rng.choice(self.EPSS))
+            for span in ((5, 250), (251, 2000))
+            for _ in range(1000)
+        ]
+        outcomes = set()
+        for n, k, p, eps in cases:
+            expected = linear_best_gap(n, k, p, eps)
+            assert best_gap(n, k, p, eps) == expected, (n, k, p, eps)
+            if expected is None:
+                outcomes.add("none")
+            elif expected.ell == (n - 2 * k - 1) // 2:
+                outcomes.add("ell_max")
+            else:
+                outcomes.add("inside")
+        assert outcomes == {"none", "ell_max", "inside"}
+
+    def test_edges_of_the_range(self):
+        # ell_max = (n-2k-1)//2 is the first ell that holds, or none does
+        assert best_gap(1000, 2, 3e-4, 0.5).ell == 497
+        assert linear_best_gap(1000, 2, 3e-4, 0.5).ell == 497
+        assert best_gap(1000, 2, 1e-9, 0.9) is None
+        # ell = 1 holds, and no ell exists below d = 2
+        assert best_gap(2003, 1000, 0.9, 0.1) == linear_best_gap(2003, 1000, 0.9, 0.1)
+        assert best_gap(2003, 1000, 0.9, 0.1).ell == 1
+        for n in (4, 5, 6, 7):
+            assert best_gap(n, 2, 1.0, 0.1) is None
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(13, 2), (100, 2), (1000, 3), (2000, 5), (5001, 4), (10**4, 200)],
+    )
+    def test_rhs_never_increases_in_ell(self, n, k):
+        ell_max = (n - 2 * k - 1) // 2
+        rhs = [condition_rhs(n, k, ell) for ell in range(1, ell_max + 1)]
+        assert all(b <= a for a, b in zip(rhs, rhs[1:]))
+
+    def test_overflow_branch_is_in_the_checked_range(self):
+        # at k=200, n=1e4 t passes float's range, so _inv_powers switches to
+        # exp(-log t) inside the ell range checked above
+        fits = []
+        for ell in range(1, (10**4 - 401) // 2 + 1):
+            _, t = derived_params(10**4, 200, ell)
+            try:
+                float(t)
+                fits.append(True)
+            except OverflowError:
+                fits.append(False)
+        assert fits[0] and not fits[-1]
+        assert fits == sorted(fits, reverse=True)
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The ells at which best_gap evaluates the condition, in order."""
+        import kneser_chroma.bounds as bounds_mod
+
+        calls = []
+        real = bounds_mod.condition_holds
+
+        def counted(params):
+            calls.append(params.ell)
+            return real(params)
+
+        monkeypatch.setattr(bounds_mod, "condition_holds", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "n,k,p,eps,ell",
+        [(10**7, 2, 0.5, 0.5, 352828), (10**9, 2, 0.5, 0.1, 9847227)],
+    )
+    def test_evaluations_are_logarithmic(self, evaluated, n, k, p, eps, ell):
+        assert best_gap(n, k, p, eps).ell == ell
+        assert len(evaluated) <= 2 * math.ceil(math.log2(ell)) + 1
+        assert max(evaluated) < 2 * ell
+
+    def test_large_k_never_evaluates_past_the_answer(self, evaluated):
+        # C(k + ell, k) has ~2.7e6 bits at ell = ell_max/2 here and takes
+        # seconds to compute exactly; the answer needs only ell <= 2
+        assert best_gap(10**7, 10**6, 0.5, 0.1).ell == 2
+        assert evaluated == [1, 2]
+        assert linear_best_gap(10**7, 10**6, 0.5, 0.1).ell == 2
+
+    def test_infeasible_at_1e9_returns_none(self, evaluated):
+        # the linear scan walks all ~5e8 ells here
+        assert best_gap(10**9, 2, 1e-20, 0.5) is None
+        assert len(evaluated) == 30  # 1, 2, 4, ..., 2^28, ell_max
+        assert evaluated[-1] == (10**9 - 5) // 2
 
 
 class TestRegimeReport:

@@ -73,6 +73,14 @@ class TestGenGraph:
         assert rc == 4
         assert "cap" in err
 
+    def test_zero_vertex_cap_exit_4(self):
+        # a cap of 0 is a cap, not "use the default"
+        for cap in ("0", "1"):
+            rc, _, err = run_cli(["gen-graph", "--family", "kneser", "--n", "6",
+                                  "--k", "2", "--max-vertices", cap])
+            assert rc == 4
+            assert "cap" in err
+
     def test_seed_required_with_p(self):
         rc, _, _ = run_cli(["gen-graph", "--family", "kneser", "--n", "5",
                             "--k", "2", "--p", "0.5"])
@@ -325,6 +333,13 @@ class TestEventA:
         assert rc == 4
         assert "too large" in err
 
+    def test_zero_node_cap_exit_4(self):
+        for cap in ("0", "1"):
+            rc, _, err = run_cli(["event-a", "--n", "8", "--k", "2", "--ell", "1",
+                                  "--p", "0.99", "--seed", "3", "--max-nodes", cap])
+            assert rc == 4
+            assert "node cap" in err
+
     def test_cli_json(self, tmp_path):
         out = tmp_path / "ea.json"
         assert main(["event-a", "--n", "8", "--k", "2", "--ell", "1",
@@ -443,6 +458,36 @@ class TestBoundsCmd:
         rep = json.loads(out.read_text())
         assert [e["ell"] for e in rep["regime"]] == [1, 2, 3, 5]
         assert rep["config"]["ells"] == [3, 5]
+
+    def test_sweeps_pinned(self):
+        # digest computed with the linear scan over ell that the search replaced
+        grid = (
+            [(n, 2, p, eps, ()) for n in (10**6, 10**7)
+             for p, eps in ((0.5, 0.5), (0.5, 0.1), (0.9, 0.05), (0.3, 0.2))]
+            + [(n, k, p, eps, ()) for n in (10**5, 10**6) for k in (3, 5)
+               for p, eps in ((0.5, 0.1), (0.9, 0.05))]
+            # demo 05
+            + [(2003, 1000, 0.9, 0.1, ()), (200, 80, 0.5, 0.2, ())]
+            + [(13, 2, p, 0.1, ()) for p in (0.3, 0.6, 1.0)]
+            # no ell works
+            + [(13, 2, 0.3, 0.5, ()), (1000, 2, 1e-9, 0.9, (7,)),
+               (10**5, 2, 1e-12, 0.5, ()), (10**6, 3, 1e-20, 0.5, ())]
+            # only ell_max = (n-2k-1)//2 works
+            + [(1000, 2, 3e-4, 0.5, ()), (10**6, 2, 3e-10, 0.5, ())]
+        )
+        reports = [
+            cli.bounds_report(n, k, None, p, eps, sweep=True, extra_ells=ells)
+            for n, k, p, eps, ells in grid
+        ]
+        assert sum(r["best_gap"] is None for r in reports) == 6
+        assert sha256_of_reports(reports) == (
+            "cfa8265a6e2b60f1f52fa549bb525240a5dd910856d2ee009ac3a3ca06c7c280"
+        )
+
+    def test_infeasible_sweep_at_1e9(self):
+        rep = cli.bounds_report(10**9, 2, None, 1e-20, 0.5, sweep=True)
+        assert rep["best_gap"] is None
+        assert rep["certified"] == []
 
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "b.json"

@@ -13,7 +13,36 @@ from kneser_chroma.graphs import (
     to_canonical_json,
     to_json_dict,
 )
-from kneser_chroma.setfam import KSubset, rank_mask
+from kneser_chroma.seeds import mix64
+from kneser_chroma.setfam import KSubset, iter_bits, rank_mask
+
+M64 = (1 << 64) - 1
+
+
+def edge_value(seed, rank_lo, rank_hi):
+    """53-bit uniform value keyed by (seed, unordered pair of subset ranks)."""
+    x = mix64(seed ^ 0x9E3779B97F4A7C15)
+    x = mix64(x ^ ((rank_lo * 0xBF58476D1CE4E5B9) & M64))
+    x = mix64(x ^ ((rank_hi * 0x94D049BB133111EB) & M64))
+    return x >> 11
+
+
+def keep_edge(seed, rank_lo, rank_hi, p):
+    """Keep iff the derived uniform in [0,1) is < p; exact at p=0 and p=1."""
+    return float(edge_value(seed, rank_lo, rank_hi)) < p * float(1 << 53)
+
+
+def per_edge_sample(graph, p, seed):
+    """Three mixes and a float compare per edge: the reference for sampling."""
+    m = len(graph.vertices)
+    ranks = [v.rank for v in graph.vertices]
+    adj = [0] * m
+    for u in range(m):
+        for v in iter_bits((graph.adj[u] >> (u + 1)) << (u + 1)):
+            if keep_edge(seed, ranks[u], ranks[v], p):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return tuple(adj)
 
 
 def brute_edge_count(vertex_sets):
@@ -197,6 +226,32 @@ class TestSampling:
                         skg.adj[kpos[sg.vertices[u].mask]]
                         >> kpos[sg.vertices[v].mask] & 1
                     )
+
+    def test_matches_per_edge_reference(self):
+        small = [
+            build(n, k)
+            for n in range(2, 10)
+            for k in range(1, n // 2 + 1)
+            for build in (build_kneser, build_schrijver)
+        ]
+        cases = [
+            (g, p, seed)
+            for g in small
+            for p in (0.0, 0.3, 0.6, 0.9, 0.97, 1.0)
+            for seed in (1, 2, 3, 2**64 + 3)
+        ] + [(build_kneser(12, 4), 0.6, 1), (build_schrijver(14, 4), 0.97, 2)]
+        for g, p, seed in cases:
+            s = sample_subgraph(g, p, seed)
+            assert s.adj == per_edge_sample(g, p, seed), (g.family, g.n, g.k, p, seed)
+
+    def test_threshold_exact_at_value_boundary(self):
+        # kept iff value < p 2^53: a p landing exactly on a value keeps it out
+        g = build_kneser(4, 2)
+        value = edge_value(5, g.vertices[0].rank, g.vertices[5].rank)
+        assert g.adj[0] >> 5 & 1
+        for p, kept in ((value / 2**53, 0), ((value + 1) / 2**53, 1)):
+            assert sample_subgraph(g, p, 5).adj[0] >> 5 & 1 == kept
+            assert keep_edge(5, g.vertices[0].rank, g.vertices[5].rank, p) == kept
 
     def test_rejects_bad_p_and_resampling(self):
         g = build_kneser(5, 2)
