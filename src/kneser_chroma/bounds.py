@@ -1,9 +1,11 @@
 """Log-space evaluation of the chromatic lower-bound condition and its chain.
 
 Everything is overflow-safe for n up to 1e9: the pigeonhole count t is an
-exact big integer, and no binomial or 3^n is ever materialized outside log
-space.  The condition is monotone in ell, so ``best_gap`` finds the smallest
-certified gap by a galloping bisection in O(log n) condition evaluations.
+exact big integer of at most ``MAX_T_BITS`` bits (a larger one is a
+CapacityError), and no other binomial or 3^n is ever materialized outside
+log space.  The condition is monotone in ell, so ``best_gap`` finds the
+smallest certified gap by a galloping bisection in O(log n) condition
+evaluations.
 """
 
 from __future__ import annotations
@@ -11,9 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import CapacityError
 from .setfam import binomial_exact, ln_binomial
 
 LN3 = math.log(3.0)
+# C(k+ell, k) is computed exactly only up to this many bits, as predicted
+# by ln_binomial
+MAX_T_BITS = 2**16
+MAX_T_LN = MAX_T_BITS * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,12 @@ def derived_params(n: int, k: int, ell: int) -> tuple[int, int]:
     d = n - 2 * k - 2 * ell + 1
     if d < 2:
         raise ValueError(f"precondition d >= 2 violated (d={d})")
+    # C(a, m) < a^m settles the common case without a logarithm
+    m = k if k < ell else ell
+    if m * (k + ell).bit_length() > MAX_T_BITS and ln_binomial(k + ell, k) > MAX_T_LN:
+        raise CapacityError(
+            f"C(k+ell, k) at k={k}, ell={ell} has over {MAX_T_BITS} bits (cap)"
+        )
     t = -(-binomial_exact(k + ell, k) // d)
     return d, t
 
@@ -174,6 +187,11 @@ def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
       under 1e-4 of that rise for n <= 1e9.  So the computed log t still
       rises and exp(-x) keeps the order; the same margin covers the step
       at which ``_inv_powers`` switches from 1/float(t) to exp(-log t).
+    - Past MAX_T_BITS, where ``derived_params`` refuses to build t, the
+      condition is decided without it: t > 2^65536 / d puts exp(-log t)
+      below float's smallest value, so rhs evaluates to exactly 0.0 and the
+      condition to (1 - eps) p > 0 -- the value it would compute, and true
+      at every ell past the cap or false at all of them.
     """
     if k < 2:
         raise ValueError(f"precondition k >= 2 violated (k={k})")
@@ -186,7 +204,11 @@ def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
         return None
 
     def holds(ell: int) -> bool:
-        return condition_holds(TheoremParams(n=n, k=k, ell=ell, p=p, eps=eps))
+        try:
+            params = TheoremParams(n=n, k=k, ell=ell, p=p, eps=eps)
+        except CapacityError:  # t past MAX_T_BITS: rhs is 0.0, see above
+            return (1.0 - eps) * p > 0.0
+        return condition_holds(params)
 
     # invariant: the condition fails below lo, and holds at hi once found
     lo, hi = 1, 1

@@ -3,14 +3,18 @@
 The solver wraps a DSATUR-ordered branch-and-bound m-colorability decision:
 greedy DSATUR gives the upper bound, a clique the lower one, and the answer
 is certified by exhausting the (chi-1)-color search tree.  All tie-breaks
-are fixed (saturation desc, then degree desc, then lowest index), so results
-are deterministic under node budgets.
+are fixed, so results are deterministic under node budgets: the search picks
+by saturation desc, then uncolored degree desc, then lowest index (Brelaz
+1979); the greedy upper bound by saturation, then static degree, then index.
+Both keep the uncolored vertices in per-saturation bitset buckets and scan
+only the top one.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -163,28 +167,44 @@ def max_independent_set(
 
 
 def _dsatur_greedy(adj: tuple[int, ...], active: int) -> tuple[list[int], int]:
-    """Greedy DSATUR coloring of the active vertices; returns (colors, used)."""
+    """Greedy DSATUR coloring of the active vertices; returns (colors, used).
+
+    Picks by (saturation desc, static degree desc, lowest index), scanning
+    only the top saturation bucket.
+    """
     n_bits = active.bit_length()
     colors = [-1] * n_bits
-    ncm = [0] * n_bits
     degs = [(adj[v] & active).bit_count() for v in range(n_bits)]
+    near: list[int] = []  # near[c]: vertices with a neighbour colored c
+    bucket = [active]  # bucket[s]: uncolored vertices with saturation s
     uncolored = active
-    used = 0
     while uncolored:
-        best_v, best_key = -1, None
-        for v in iter_bits(uncolored):
-            key = (ncm[v].bit_count(), degs[v], -v)
-            if best_key is None or key > best_key:
-                best_v, best_key = v, key
+        while not bucket[-1]:
+            bucket.pop()
+        best_v, best_deg = -1, -1
+        for v in iter_bits(bucket[-1]):
+            if degs[v] > best_deg:
+                best_v, best_deg = v, degs[v]
+        bit = 1 << best_v
         c = 0
-        while ncm[best_v] >> c & 1:
+        while c < len(near) and near[c] & bit:
             c += 1
+        if c == len(near):
+            near.append(0)
         colors[best_v] = c
-        used = max(used, c + 1)
-        uncolored ^= 1 << best_v
-        for u in iter_bits(adj[best_v] & uncolored):
-            ncm[u] |= 1 << c
-    return colors, used
+        uncolored ^= bit
+        bucket[-1] ^= bit
+        touched = adj[best_v] & uncolored & ~near[c]
+        near[c] |= touched
+        bucket.append(0)
+        s = len(bucket) - 2
+        while touched:  # each one gains color c: up one bucket
+            up = touched & bucket[s]
+            bucket[s] ^= up
+            bucket[s + 1] |= up
+            touched ^= up
+            s -= 1
+    return colors, len(near)
 
 
 def _kernelize(adj: tuple[int, ...], active: int, m: int) -> tuple[int, list[int]]:
@@ -220,66 +240,77 @@ def _decide_colorable(
     colors = [-1] * n_bits
 
     if kernel:
-        degs = [(adj[v] & kernel).bit_count() for v in range(n_bits)]
         clique = _greedy_clique(adj, kernel)
         if len(clique) > m:
             return None
-        ncm = [0] * n_bits
+        # near[c]: kernel vertices with a neighbour colored c
+        near = [0] * m
         uncolored = kernel
         for i, v in enumerate(clique):
             colors[v] = i
             uncolored ^= 1 << v
-            bit = 1 << i
-            for u in iter_bits(adj[v] & kernel):
-                ncm[u] |= bit
+            near[i] = adj[v] & kernel
         used0 = len(clique)
+        # bucket[s]: uncolored kernel vertices with saturation s (s <= m); the
+        # clique's colors are distinct, so saturation counts clique neighbours
+        bucket = [0] * (m + 1)
+        for u in iter_bits(uncolored):
+            bucket[(adj[u] & (kernel ^ uncolored)).bit_count()] |= 1 << u
 
         spend = counter.spend
 
         def dfs(uncolored: int, used: int) -> bool:
             if uncolored == 0:
                 return True
-            # DSATUR pick: saturation desc, degree desc, lowest index
+            # DSATUR pick: saturation desc, uncolored degree desc, lowest index
+            sat = m
+            while not bucket[sat]:
+                sat -= 1
+            cand = bucket[sat]
             best_v = -1
-            best_sat = -1
             best_deg = -1
-            um = uncolored
-            while um:
-                low = um & -um
+            while cand:
+                low = cand & -cand
                 v = low.bit_length() - 1
-                um ^= low
-                sat = ncm[v].bit_count()
-                if sat > best_sat or (
-                    sat == best_sat and degs[v] > best_deg
-                ):
-                    best_v, best_sat, best_deg = v, sat, degs[v]
+                cand ^= low
+                deg = (adj[v] & uncolored).bit_count()
+                if deg > best_deg:
+                    best_v, best_deg = v, deg
             v = best_v
-            limit = used + 1 if used < m else m
-            allowed = ~ncm[v] & ((1 << limit) - 1)
-            rest = uncolored ^ (1 << v)
-            while allowed:
-                low = allowed & -allowed
-                c = low.bit_length() - 1
-                allowed ^= low
+            vbit = 1 << v
+            bucket[sat] ^= vbit
+            rest = uncolored ^ vbit
+            nbrs = adj[v] & rest
+            for c in range(used + 1 if used < m else m):
+                if near[c] & vbit:
+                    continue
                 spend()
                 colors[v] = c
-                touched = 0
-                nb = adj[v] & rest
-                while nb:
-                    nlow = nb & -nb
-                    u = nlow.bit_length() - 1
-                    nb ^= nlow
-                    if not ncm[u] >> c & 1:
-                        ncm[u] |= 1 << c
-                        touched |= nlow
-                if dfs(rest, used if c < used else c + 1):
+                touched = nbrs & ~near[c]
+                near[c] |= touched
+                moving = touched  # each one gains color c: up one bucket
+                s = sat
+                while moving:
+                    up = moving & bucket[s]
+                    if up:
+                        bucket[s] ^= up
+                        bucket[s + 1] |= up
+                        moving ^= up
+                    s -= 1
+                # a neighbour left with no color fails the subtree at no node
+                if not bucket[m] and dfs(rest, used if c < used else c + 1):
                     return True
                 colors[v] = -1
+                near[c] ^= touched
+                s = 1
                 while touched:
-                    nlow = touched & -touched
-                    u = nlow.bit_length() - 1
-                    touched ^= nlow
-                    ncm[u] ^= 1 << c
+                    down = touched & bucket[s]
+                    if down:
+                        bucket[s] ^= down
+                        bucket[s - 1] |= down
+                        touched ^= down
+                    s += 1
+            bucket[sat] |= vbit
             return False
 
         if uncolored and not dfs(uncolored, used0):
@@ -300,32 +331,42 @@ def _decide_colorable(
     return colors
 
 
+@contextmanager
+def _recursion_room(nv: int):
+    """Room for a search one frame deep per vertex; the old limit comes back."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 4 * nv + 1000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def chromatic_number(graph: Graph, budget: Budget | None = None) -> ColoringResult:
     """Exact chi(G) with a proper coloring; bracketing bounds on timeout."""
     nv = graph.num_vertices
     if nv == 0:
         raise ValueError("empty graph")
-    if sys.getrecursionlimit() < 4 * nv + 1000:
-        sys.setrecursionlimit(4 * nv + 1000)
     active = (1 << nv) - 1
     counter = _Counter(budget)
     clique, best, lower, upper = [0], [0] * nv, 1, 1
     status = EXACT
 
     if graph.num_edges:
-        clique = _clique(graph.adj, active, counter)
-        lower = max(2, len(clique))
-        best, upper = _dsatur_greedy(graph.adj, active)
-        # refute one color fewer until that fails or reaches lower - 1
-        for m in range(upper - 1, lower - 2, -1):
-            try:
-                attempt = _decide_colorable(graph.adj, m, active, counter)
-            except _OutOfBudget:
-                status = TIMEOUT
-                break
-            if attempt is None:
-                break
-            best, upper = attempt, m
+        with _recursion_room(nv):
+            clique = _clique(graph.adj, active, counter)
+            lower = max(2, len(clique))
+            best, upper = _dsatur_greedy(graph.adj, active)
+            # refute one color fewer until that fails or reaches lower - 1
+            for m in range(upper - 1, lower - 2, -1):
+                try:
+                    attempt = _decide_colorable(graph.adj, m, active, counter)
+                except _OutOfBudget:
+                    status = TIMEOUT
+                    break
+                if attempt is None:
+                    break
+                best, upper = attempt, m
 
     return ColoringResult(
         chi=upper,
@@ -355,13 +396,14 @@ def vertex_critical(graph: Graph, budget: Budget | None = None) -> bool | None:
     if chi == 1:
         return False
     counter = _Counter(budget)
-    for v in range(nv):
-        try:
-            attempt = _decide_colorable(
-                graph.adj, chi - 1, ((1 << nv) - 1) ^ (1 << v), counter
-            )
-        except _OutOfBudget:
-            return None
-        if attempt is None:
-            return False
+    with _recursion_room(nv):
+        for v in range(nv):
+            try:
+                attempt = _decide_colorable(
+                    graph.adj, chi - 1, ((1 << nv) - 1) ^ (1 << v), counter
+                )
+            except _OutOfBudget:
+                return None
+            if attempt is None:
+                return False
     return True

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from kneser_chroma.bounds import (
+    MAX_T_BITS,
     BestGap,
     TheoremParams,
     best_gap,
@@ -17,6 +18,7 @@ from kneser_chroma.bounds import (
     ln_g,
     ln_pA_bound,
 )
+from kneser_chroma.errors import CapacityError
 
 mpmath.mp.dps = 50
 
@@ -283,18 +285,20 @@ class TestBisection:
     PS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.97, 1.0)
     EPSS = (0.01, 0.05, 0.1, 0.2, 0.5, 0.9)
 
-    def test_matches_linear_scan_on_sample(self):
+    def sample(self):
         # no ell works, or only ell_max does, only for n <= 212 on this grid,
         # so half the sample is drawn there
         rng = random.Random(20151)
-        cases = [
+        return [
             (rng.randint(*span), rng.randint(2, 5), rng.choice(self.PS),
              rng.choice(self.EPSS))
             for span in ((5, 250), (251, 2000))
             for _ in range(1000)
         ]
+
+    def test_matches_linear_scan_on_sample(self):
         outcomes = set()
-        for n, k, p, eps in cases:
+        for n, k, p, eps in self.sample():
             expected = linear_best_gap(n, k, p, eps)
             assert best_gap(n, k, p, eps) == expected, (n, k, p, eps)
             if expected is None:
@@ -375,6 +379,33 @@ class TestBisection:
         assert best_gap(10**9, 2, 1e-20, 0.5) is None
         assert len(evaluated) == 30  # 1, 2, 4, ..., 2^28, ell_max
         assert evaluated[-1] == (10**9 - 5) // 2
+
+
+    def test_never_raises_past_the_binomial_cap(self):
+        # best_gap decides an ell whose C(k+ell, k) is past MAX_T_BITS without
+        # computing it; derived_params refuses such an ell
+        for n, k, p, eps in self.sample():
+            best_gap(n, k, p, eps)
+            best_gap(n, k, 1e-300, eps)
+        for n, k in ((10**7, 10**6), (10**9, 2), (10**4, 200), (2003, 1000)):
+            for p in self.PS + (1e-300, 5e-324):
+                for eps in self.EPSS:
+                    best_gap(n, k, p, eps)
+        with pytest.raises(CapacityError):
+            derived_params(10**7, 10**6, 2 * 10**6)
+
+    def test_tiny_p_at_large_k_matches_linear_scan(self):
+        assert best_gap(10**7, 10**6, 1e-300, 0.1) == linear_best_gap(
+            10**7, 10**6, 1e-300, 0.1
+        )
+
+    def test_zero_lhs_never_evaluates_past_the_cap(self, evaluated):
+        # (1 - 0.5) * 5e-324 rounds to 0, so no ell holds and the gallop runs
+        # to ell_max = 3,999,999, where C(k+ell, k) has millions of bits
+        assert best_gap(10**7, 10**6, 5e-324, 0.5) is None
+        assert 0 < max(evaluated) < 10**4
+        for ell in evaluated:
+            assert math.comb(10**6 + ell, ell).bit_length() <= MAX_T_BITS
 
 
 class TestRegimeReport:

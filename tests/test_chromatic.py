@@ -1,7 +1,14 @@
+import sys
+from functools import cache
+
+import chromatic_reference as reference
 import pytest
 
+from kneser_chroma import seeds
 from kneser_chroma.chromatic import (
+    EXACT,
     Budget,
+    _dsatur_greedy,
     chromatic_number,
     clique_lower,
     max_independent_set,
@@ -131,6 +138,121 @@ class TestChromaticNumber:
         assert res.lower <= res.upper
         assert res.coloring is not None
         assert is_proper(build_kneser(7, 2), res.coloring)
+
+    def test_recursion_limit_restored(self):
+        # KG(14,4) has 1,001 vertices; the search on this sample runs deeper
+        # than Python's default limit of 1,000 frames
+        g = sample_subgraph(build_kneser(14, 4), 0.5, 1)
+        before = sys.getrecursionlimit()
+        res = chromatic_number(g, Budget(max_nodes=3000))
+        assert sys.getrecursionlimit() == before
+        assert is_proper(g, res.coloring)
+        assert vertex_critical(g, Budget(max_nodes=3000)) is None
+        assert sys.getrecursionlimit() == before
+
+
+def criterion_01_grid():
+    """Every KG/SG with n <= 10 and 2 <= k <= (n-1)/2, unsampled."""
+    return [
+        build(n, k)
+        for n in range(5, 11)
+        for k in range(2, (n - 1) // 2 + 1)
+        for build in (build_kneser, build_schrijver)
+    ]
+
+
+@cache
+def pin_grid():
+    """(graph, budget) over the grid of ``test_cli.py::TestChi``, plus 1,000
+    coupled SG(10,3) samples at p = 0.9 and 0.97 (a superset of its 300)."""
+    cases = []
+    for n in range(2, 10):
+        for k in range(1, n // 2 + 1):
+            for g in (build_kneser(n, k), build_schrijver(n, k)):
+                cases.append((g, None))
+                for p in (0.3, 0.6, 0.9):
+                    for seed in (1, 2, 3):
+                        sampled = sample_subgraph(g, p, seed)
+                        cases.append((sampled, Budget(max_nodes=5000)))
+    parent = build_schrijver(10, 3)
+    for trial in range(500):
+        seed = seeds.trial_seed(1, trial)
+        for p in (0.9, 0.97):
+            cases.append((sample_subgraph(parent, p, seed), Budget(max_nodes=5000)))
+    return cases
+
+
+def assert_against_reference(graph, new, ref):
+    """Rows exact on both sides keep chi/lower/upper, a row that turns exact
+    lands in the reference's bracket, a timeout's bracket holds the
+    reference's exact chi, and every coloring is proper."""
+    assert is_proper(graph, new.coloring)
+    assert max(new.coloring) + 1 <= new.chi
+    if new.status == EXACT:
+        assert max(new.coloring) + 1 == new.chi == new.lower == new.upper
+    if new.status == ref.status == EXACT:
+        assert (new.chi, new.lower, new.upper) == (ref.chi, ref.lower, ref.upper)
+    elif new.status == EXACT:
+        assert ref.lower <= new.chi <= ref.upper
+    elif ref.status == EXACT:
+        assert new.lower <= ref.chi <= new.upper
+
+
+class TestAgainstReference:
+    """The bucketed, uncolored-degree DSATUR against the reference solver."""
+
+    def test_criterion_01_grid(self):
+        # the reference takes 17 s on this grid, 16 of them on KG(10,3) and
+        # SG(10,3); its rows for those two are exact with chi = 6
+        for g in criterion_01_grid():
+            new = chromatic_number(g)
+            assert new.status == EXACT
+            if (g.n, g.k) == (10, 3):
+                assert (new.chi, new.lower, new.upper) == (6, 6, 6)
+                assert is_proper(g, new.coloring) and max(new.coloring) == 5
+            else:
+                assert_against_reference(g, new, reference.chromatic_number(g))
+
+    def test_pin_grid_and_coupled_samples(self):
+        cases = pin_grid()
+        timeouts = {"new": 0, "reference": 0}
+        turned_exact, turned_timeout = 0, []
+        for i, (g, budget) in enumerate(cases):
+            new = chromatic_number(g, budget)
+            ref = reference.chromatic_number(g, budget)
+            assert_against_reference(g, new, ref)
+            timeouts["new"] += new.status != EXACT
+            timeouts["reference"] += ref.status != EXACT
+            turned_exact += ref.status != EXACT and new.status == EXACT
+            if ref.status == EXACT and new.status != EXACT:
+                turned_timeout.append(i)
+        assert len(cases) == 1400
+        assert timeouts == {"new": 20, "reference": 72}
+        assert turned_exact == 57
+        # a different search order loses some instances the old one solved
+        # within the budget: 5 of the 1,000 coupled SG(10,3) samples, none of
+        # the 400 smaller graphs
+        assert len(turned_timeout) == 5 and min(turned_timeout) >= 400
+
+    def test_greedy_identical(self):
+        graphs = criterion_01_grid() + [g for g, _ in pin_grid()]
+        for g in graphs:
+            active = (1 << g.num_vertices) - 1
+            want = reference._dsatur_greedy(g.adj, active)
+            assert _dsatur_greedy(g.adj, active) == want
+
+    @pytest.mark.parametrize(
+        "build,n,k,nodes",
+        [
+            (build_schrijver, 10, 3, 149_535),  # reference: 1,120,301
+            (build_kneser, 10, 3, 67_411),  # reference: 225,581
+            (build_kneser, 10, 2, 29_793),  # reference: 36,839
+        ],
+    )
+    def test_parent_node_counts_pinned(self, build, n, k, nodes):
+        res = chromatic_number(build(n, k))
+        assert res.status == EXACT and res.chi == n - 2 * k + 2
+        assert res.nodes_explored == nodes
 
 
 class TestBoundsHelpers:

@@ -3,8 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import time
+from functools import cache
 
 import pytest
+from test_chromatic import is_proper
 
 from kneser_chroma import cli, seeds
 from kneser_chroma.chromatic import Budget, chromatic_number
@@ -87,27 +90,74 @@ class TestGenGraph:
         assert rc == 2
 
 
+@cache
+def chi_grid():
+    """(graph, chi_report) over every KG/SG with n <= 9, unsampled and at
+    p 0.3/0.6/0.9 x seeds 1-3, then 300 coupled SG(10,3) trials."""
+    rows = []
+    for n in range(2, 10):
+        for k in range(1, n // 2 + 1):
+            for g in (build_kneser(n, k), build_schrijver(n, k)):
+                rows.append((g, chi_report(g, None)))
+                for p in (0.3, 0.6, 0.9):
+                    for seed in (1, 2, 3):
+                        sampled = sample_subgraph(g, p, seed)
+                        rep = chi_report(sampled, Budget(max_nodes=5000))
+                        rows.append((sampled, rep))
+    parent = build_schrijver(10, 3)
+    for p in (0.9, 0.97):  # coupled: the same trial seeds at both p
+        for trial in range(150):
+            sampled = sample_subgraph(parent, p, seeds.trial_seed(1, trial))
+            rows.append((sampled, chi_report(sampled, Budget(max_nodes=5000))))
+    return rows
+
+
+# row -> (lower, upper) of the 24 grid rows that timed out before the
+# bucketed, uncolored-degree DSATUR search
+PARENT_TIMEOUTS = {364: (2, 5), 365: (3, 5)} | {
+    i: (3, 6)
+    for i in (555, 558, 563, 564, 568, 575, 589, 594, 596, 602, 606, 612,
+              625, 628, 634, 654, 657, 661, 662, 667, 671, 687)
+}
+
+
 class TestChi:
-    def test_reports_pinned(self):
-        # digest computed before the clique rule and the returns were folded
-        reports = []
-        for n in range(2, 10):
-            for k in range(1, n // 2 + 1):
-                for g in (build_kneser(n, k), build_schrijver(n, k)):
-                    reports.append(chi_report(g, None))
-                    for p in (0.3, 0.6, 0.9):
-                        for seed in (1, 2, 3):
-                            sampled = sample_subgraph(g, p, seed)
-                            reports.append(chi_report(sampled, Budget(max_nodes=5000)))
-        parent = build_schrijver(10, 3)
-        for p in (0.9, 0.97):  # coupled: the same trial seeds at both p
-            for trial in range(150):
-                sampled = sample_subgraph(parent, p, seeds.trial_seed(1, trial))
-                reports.append(chi_report(sampled, Budget(max_nodes=5000)))
-        assert sum(r["status"] == "timeout" for r in reports) == 24
-        assert sha256_of_reports(reports) == (
-            "22a2661a50bcd5d294bb96a0576fa39dd408d4d8ffeb2d096a769b2e2a1879ac"
+    def test_exact_rows_pinned(self):
+        # chi/status/lower/upper of the rows exact before the search changed;
+        # digest computed then
+        rows = [
+            {f: rep[f] for f in ("chi", "status", "lower", "upper")}
+            for i, (_, rep) in enumerate(chi_grid())
+            if i not in PARENT_TIMEOUTS
+        ]
+        assert sha256_of_reports(rows) == (
+            "b25dd137fd16aedd936e3c2a18296b1fb997f2da67072af16e43cf738094dbbd"
         )
+
+    def test_timeouts_only_turn_exact_inside_their_bracket(self):
+        reports = [rep for _, rep in chi_grid()]
+        timeouts = {i for i, rep in enumerate(reports) if rep["status"] == "timeout"}
+        assert timeouts <= PARENT_TIMEOUTS.keys()
+        for i, (lower, upper) in PARENT_TIMEOUTS.items():
+            assert lower <= reports[i]["lower"] <= reports[i]["chi"] <= upper
+
+    def test_reports_pinned(self):
+        # the whole report, nodes and colorings included; digest computed
+        # with the bucketed, uncolored-degree DSATUR search
+        reports = [rep for _, rep in chi_grid()]
+        assert sum(r["status"] == "timeout" for r in reports) == 7
+        assert sha256_of_reports(reports) == (
+            "5f895a621d8aca0d24a85df1747c9f0d4b01e5ad175a17d7ead6d3271e597623"
+        )
+
+    def test_colorings_proper(self):
+        for g, rep in chi_grid():
+            assert is_proper(g, rep["coloring"])
+            used = max(rep["coloring"]) + 1
+            if rep["status"] == "exact":
+                assert used == rep["chi"]
+            else:
+                assert used <= rep["chi"]
 
     def test_petersen(self, tmp_path):
         g = tmp_path / "g.json"
@@ -419,6 +469,18 @@ class TestWitnessCmd:
 
 
 class TestBoundsCmd:
+    @pytest.mark.parametrize(
+        "flags", [["--ell", "2000000"], ["--sweep", "--ells", "2000000"]]
+    )
+    def test_huge_binomial_exit_4_fast(self, capsys, flags):
+        # C(3e6, 1e6) has about 2.7 million bits: refused, not computed
+        t0 = time.perf_counter()
+        rc = main(["bounds", "--n", "10000000", "--k", "1000000", "--p", "0.5",
+                   "--eps", "0.1", *flags])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 4
+        assert "cap" in capsys.readouterr().err
+
     def test_headline(self, tmp_path):
         out = tmp_path / "b.json"
         assert main(["bounds", "--n", "1000000", "--k", "2", "--ell", "63096",
