@@ -11,7 +11,7 @@ evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CapacityError
 from .setfam import binomial_exact, ln_binomial
@@ -32,9 +32,11 @@ class TheoremParams:
     ell: int
     p: float
     eps: float
+    # derived_params(n, k, ell), kept so that condition_holds builds t once
+    _dt: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        derived_params(self.n, self.k, self.ell)
+        object.__setattr__(self, "_dt", derived_params(self.n, self.k, self.ell))
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p={self.p} outside (0, 1]")
         if not 0.0 < self.eps < 1.0:
@@ -70,18 +72,19 @@ def _inv_powers(t: int) -> tuple[float, float]:
         return math.exp(-lt), math.exp(-2.0 * lt)
 
 
-def condition_rhs(n: int, k: int, ell: int) -> float:
-    """t^-2 n ln3 + 2 t^-1 (1 + ln d), in log space."""
-    d, t = derived_params(n, k, ell)
+def _rhs(n: int, d: int, t: int) -> float:
     inv_t, inv_t2 = _inv_powers(t)
     return n * LN3 * inv_t2 + 2.0 * (1.0 + math.log(d)) * inv_t
 
 
+def condition_rhs(n: int, k: int, ell: int) -> float:
+    """t^-2 n ln3 + 2 t^-1 (1 + ln d), in log space."""
+    return _rhs(n, *derived_params(n, k, ell))
+
+
 def condition_holds(params: TheoremParams) -> bool:
     """Strict test (1 - eps) p > t^-2 n ln3 + 2 t^-1 (1 + ln d)."""
-    return (1.0 - params.eps) * params.p > condition_rhs(
-        params.n, params.k, params.ell
-    )
+    return (1.0 - params.eps) * params.p > _rhs(params.n, *params._dt)
 
 
 def _safe_product(t1: int, t2: int) -> float:
@@ -134,7 +137,7 @@ class ChainBounds:
 
 def ln_pA_bound(params: TheoremParams) -> ChainBounds:
     n, p, eps = params.n, params.p, params.eps
-    d, t = derived_params(params.n, params.k, params.ell)
+    d, t = params._dt
     t2 = _safe_product(t, t)
     lnq = math.log1p(-p) if p < 1.0 else -math.inf
     tail = 0.0 if lnq == 0.0 else t2 * lnq

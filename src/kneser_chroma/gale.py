@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from .errors import NoWitnessFound
 from .setfam import SubsetIndex, enumerate_stable_ksubsets
@@ -32,11 +34,12 @@ class HemispherePartition:
     normal: tuple[int, ...]
     signs: tuple[int, ...]  # one of -1, 0, +1 per point
 
-    @property
+    # computed on first access and kept; most enumerated faces never need them
+    @cached_property
     def plus_mask(self) -> int:
         return _mask_of(self.signs, 1)
 
-    @property
+    @cached_property
     def minus_mask(self) -> int:
         return _mask_of(self.signs, -1)
 
@@ -81,12 +84,13 @@ def _mask_of(signs, value: int) -> int:
     return m
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+def _signs(points, normal) -> tuple[int, ...]:
+    """Exact sign of <point, normal> for every point."""
+    out = []
+    for p in points:
+        v = sum(map(mul, p, normal))
+        out.append((v > 0) - (v < 0))
+    return tuple(out)
 
 
 def det_exact(rows) -> int:
@@ -134,46 +138,78 @@ def general_position_check(emb: GaleEmbedding) -> bool:
     return True
 
 
-def _cross_normal(rows) -> tuple[int, ...]:
-    """Integer vector spanning the orthogonal complement of d-1 rows in R^d."""
-    d = len(rows) + 1
-    normal = []
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in rows]
-        normal.append((-1) ** j * (det_exact(minor) if minor else 1))
-    return tuple(normal)
+def _times_linear(poly: list[int], a: int, b: int) -> list[int]:
+    """Coefficients, constant term first, of poly(x) * (a x + b)."""
+    out = [b * c for c in poly] + [0]
+    for i, c in enumerate(poly):
+        out[i + 1] += a * c
+    return out
 
 
-def _primitive(vec) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
-    if g <= 1:
-        return tuple(vec)
-    return tuple(x // g for x in vec)
+def _zero_set_poly(roots) -> list[int]:
+    """Coefficients, constant term first, of prod_{r in roots} (x - r)."""
+    poly = [1]
+    for r in roots:
+        poly = _times_linear(poly, 1, -r)
+    return poly
+
+
+def _curve_parameters(emb: GaleEmbedding) -> tuple[list[int], list[int]]:
+    """(sigma, x) with point i = sigma_i (1, x_i, ..., x_i^(d-1)), x ascending.
+
+    Any other point set raises ValueError.
+    """
+    d, points = emb.d, emb.points
+    if d >= 2 and len(points) == emb.n and all(len(p) == d for p in points):
+        sigmas = [p[0] for p in points]
+        xs = [p[0] * p[1] for p in points]
+        curve = [tuple(sg * x**j for j in range(d)) for sg, x in zip(sigmas, xs)]
+        if (
+            set(sigmas) <= {1, -1}
+            and all(a < b for a, b in zip(xs, xs[1:]))
+            and curve == [tuple(p) for p in points]
+        ):
+            return sigmas, xs
+    raise ValueError(
+        "canonical_hemispheres needs points sigma_i (1, x_i, ..., x_i^(d-1)) "
+        "with sigma_i = +-1 and ascending x_i"
+    )
 
 
 def canonical_hemispheres(emb: GaleEmbedding):
     """Both orientations of every great sphere through d-1 of the points.
 
+    The points must be sigma_i (1, x_i, ..., x_i^(d-1)) with sigma_i = +-1 and
+    ascending x_i; any other point set raises ValueError.  A direction c with
+    polynomial f(x) = sum_j c_j x^j has <point_i, c> = sigma_i f(x_i), so the
+    sphere through the boundary set Z has the normal
+    f = s prod_{z in Z} (x - x_z), s = (-1)^(d-1) prod_{z in Z} sigma_z.  It is
+    monic up to sign, hence primitive, and it is the cofactor normal of the
+    boundary rows divided by their Vandermonde determinant, which is positive
+    for ascending x: expanding det(rows of Z, point i) along its last row gives
+    (-1)^(d-1) <point_i, cofactor normal> = prod sigma_z sigma_i V_Z
+    prod_{z in Z} (x_i - x_z).
+
     Emitted in a fixed order: boundary subsets ascending lexicographically,
-    positive orientation first.  In general position exactly the boundary
-    subset gets sign 0.
+    positive orientation first.  Signs are exact dot products, and in general
+    position exactly the boundary subset gets sign 0.
     """
-    d = emb.d
+    sigmas, xs = _curve_parameters(emb)
+    d, points = emb.d, emb.points
     for idx in combinations(range(emb.n), d - 1):
-        normal = _primitive(_cross_normal([emb.points[i] for i in idx]))
-        if all(x == 0 for x in normal):
-            raise RuntimeError(f"rank-deficient boundary subset {idx}")
-        signs = tuple(_sign(_dot(p, normal)) for p in emb.points)
-        zeros = tuple(i for i, s in enumerate(signs) if s == 0)
+        s = -1 if d % 2 == 0 else 1
+        for i in idx:
+            s *= sigmas[i]
+        normal = tuple(s * c for c in _zero_set_poly([xs[i] for i in idx]))
+        signs = _signs(points, normal)
+        zeros = tuple(i for i, sg in enumerate(signs) if sg == 0)
         if zeros != idx:
             raise RuntimeError(
                 f"embedding not in general position: boundary {idx} zeros {zeros}"
             )
         yield HemispherePartition(normal=normal, signs=signs)
         yield HemispherePartition(
-            normal=tuple(-x for x in normal), signs=tuple(-s for s in signs)
+            normal=tuple(-x for x in normal), signs=tuple(-sg for sg in signs)
         )
 
 
@@ -193,14 +229,6 @@ def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     return None
 
 
-def _times_linear(poly: list[int], a: int, b: int) -> list[int]:
-    """Coefficients, constant term first, of poly(x) * (a x + b)."""
-    out = [b * c for c in poly] + [0]
-    for i, c in enumerate(poly):
-        out[i + 1] += a * c
-    return out
-
-
 def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     """Every realizable sign vector of the moment-curve arrangement, zeros included.
 
@@ -213,13 +241,14 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     tau_i = sign g(i), so each change of tau needs its own root of g; conversely
     g = +-prod (2x - (a+b)) over the neighbours a < b of each change realizes tau.
 
-    That f, made primitive, is each face's normal; every face is re-checked by
-    exact dot products.  Faces come in (|Z|, Z, signs) order: zero count
-    ascending (full cells first), zero sets in ``combinations`` order, sign
-    tuples ascending.  ``WitnessSearch.find`` reports the first witness in this
-    order.  ``certified_exhaustive`` is the check that the face count equals
-    Cover's formula.  Any other point set raises ValueError: the criterion
-    holds only on this curve.
+    That f, made primitive, is each face's normal: by Gauss's lemma it is the
+    product of the primitive factors, 2x - (a+b) halved when a+b is even.
+    Every face is re-checked by exact dot products.  Faces come in
+    (|Z|, Z, signs) order: zero count ascending (full cells first), zero sets
+    in ``combinations`` order, sign tuples ascending.  ``WitnessSearch.find``
+    reports the first witness in this order.  ``certified_exhaustive`` is the
+    check that the face count equals Cover's formula.  Any other point set
+    raises ValueError: the criterion holds only on this curve.
     """
     if emb != build_embedding(emb.n, emb.s):
         raise ValueError(
@@ -231,34 +260,51 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     faces = []
     for j in range(d):
         for zeros in combinations(xs, j):
-            rest = [x for x in xs if x not in zeros]
-            # sigma_x / tau_x at each point off the zero set
-            flip = {x: (-1) ** (x + sum(z > x for z in zeros)) for x in rest}
-            zero_poly = [1]
-            for z in zeros:
-                zero_poly = _times_linear(zero_poly, 1, -z)
+            # sigma_x / tau_x = (-1)^(x + #{z in Z: z > x}) at each point x
+            # off the zero set, and its negation
+            rest, flip = [], []
+            above = -1 if j % 2 else 1
+            for x in xs:
+                if x in zeros:
+                    above = -above
+                else:
+                    rest.append(x)
+                    flip.append(-above if x % 2 else above)
+            neg_flip = [-f for f in flip]
+            zero_poly = _zero_set_poly(zeros)
+            # factor[c-1]: the root of g between rest[c-1] and rest[c]
+            factor = [
+                (2, -(a + b)) if (a + b) % 2 else (1, -(a + b) // 2)
+                for a, b in zip(rest, rest[1:])
+            ]
             group = []
             for changes in range(d - j):
-                # cut c: tau changes sign between rest[c-1] and rest[c]
                 for cuts in combinations(range(1, len(rest)), changes):
                     poly = zero_poly
                     for c in cuts:
-                        poly = _times_linear(poly, 2, -(rest[c - 1] + rest[c]))
-                    normal = _primitive(poly + [0] * (d - len(poly)))
-                    signs = [0] * n
-                    tau = 1  # g > 0 above its largest root
-                    for r in range(len(rest) - 1, -1, -1):
-                        signs[rest[r] - 1] = tau * flip[rest[r]]
-                        if r in cuts:
-                            tau = -tau
-                    signs = tuple(signs)
+                        poly = _times_linear(poly, *factor[c - 1])
+                    normal = tuple(poly) + (0,) * (d - len(poly))
+                    # tau is +1 above the largest cut (g > 0 above its largest
+                    # root) and alternates across the cuts below it
+                    signs = []
+                    lo, run = 0, flip if changes % 2 == 0 else neg_flip
+                    for hi in cuts:
+                        signs += run[lo:hi]
+                        lo, run = hi, neg_flip if run is flip else flip
+                    signs += run[lo:]
+                    for z in zeros:
+                        signs.insert(z - 1, 0)
                     # signs are linear in the normal: one check covers both
                     # orientations
-                    if tuple(_sign(_dot(p, normal)) for p in points) != signs:
-                        raise RuntimeError(f"normal {normal} does not realize {signs}")
-                    group.append((signs, normal))
+                    for p, want in zip(points, signs):
+                        v = sum(map(mul, p, normal))
+                        if (v > 0) - (v < 0) != want:
+                            raise RuntimeError(
+                                f"normal {normal} does not realize {signs}"
+                            )
+                    group.append((tuple(signs), normal))
                     group.append(
-                        (tuple(-s for s in signs), tuple(-x for x in normal))
+                        (tuple([-s for s in signs]), tuple([-x for x in normal]))
                     )
             group.sort()
             faces.extend(HemispherePartition(normal=c, signs=s) for s, c in group)
@@ -273,10 +319,12 @@ class WitnessSearch:
     """Reusable antipodal-witness search for many colorings of one instance.
 
     Precomputes the face arrangement of an embedding (full cells first, then
-    boundary faces with 1..d-1 zeros) and, per face, the bitset of stable
-    k-subsets lying strictly inside each open side.  Some colorings admit no
-    witness on any full cell, so the boundary faces are part of the search
-    space, with per-face thresholds ceil(|side census| / d).
+    boundary faces with 1..d-1 zeros).  The per-face census, the bitset of
+    stable k-subsets lying strictly inside each open side, is built in face
+    order as ``find`` first reaches a face, and kept for later colorings.
+    Some colorings admit no witness on any full cell, so the boundary faces
+    are part of the search space, with per-face thresholds
+    ceil(|side census| / d).
     """
 
     def __init__(self, emb: GaleEmbedding, k: int):
@@ -285,14 +333,21 @@ class WitnessSearch:
         self.stables = enumerate_stable_ksubsets(emb.n, k)
         self.num_stable = len(self.stables)
         self.faceset = enumerate_faces(emb)
-        index = SubsetIndex([t.mask for t in self.stables], emb.n)
-        d = emb.d
-        self._per_face = []
-        for face in self.faceset.faces:
-            pos, neg = index.within(face.plus_mask), index.within(face.minus_mask)
-            t_pos = -(-pos.bit_count() // d)
-            t_neg = -(-neg.bit_count() // d)
-            self._per_face.append((face, pos, neg, t_pos, t_neg))
+        self._index = SubsetIndex([t.mask for t in self.stables], emb.n)
+        # (pos, neg, t_pos, t_neg) of the faces find has reached, in face order
+        self._census: list[tuple[int, int, int, int]] = []
+
+    def _census_of(self, i: int) -> tuple[int, int, int, int]:
+        census = self._census
+        if i == len(census):
+            face = self.faceset.faces[i]
+            pos = self._index.within(face.plus_mask)
+            neg = self._index.within(face.minus_mask)
+            d = self.emb.d
+            census.append(
+                (pos, neg, -(-pos.bit_count() // d), -(-neg.bit_count() // d))
+            )
+        return census[i]
 
     def find(self, coloring) -> Witness:
         """First witness in (face order, color index) order; raises if none."""
@@ -307,7 +362,8 @@ class WitnessSearch:
         classes = [0] * d
         for i, c in enumerate(colors):
             classes[c] |= 1 << i
-        for face, pos, neg, t_pos, t_neg in self._per_face:
+        for i, face in enumerate(self.faceset.faces):
+            pos, neg, t_pos, t_neg = self._census_of(i)
             for color, cls in enumerate(classes):
                 cp = (pos & cls).bit_count()
                 cn = (neg & cls).bit_count()

@@ -1,12 +1,15 @@
 import hashlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 
 from kneser_chroma.errors import NoWitnessFound
 from kneser_chroma.gale import (
+    FaceSet,
     GaleEmbedding,
+    Witness,
     WitnessSearch,
     build_embedding,
     canonical_hemispheres,
@@ -16,7 +19,10 @@ from kneser_chroma.gale import (
     verify_gale_property,
     witness_to_json_dict,
 )
-from kneser_chroma.setfam import enumerate_stable_ksubsets
+from kneser_chroma.setfam import SubsetIndex, enumerate_stable_ksubsets
+
+# (n, k, ell) of the benchmark's witness-grid workload
+WITNESS_GRID = ((10, 2, 2), (12, 3, 2), (12, 2, 3), (9, 2, 1))
 
 
 def brute_det(rows):
@@ -49,6 +55,71 @@ def signs_of(points, x):
         s = sum(a * b for a, b in zip(p, x))
         out.append((s > 0) - (s < 0))
     return tuple(out)
+
+
+def cross_normal(rows):
+    """Integer vector spanning the orthogonal complement of d-1 rows in R^d.
+
+    The cofactor construction ``canonical_hemispheres`` used before the
+    sign-change rule; the reference its normals are compared with.
+    """
+    d = len(rows) + 1
+    normal = []
+    for j in range(d):
+        minor = [[row[c] for c in range(d) if c != j] for row in rows]
+        normal.append((-1) ** j * (det_exact(minor) if minor else 1))
+    return tuple(normal)
+
+
+def cofactor_hemispheres(emb):
+    """(normal, signs) of canonical_hemispheres(emb), from cofactor normals."""
+    out = []
+    for idx in combinations(range(emb.n), emb.d - 1):
+        normal = cross_normal([emb.points[i] for i in idx])
+        g = math.gcd(*normal)
+        normal = tuple(x // g for x in normal)
+        signs = signs_of(emb.points, normal)
+        assert tuple(i for i, s in enumerate(signs) if s == 0) == idx
+        out.append((normal, signs))
+        out.append((tuple(-x for x in normal), tuple(-s for s in signs)))
+    return out
+
+
+def moment_curve(sigmas, xs, d):
+    """GaleEmbedding of the points sigma_i (1, x_i, ..., x_i^(d-1))."""
+    points = tuple(tuple(sg * x**j for j in range(d)) for sg, x in zip(sigmas, xs))
+    return GaleEmbedding(n=len(points), s=1, d=d, points=points)
+
+
+class EagerWitnessSearch:
+    """WitnessSearch with the census of every face built up front.
+
+    The reference for the census ``WitnessSearch`` builds as ``find`` needs
+    it; returns None where ``find`` raises.
+    """
+
+    def __init__(self, emb, k):
+        self.d = emb.d
+        stables = enumerate_stable_ksubsets(emb.n, k)
+        index = SubsetIndex([t.mask for t in stables], emb.n)
+        self.per_face = []
+        for face in enumerate_faces(emb).faces:
+            pos, neg = index.within(face.plus_mask), index.within(face.minus_mask)
+            t_pos = -(-pos.bit_count() // self.d)
+            t_neg = -(-neg.bit_count() // self.d)
+            self.per_face.append((face, pos, neg, t_pos, t_neg))
+
+    def find(self, coloring):
+        classes = [0] * self.d
+        for i, c in enumerate(coloring):
+            classes[c] |= 1 << i
+        for face, pos, neg, t_pos, t_neg in self.per_face:
+            for color, cls in enumerate(classes):
+                cp = (pos & cls).bit_count()
+                cn = (neg & cls).bit_count()
+                if cp >= t_pos and cn >= t_neg:
+                    return Witness(face, color, cp, cn, t_pos, t_neg)
+        return None
 
 
 class TestEmbedding:
@@ -99,9 +170,7 @@ class TestEmbedding:
 
 class TestCanonicalHemispheres:
     def test_count_planar(self):
-        emb = GaleEmbedding(
-            n=4, s=1, d=2, points=((1, 1), (1, 2), (-1, 3), (2, -1))
-        )
+        emb = moment_curve((1, 1, -1, 1), (1, 2, 3, 5), 2)
         parts = list(canonical_hemispheres(emb))
         assert len(parts) == 8  # 2 * C(4,1)
 
@@ -134,6 +203,49 @@ class TestCanonicalHemispheres:
             for i in range(emb.n):
                 dot = sum(a * b for a, b in zip(emb.points[i], part.normal))
                 assert (dot == 0) == bool(part.zero_mask >> i & 1)
+
+    def test_rejects_points_off_a_moment_curve(self):
+        for sigmas, xs, d in [
+            ((1, 1, 1, 1), (1, 2, 2, 3), 3),  # repeated x
+            ((1, 1, 1, 1), (3, 2, 1, 0), 3),  # descending x
+            ((1, 2, 1, 1), (1, 2, 3, 4), 3),  # sign 2
+        ]:
+            with pytest.raises(ValueError):
+                list(canonical_hemispheres(moment_curve(sigmas, xs, d)))
+        planar = ((1, 1), (1, 2), (-1, 3), (2, -1))
+        with pytest.raises(ValueError):
+            list(canonical_hemispheres(GaleEmbedding(n=4, s=1, d=2, points=planar)))
+        points = build_embedding(7, 2).points[:6] + ((-1, -7, -49, -344),)
+        bent = GaleEmbedding(n=7, s=2, d=4, points=points)
+        with pytest.raises(ValueError):
+            list(canonical_hemispheres(bent))
+
+
+class TestAgainstCofactorNormals:
+    """The sign-change normals equal the primitive cofactor normals."""
+
+    def test_alternating_curve_grid(self):
+        for n in range(5, 15):
+            for s in range(1, (n - 1) // 2 + 1):
+                emb = build_embedding(n, s)
+                got = [(p.normal, p.signs) for p in canonical_hemispheres(emb)]
+                assert got == cofactor_hemispheres(emb), (n, s)
+
+    def test_non_alternating_curve(self):
+        # demo 03's counterexample embedding
+        emb = moment_curve([1] * 6, range(1, 7), 3)
+        got = [(p.normal, p.signs) for p in canonical_hemispheres(emb)]
+        assert got == cofactor_hemispheres(emb)
+
+    def test_random_curves(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            d = rng.randint(2, 6)
+            n = rng.randint(d - 1, 10)
+            xs = sorted(rng.sample(range(-12, 13), n))
+            emb = moment_curve([rng.choice((1, -1)) for _ in xs], xs, d)
+            got = [(p.normal, p.signs) for p in canonical_hemispheres(emb)]
+            assert got == cofactor_hemispheres(emb), emb
 
 
 class TestGaleProperty:
@@ -406,3 +518,36 @@ def test_boundary_faces_needed_for_some_coloring():
             assert not (cp >= tp and cn >= tm)
     w = search.find(coloring)
     assert 0 in w.face.signs
+
+
+class TestAgainstEagerCensus:
+    """find on the on-demand census matches the census of every face."""
+
+    def test_all_two_colorings_7_2_1(self):
+        emb = build_embedding(7, 3)
+        search, eager = WitnessSearch(emb, 2), EagerWitnessSearch(emb, 2)
+        for code in range(1 << 14):
+            coloring = [(code >> i) & 1 for i in range(14)]
+            assert search.find(coloring) == eager.find(coloring), code
+
+    @pytest.mark.parametrize("n,k,ell", WITNESS_GRID)
+    def test_witness_grid_instances(self, n, k, ell):
+        emb = build_embedding(n, k + ell)
+        search, eager = WitnessSearch(emb, k), EagerWitnessSearch(emb, k)
+        rng = random.Random(n * 100 + k * 10 + ell)
+        for _ in range(200):
+            coloring = [rng.randrange(emb.d) for _ in range(search.num_stable)]
+            assert search.find(coloring) == eager.find(coloring)
+
+    def test_no_witness_raised_after_every_face(self):
+        # with the boundary faces withheld this coloring has no witness; the
+        # search must census every remaining face before it gives up
+        emb = build_embedding(7, 3)
+        search = WitnessSearch(emb, 2)
+        full = tuple(f for f in search.faceset.faces if 0 not in f.signs)
+        search.faceset = FaceSet(faces=full, certified_exhaustive=False)
+        coloring = [0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1]
+        with pytest.raises(NoWitnessFound) as err:
+            search.find(coloring)
+        assert not err.value.certified
+        assert len(search._census) == len(full)

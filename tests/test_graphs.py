@@ -3,6 +3,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneser_chroma.errors import CapacityError
 from kneser_chroma.graphs import (
@@ -276,6 +278,22 @@ class TestJson:
         g2 = from_json_dict(json.loads(text))
         assert to_canonical_json(g2) == text
         assert g2 == g  # the parent's family and the provenance come back
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        build=st.sampled_from([build_kneser, build_schrijver]),
+        nk=st.integers(2, 9).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n // 2))
+        ),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_round_trip_random(self, build, nk, p, seed):
+        g = sample_subgraph(build(*nk), p, seed)
+        text = to_canonical_json(g)
+        g2 = from_json_dict(json.loads(text))
+        assert to_canonical_json(g2) == text
+        assert g2 == g
 
     def test_vertex_order_is_colex_rank(self):
         g = build_kneser(6, 3)

@@ -104,6 +104,18 @@ class TestEnumeration:
                     assert s.rank == r
                     assert rank_mask(s.mask) == r
 
+    @given(
+        st.integers(0, MAX_GROUND_SET).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
+        )
+    )
+    def test_rank_mask_inverts_unrank(self, case):
+        n, mask = case
+        k = mask.bit_count()
+        r = rank_mask(mask)
+        assert 0 <= r < math.comb(n, k)
+        assert unrank_ksubset(n, k, r).mask == mask
+
     def test_unrank_range_checks(self):
         with pytest.raises(ValueError):
             unrank_ksubset(5, 2, 10)
