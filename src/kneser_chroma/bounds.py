@@ -32,11 +32,11 @@ class TheoremParams:
     ell: int
     p: float
     eps: float
-    # derived_params(n, k, ell), kept so that condition_holds builds t once
-    _dt: tuple[int, int] = field(init=False, repr=False, compare=False)
+    # derived_params(n, k, ell), kept so that t is built once per params
+    dt: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_dt", derived_params(self.n, self.k, self.ell))
+        object.__setattr__(self, "dt", derived_params(self.n, self.k, self.ell))
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p={self.p} outside (0, 1]")
         if not 0.0 < self.eps < 1.0:
@@ -84,7 +84,7 @@ def condition_rhs(n: int, k: int, ell: int) -> float:
 
 def condition_holds(params: TheoremParams) -> bool:
     """Strict test (1 - eps) p > t^-2 n ln3 + 2 t^-1 (1 + ln d)."""
-    return (1.0 - params.eps) * params.p > _rhs(params.n, *params._dt)
+    return (1.0 - params.eps) * params.p > _rhs(params.n, *params.dt)
 
 
 def _safe_product(t1: int, t2: int) -> float:
@@ -137,7 +137,7 @@ class ChainBounds:
 
 def ln_pA_bound(params: TheoremParams) -> ChainBounds:
     n, p, eps = params.n, params.p, params.eps
-    d, t = params._dt
+    d, t = params.dt
     t2 = _safe_product(t, t)
     lnq = math.log1p(-p) if p < 1.0 else -math.inf
     tail = 0.0 if lnq == 0.0 else t2 * lnq
@@ -264,7 +264,7 @@ def corollary_regime_report(
         except ValueError:
             d = t = rhs = None
         else:
-            rhs = condition_rhs(n, k, ell)
+            rhs = _rhs(n, d, t)
         holds = rhs is not None and lhs > rhs
         conclusion = None
         if holds:

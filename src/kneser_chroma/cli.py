@@ -223,16 +223,15 @@ def bounds_report(
 ) -> dict:
     out: dict = {"n": n, "k": k, "p": _round12(p), "eps": _round12(eps)}
     if ell is not None:
-        d, t = bounds_mod.derived_params(n, k, ell)
         params = bounds_mod.TheoremParams(n=n, k=k, ell=ell, p=p, eps=eps)
-        rhs = bounds_mod.condition_rhs(n, k, ell)
+        d, t = params.dt
         chain = bounds_mod.ln_pA_bound(params)
         out.update(
             {
                 "ell": ell,
                 "d": d,
                 "t": t,
-                "rhs": _round12(rhs),
+                "rhs": _round12(bounds_mod._rhs(n, d, t)),
                 "lhs": _round12((1.0 - eps) * p),
                 "condition": bounds_mod.condition_holds(params),
                 "g_decreasing": bounds_mod.g_is_decreasing(d, t, p),

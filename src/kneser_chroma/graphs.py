@@ -20,7 +20,7 @@ from .setfam import (
     SubsetIndex,
     enumerate_ksubsets,
     enumerate_stable_ksubsets,
-    mask_is_stable,
+    select_bits,
     stable_count,
 )
 
@@ -52,17 +52,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge list as (u, v) with u < v, lexicographically sorted."""
-        out = []
-        for u, row in enumerate(self.adj):
-            higher = row >> (u + 1)
-            while higher:
-                low = higher & -higher
-                out.append((u, u + low.bit_length()))
-                higher ^= low
-        return out
 
 
 def _check_capacity(n: int, k: int, max_vertices: int) -> None:
@@ -119,23 +108,35 @@ def sample_subgraph(graph: Graph, p: float, seed: int) -> Graph:
 # --- canonical JSON format (read/written by the CLI) ---------------------
 
 
-def to_json_dict(graph: Graph) -> dict:
-    prov = graph.provenance
-    return {
-        "family": graph.family,
-        "n": graph.n,
-        "k": graph.k,
-        "p": prov.p if prov else None,
-        "seed": prov.seed if prov else None,
-        "rng_id": seeds.EDGE_RNG_ID if prov else None,
-        "vertices": [v.mask for v in graph.vertices],
-        "edges": [[u, v] for u, v in graph.edges()],
-    }
-
-
 def to_canonical_json(graph: Graph) -> str:
-    """Byte-reproducible serialization: fixed key order, no whitespace."""
-    return json.dumps(to_json_dict(graph), separators=(",", ":")) + "\n"
+    """Byte-reproducible serialization: fixed key order, no whitespace.
+
+    "edges" lists [u, v] for every edge with u < v, sorted.  It is written
+    row by row from the adjacency bitsets: row u's upper neighbours become
+    one string join over precomputed decimal labels.
+    """
+    prov = graph.provenance
+    head = json.dumps(
+        {
+            "family": graph.family,
+            "n": graph.n,
+            "k": graph.k,
+            "p": prov.p if prov else None,
+            "seed": prov.seed if prov else None,
+            "rng_id": seeds.EDGE_RNG_ID if prov else None,
+            "vertices": [v.mask for v in graph.vertices],
+        },
+        separators=(",", ":"),
+    )
+    labels = list(map(str, range(graph.num_vertices)))
+    rows = []
+    for u, row in enumerate(graph.adj):
+        row >>= u + 1
+        if row:
+            left = f"[{u},"
+            cols = select_bits(row, labels[u + 1 :])
+            rows.append(left + ("]," + left).join(cols) + "]")
+    return head[:-1] + ',"edges":[' + ",".join(rows) + "]}\n"
 
 
 def _provenance(obj: dict) -> Provenance | None:
@@ -154,37 +155,49 @@ def _provenance(obj: dict) -> Provenance | None:
 
 
 def from_json_dict(obj: dict) -> Graph:
+    """The graph of a parsed canonical JSON file, checked in full.
+
+    n, k, vertex masks and edge indices must be JSON integers, a JSON true
+    or false is refused (it would pass an isinstance check as 1 or 0).  The
+    vertices must be the family's whole vertex set in colex order, so they
+    and their ranks are taken from the family's own enumeration once the
+    count matches.  Edges may come in any order and repeat.
+    """
     family, n, k = obj["family"], obj["n"], obj["k"]
     if family not in (KNESER, SCHRIJVER):
         raise ValueError(f"family {family!r} is neither {KNESER!r} nor {SCHRIJVER!r}")
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n={n!r} and k={k!r} must be integers")
     if not 0 <= n <= MAX_GROUND_SET:
         raise CapacityError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
-    vertices = tuple(KSubset.from_mask(m, n) for m in obj["vertices"])
-    for v in vertices:
-        if v.k != k:
-            raise ValueError(f"vertex mask {v.mask:#x} is not a {k}-subset")
-        if family == SCHRIJVER and not mask_is_stable(v.mask, n):
-            raise ValueError(f"schrijver vertex mask {v.mask:#x} is not stable")
-    for a, b in zip(vertices, vertices[1:]):
-        if a.mask >= b.mask:
-            raise ValueError(
-                f"vertex masks must strictly increase (colex order): "
-                f"{b.mask:#x} follows {a.mask:#x}"
-            )
-    # strictly increasing members of the family, as many as it has, are all of it
+    masks = obj["vertices"]
+    # counted before the family is enumerated, so that costs in proportion
+    # to the file's own vertex list (times O(k^2) at worst for schrijver,
+    # whose enumeration never walks all C(n, k) masks)
     whole = math.comb(n, k) if family == KNESER else stable_count(n, k)
-    m = len(vertices)
+    m = len(masks)
     if m != whole:
         raise ValueError(f"{family} file lists {m} of the family's {whole} vertices")
+    if family == KNESER:
+        vertices = tuple(enumerate_ksubsets(n, k))
+    else:
+        vertices = tuple(enumerate_stable_ksubsets(n, k))
+    for i, (v, mask) in enumerate(zip(vertices, masks)):
+        if type(mask) is not int or mask != v.mask:
+            raise ValueError(
+                f"vertex masks must be the {family} family's {k}-subsets of "
+                f"[{n}] in colex order: position {i} holds {mask!r}, not {v.mask}"
+            )
+    bit = [1 << i for i in range(m)]
     adj = [0] * m
     for u, v in obj["edges"]:
-        # checked before the shift below, which would allocate a 2^v-bit int
-        if not (0 <= u < m and 0 <= v < m):
-            raise ValueError(f"edge [{u}, {v}] has an index outside 0..{m - 1}")
+        # checked before use: bit[-1] is the last vertex's bit
+        if type(u) is not int or type(v) is not int or not (0 <= u < m and 0 <= v < m):
+            raise ValueError(f"edge [{u!r}, {v!r}] is not two indices in 0..{m - 1}")
         if u == v:
             raise ValueError("self-loop in edge list")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        adj[u] |= bit[v]
+        adj[v] |= bit[u]
     prov = _provenance(obj)
     disjoint = _disjointness_adjacency(vertices, n)
     if any(row & ~fit for row, fit in zip(adj, disjoint)):

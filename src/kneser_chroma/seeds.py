@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .setfam import select_bits
+
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_C1 = 0xBF58476D1CE4E5B9
@@ -38,27 +40,32 @@ def kept_adjacency(
     The first two rounds depend on the row only and run once per row, the
     last is inlined, and the value is compared with the integer
     ceil(p 2^53), which is exact since the value has 53 bits.
+
+    The last round starts with x ^= x >> 30 on x = row_key ^ col_key.  That
+    step is the map x -> x ^ (x >> 30), linear over GF(2) on 64-bit words,
+    so it sends a ^ b to f(a) ^ f(b) and runs once per row key and once
+    per column key instead of once per edge.  Likewise y >> 11 < T iff
+    y < T << 11 for integers y, T >= 0, so the final shift folds into the
+    threshold.
     """
-    threshold = math.ceil(p * (1 << 53))
+    m = len(ranks)
+    limit = math.ceil(p * (1 << 53)) << 11
     seed_key = mix64(seed ^ _GOLDEN)
     col_keys = [(r * _MIX_C2) & _M64 for r in ranks]
-    out = [0] * len(ranks)
+    col_keys = [c ^ (c >> 30) for c in col_keys]
+    bits = [1 << v for v in range(m)]
+    out = [0] * m
     for u, (rank_lo, row) in enumerate(zip(ranks, adj)):
         row_key = mix64(seed_key ^ ((rank_lo * _MIX_C1) & _M64))
-        row = (row >> (u + 1)) << (u + 1)
-        bit = 1 << u
+        row_key ^= row_key >> 30
+        bit = bits[u]
         kept = 0
-        while row:
-            low = row & -row
-            row ^= low
-            v = low.bit_length() - 1
-            x = row_key ^ col_keys[v]
-            x ^= x >> 30
-            x = (x * _MIX_C1) & _M64
+        for v in select_bits(row >> (u + 1), range(u + 1, m)):
+            x = ((row_key ^ col_keys[v]) * _MIX_C1) & _M64
             x ^= x >> 27
             x = (x * _MIX_C2) & _M64
-            if (x ^ (x >> 31)) >> 11 < threshold:
-                kept |= low
+            if x ^ (x >> 31) < limit:
+                kept |= bits[v]
                 out[v] |= bit
         out[u] |= kept
     return out

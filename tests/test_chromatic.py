@@ -36,7 +36,6 @@ def is_proper(graph: Graph, coloring) -> bool:
 def brute_chromatic(graph):
     """Plain backtracking in vertex order; independent of the solver."""
     nv = graph.num_vertices
-    edges = graph.edges()
 
     def colorable(m):
         colors = [-1] * nv
@@ -57,7 +56,7 @@ def brute_chromatic(graph):
 
         return place(0)
 
-    if not edges:
+    if graph.num_edges == 0:
         return 1
     m = 2
     while not colorable(m):

@@ -9,7 +9,7 @@ from functools import cache
 import pytest
 from test_chromatic import is_proper
 
-from kneser_chroma import cli, seeds
+from kneser_chroma import bounds, cli, seeds
 from kneser_chroma.chromatic import Budget, chromatic_number
 from kneser_chroma.cli import CSV_HEADER, chi_report, main, run_random_chi, run_witness
 from kneser_chroma.events import event_a_json_dict, event_a_oracle
@@ -88,6 +88,27 @@ class TestGenGraph:
         rc, _, _ = run_cli(["gen-graph", "--family", "kneser", "--n", "5",
                             "--k", "2", "--p", "0.5"])
         assert rc == 2
+
+    def test_stdout_pinned(self, capsys):
+        # every KG/SG with n <= 12, unsampled and at p 0.3/0.9 x seeds 1-2;
+        # digest computed with the json.dumps writer (tests/graph_reference.py)
+        h = hashlib.sha256()
+        runs = 0
+        for n in range(13):
+            for k in range(n + 1):
+                for family in ("kneser", "schrijver"):
+                    base = ["gen-graph", "--family", family, "--n", str(n),
+                            "--k", str(k)]
+                    for extra in [[]] + [["--p", p, "--seed", seed]
+                                         for p in ("0.3", "0.9")
+                                         for seed in ("1", "2")]:
+                        assert main(base + extra) == 0
+                        h.update(capsys.readouterr().out.encode())
+                        runs += 1
+        assert runs == 910
+        assert h.hexdigest() == (
+            "834435d5c63f8a66fe760f9f91e2ac31e031a3f549f83509ace994568ca5576e"
+        )
 
 
 @cache
@@ -208,6 +229,25 @@ class TestChi:
         obj = {"family": "kneser", "n": 4, "k": 2, "p": None, "seed": None,
                "rng_id": None, "vertices": vertices, "edges": edges}
         bad.write_text(json.dumps(obj))
+        rc, out, err = run_cli(["chi", str(bad)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"family":"kneser","n":true,"k":true,"p":null,"seed":null,'
+            '"rng_id":null,"vertices":[true],"edges":[]}',
+            '{"family":"kneser","n":3,"k":1,"p":null,"seed":null,"rng_id":null,'
+            '"vertices":[true,2,4],"edges":[[false,true],[0,2],[true,2]]}',
+        ],
+        ids=["n-k-and-mask", "mask-and-indices"],
+    )
+    def test_boolean_graph_file_exit_2(self, tmp_path, text):
+        # a JSON true or false is not an integer: not as n, k, mask or index
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
         rc, out, err = run_cli(["chi", str(bad)])
         assert rc == 2
         assert out == ""
@@ -545,6 +585,34 @@ class TestBoundsCmd:
         assert sha256_of_reports(reports) == (
             "cfa8265a6e2b60f1f52fa549bb525240a5dd910856d2ee009ac3a3ca06c7c280"
         )
+
+    def test_fixed_ell_reports_pinned(self):
+        # digest computed when the report built t three times
+        grid = [
+            (n, k, ell, p, eps)
+            for n, k in ((13, 2), (40, 2), (1000, 2), (10**6, 2), (200, 80),
+                         (2003, 1000), (10**5, 5))
+            for ell in (1, 2, 3, 7)
+            for p, eps in ((0.5, 0.5), (1.0, 0.1), (0.9, 0.05))
+            if n - 2 * k - 2 * ell + 1 >= 2
+        ] + [(10**6, 2, 63096, 0.5, 0.5), (10**9, 2, 5000, 0.3, 0.2)]
+        reports = [cli.bounds_report(*args) for args in grid]
+        assert len(reports) == 74
+        assert sha256_of_reports(reports) == (
+            "7993424fd03fd72e287ff3de62beae5366f9f9ad357981adb983f8488566fd3f"
+        )
+
+    def test_fixed_ell_builds_t_once(self, monkeypatch):
+        calls = []
+        derived = bounds.derived_params
+
+        def counting(*args):
+            calls.append(args)
+            return derived(*args)
+
+        monkeypatch.setattr(bounds, "derived_params", counting)
+        cli.bounds_report(10**6, 2, 63096, 0.5, 0.5)
+        assert calls == [(10**6, 2, 63096)]
 
     def test_infeasible_sweep_at_1e9(self):
         rep = cli.bounds_report(10**9, 2, None, 1e-20, 0.5, sweep=True)

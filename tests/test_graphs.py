@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_reference import reference_canonical_json, to_json_dict
+from test_setfam import rank_mask
+
 from kneser_chroma.errors import CapacityError
 from kneser_chroma.graphs import (
     build_kneser,
@@ -13,10 +16,9 @@ from kneser_chroma.graphs import (
     from_json_dict,
     sample_subgraph,
     to_canonical_json,
-    to_json_dict,
 )
 from kneser_chroma.seeds import mix64
-from kneser_chroma.setfam import KSubset, iter_bits, rank_mask
+from kneser_chroma.setfam import enumerate_stable_ksubsets, iter_bits
 
 M64 = (1 << 64) - 1
 
@@ -295,14 +297,41 @@ class TestJson:
         assert to_canonical_json(g2) == text
         assert g2 == g
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        build=st.sampled_from([build_kneser, build_schrijver]),
+        nk=st.integers(0, 12).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n))
+        ),
+        p=st.none() | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_writer_matches_json_dumps_reference(self, build, nk, p, seed):
+        g = build(*nk)
+        if p is not None:
+            g = sample_subgraph(g, p, seed)
+        text = to_canonical_json(g)
+        assert text == reference_canonical_json(g)
+        assert from_json_dict(json.loads(text)).adj == g.adj
+
+    @pytest.mark.parametrize("p", [None, 0.5])
+    def test_accepts_reversed_shuffled_and_duplicate_edges(self, p):
+        g = build_kneser(7, 2)
+        if p is not None:
+            g = sample_subgraph(g, p, seed=11)
+        obj = to_json_dict(g)
+        edges = obj["edges"]
+        obj["edges"] = [[v, u] for u, v in edges[::-1]] + edges[::3]
+        assert from_json_dict(obj) == g
+
     def test_vertex_order_is_colex_rank(self):
         g = build_kneser(6, 3)
-        masks = to_json_dict(g)["vertices"]
+        masks = json.loads(to_canonical_json(g))["vertices"]
         assert masks == sorted(masks, key=rank_mask)
 
     def test_edges_sorted_u_lt_v(self):
         g = build_schrijver(8, 2)
-        edges = to_json_dict(g)["edges"]
+        edges = json.loads(to_canonical_json(g))["edges"]
         assert all(u < v for u, v in edges)
         assert edges == sorted(edges)
 
@@ -316,7 +345,44 @@ class TestJson:
         obj2["vertices"][0] = 7  # popcount 3, not a 2-subset
         with pytest.raises(ValueError):
             from_json_dict(obj2)
+        obj3 = to_json_dict(g)
+        obj3["vertices"][5] = 1 << 10 | 1  # a 2-set, but not inside [4]
+        with pytest.raises(ValueError):
+            from_json_dict(obj3)
+        # a JSON true or false must not pass as 1 or 0
+        header = {"family": "kneser", "p": None, "seed": None, "rng_id": None}
+        for bad in (
+            {"n": True, "k": True, "vertices": [True], "edges": []},
+            {"n": 3, "k": 1, "vertices": [True, 2, 4],
+             "edges": [[False, True], [0, 2], [True, 2]]},
+            {"n": 3, "k": 1, "vertices": [1, 2, 4],
+             "edges": [[False, True], [0, 2], [True, 2]]},
+        ):
+            with pytest.raises(ValueError):
+                from_json_dict(header | bad)
 
+    def test_schrijver_read_cost_follows_the_file(self):
+        # SG(64,32) has 2 vertices among C(64,32) ~ 1.8e18 32-subsets and
+        # SG(40,19) 400 among C(40,19) ~ 1.3e11: neither read may walk those
+        header = {"family": "schrijver", "p": None, "seed": None, "rng_id": None}
+        alternating = int("01" * 32, 2)
+        g = from_json_dict(
+            header
+            | {"n": 64, "k": 32, "vertices": [alternating, alternating << 1],
+               "edges": [[0, 1]]}
+        )
+        assert [v.mask for v in g.vertices] == [alternating, alternating << 1]
+        assert g.adj == (0b10, 0b01)
+        masks = [s.mask for s in enumerate_stable_ksubsets(40, 19)]
+        edges = [
+            [u, v] for u, v in combinations(range(len(masks)), 2)
+            if not masks[u] & masks[v]
+        ]
+        g = from_json_dict(
+            header | {"n": 40, "k": 19, "vertices": masks, "edges": edges}
+        )
+        assert [v.mask for v in g.vertices] == masks
+        assert g.num_edges == len(edges) > 0
 
     @pytest.mark.parametrize(
         "change",
@@ -344,8 +410,3 @@ class TestJson:
         obj["family"] = "schrijver"
         with pytest.raises(ValueError):
             from_json_dict(obj)
-
-
-def test_ksubset_validation():
-    with pytest.raises(ValueError):
-        KSubset.from_mask(1 << 10, 5)

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given
@@ -15,10 +15,22 @@ from kneser_chroma.setfam import (
     enumerate_stable_ksubsets,
     iter_bits,
     ln_binomial,
-    mask_is_stable,
-    rank_mask,
+    select_bits,
     stable_count,
 )
+
+
+def rank_mask(mask: int) -> int:
+    """Colex rank of a subset given as a bitmask: sum of C(pos_j, j+1)."""
+    r = 0
+    j = 0
+    m = mask
+    while m:
+        low = m & -m
+        r += math.comb(low.bit_length() - 1, j + 1)
+        j += 1
+        m ^= low
+    return r
 
 
 def unrank_ksubset(n: int, k: int, rank: int) -> KSubset:
@@ -39,6 +51,20 @@ def unrank_ksubset(n: int, k: int, rank: int) -> KSubset:
         mask |= 1 << c
         c -= 1
     return KSubset(mask=mask, n=n, k=k, rank=rank)
+
+
+def mask_is_stable(mask: int, n: int) -> bool:
+    """True iff the subset has no two cyclically consecutive elements of [n].
+
+    Singletons and the empty set are stable: a lone element is not a pair,
+    even on the degenerate 1-cycle.  The reference definition of stability
+    that ``enumerate_stable_ksubsets`` is checked against.
+    """
+    if n <= 1 or mask.bit_count() <= 1:
+        return True
+    full = (1 << n) - 1
+    succ = ((mask << 1) | (mask >> (n - 1))) & full
+    return mask & succ == 0
 
 
 def mask_of(elements):
@@ -83,6 +109,16 @@ class TestEnumeration:
         for n, k in [(6, 3), (9, 2), (10, 5)]:
             for pos, s in enumerate(enumerate_ksubsets(n, k)):
                 assert s.rank == pos == rank_mask(s.mask)
+
+    def test_matches_sorted_combinations_exhaustive(self):
+        # colex order is numeric mask order; ranks are list positions
+        for n in range(0, 15):
+            for k in range(0, n + 1):
+                want = sorted(mask_of(c) for c in combinations(range(1, n + 1), k))
+                subs = enumerate_ksubsets(n, k)
+                assert [s.mask for s in subs] == want
+                assert [s.rank for s in subs] == list(range(len(want)))
+                assert all(s.n == n and s.k == k for s in subs)
 
     def test_colex_order_is_sorted_by_reversed_tuple(self):
         subs = enumerate_ksubsets(7, 3)
@@ -179,6 +215,23 @@ class TestStableEnumeration:
                 ranks = [rank_mask(sum(1 << (e - 1) for e in t)) for t in got]
                 assert ranks == sorted(ranks)
 
+    def test_matches_stable_filter_exhaustive(self):
+        # the direct build against the filter it replaced: masks, ranks, order
+        for n in range(0, 17):
+            for k in range(0, n + 1):
+                want = [
+                    s for s in enumerate_ksubsets(n, k) if mask_is_stable(s.mask, n)
+                ]
+                assert enumerate_stable_ksubsets(n, k) == want
+
+    def test_cost_follows_the_output_not_c_n_k(self):
+        # C(64,32) is about 1.8e18 masks; a filter over them would never end
+        alternating = int("01" * 32, 2)
+        got = enumerate_stable_ksubsets(64, 32)
+        assert [s.mask for s in got] == [alternating, alternating << 1]
+        assert [s.rank for s in got] == [rank_mask(s.mask) for s in got]
+        assert len(enumerate_stable_ksubsets(40, 19)) == stable_count(40, 19) == 400
+
     def test_count_identity(self):
         # (n/(n-k)) C(n-k,k) against the brute-force filter
         for n in range(3, 21):
@@ -255,3 +308,11 @@ class TestSubsetIndex:
         assert list(iter_bits(0)) == []
         assert list(iter_bits(0b101001)) == [0, 3, 5]
         assert list(iter_bits(1 << 200)) == [200]
+
+    @given(st.integers(0, 2**600))
+    def test_select_bits_matches_iter_bits(self, mask):
+        labels = [str(i) for i in range(mask.bit_length())]
+        assert list(select_bits(mask, labels)) == [str(i) for i in iter_bits(mask)]
+        assert list(select_bits(mask, count(7))) == [
+            i + 7 for i in iter_bits(mask)
+        ]
