@@ -8,6 +8,24 @@ by saturation desc, then uncolored degree desc, then lowest index (Brelaz
 1979); the greedy upper bound by saturation, then static degree, then index.
 Both keep the uncolored vertices in per-saturation bitset buckets and scan
 only the top one.
+
+Near p = 1 the search's long calls are mostly *finds*: the chi-coloring
+exists, greedy misses it, and the DFS wanders before it lands on one.  So
+once one decide(m) search has spent TABU_AFTER nodes, it runs a single
+TabuCol pass (Hertz and de Werra 1987, tenure of Galinier and Hao 1999) of
+at most TABU_MOVES moves on its kernel.  A coloring it finds is checked edge
+by edge and ends the call; a failed pass returns into the DFS where it
+stopped, so the DFS visits the same nodes in the same order as without it.
+Moves are not search nodes and are not charged to ``Budget.max_nodes``: a
+pass can only end a search early, so every later search starts with at
+least the budget it had without the pass, a row exact without it stays
+exact with the same chi, and a timeout can only turn exact.  The two
+constants bound the cost.  On coupled SG(10,3) samples at p = 0.9/0.97, 95%
+of the decide(m) calls end within 500 nodes and never pay for a pass.  A
+move costs about two nodes' time, so a pass costs at most about 400 nodes';
+200 moves find about two thirds of the colorings that the calls it fires
+in look for.  The same pass run before every search was a net loss: it
+burns its moves where greedy is already tight.
 """
 
 from __future__ import annotations
@@ -18,10 +36,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .graphs import Graph
+from .seeds import mix64
 from .setfam import iter_bits
 
 EXACT = "exact"
 TIMEOUT = "timeout"
+# one TabuCol pass of at most TABU_MOVES moves, once a decide(m) search has
+# spent TABU_AFTER nodes; see the module docstring
+TABU_AFTER = 500
+TABU_MOVES = 200
 
 
 @dataclass(frozen=True)
@@ -36,8 +59,25 @@ class _OutOfBudget(Exception):
     pass
 
 
+class _Colored(Exception):
+    """Carries a checked coloring out of the search that it cuts short."""
+
+    def __init__(self, colors: list[int]):
+        self.colors = colors
+
+
+_NEVER = 1 << 62
+
+
 class _Counter:
-    __slots__ = ("nodes", "max_nodes", "deadline")
+    """Search nodes against the budget.
+
+    ``spend`` compares the count with one limit: the first count at which
+    something is due, that is the node budget, a deadline check every 1024
+    nodes, or an armed rescue.  ``_due`` sorts out which.
+    """
+
+    __slots__ = ("nodes", "max_nodes", "deadline", "rescue", "rescue_at", "limit")
 
     def __init__(self, budget: Budget | None):
         self.nodes = 0
@@ -45,14 +85,39 @@ class _Counter:
         self.deadline = None
         if budget and budget.max_ms is not None:
             self.deadline = time.monotonic() + budget.max_ms / 1000.0
+        self.disarm()
 
-    def spend(self, amount: int = 1) -> None:
-        self.nodes += amount
+    def spend(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.limit:
+            self._due()
+
+    def arm(self, rescue, after: int) -> None:
+        """Call ``rescue()`` once, when ``after`` more nodes have been spent."""
+        self.rescue, self.rescue_at = rescue, self.nodes + after - 1
+        self._relimit()
+
+    def disarm(self) -> None:
+        self.rescue = self.rescue_at = None
+        self._relimit()
+
+    def _relimit(self) -> None:
+        due = [x for x in (self.max_nodes, self.rescue_at) if x is not None]
+        if self.deadline is not None:
+            due.append(self.nodes | 1023)  # the next multiple of 1024, less one
+        self.limit = min(due, default=_NEVER)
+
+    def _due(self) -> None:
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _OutOfBudget
         if self.deadline is not None and self.nodes % 1024 == 0:
             if time.monotonic() > self.deadline:
                 raise _OutOfBudget
+        if self.rescue_at is not None and self.nodes > self.rescue_at:
+            rescue = self.rescue
+            self.disarm()
+            rescue()
+        self._relimit()
 
 
 @dataclass(frozen=True)
@@ -221,6 +286,96 @@ def _kernelize(adj: tuple[int, ...], active: int, m: int) -> tuple[int, list[int
     return active, removed
 
 
+def _tabu_coloring(
+    adj: tuple[int, ...], kernel: int, m: int, moves: int
+) -> list[int] | None:
+    """TabuCol: a proper m-coloring of the kernel, or None after ``moves``.
+
+    Starts from greedy DSATUR with each color >= m moved, in index order, to
+    its least-conflict color.  A move recolors a conflicting vertex to the
+    color that lowers the conflicting edges most; taking its old color back
+    is tabu for 0.6 * (conflicting vertices) + r moves, r in 0..9, unless
+    that beats the best count so far.  r and the pick among equal moves come
+    from one mix64 draw per move, keyed on (kernel, m).
+    """
+    colors, _ = _dsatur_greedy(adj, kernel)
+    verts = list(iter_bits(kernel))
+    cls = [0] * m  # cls[c]: kernel vertices colored c
+    for v in verts:
+        if colors[v] < m:
+            cls[colors[v]] |= 1 << v
+    for v in verts:
+        if colors[v] >= m:
+            row = adj[v]
+            c = min(range(m), key=lambda c: (row & cls[c]).bit_count())
+            colors[v] = c
+            cls[c] |= 1 << v
+    bad = 0  # vertices with a neighbour of their own color
+    conflicts = 0
+    for v in verts:
+        own = (adj[v] & cls[colors[v]]).bit_count()
+        if own:
+            bad |= 1 << v
+            conflicts += own
+    conflicts //= 2
+    best = conflicts
+    key = mix64(m)
+    for word in range(0, kernel.bit_length(), 64):
+        key = mix64(key ^ kernel >> word)  # mix64 reads the low 64 bits
+    tabu = [0] * (len(colors) * m)  # tabu[v*m + c]: first move v may take c
+    for it in range(moves):
+        if not conflicts:
+            break
+        best_d = _NEVER
+        picks: list[tuple[int, int]] = []
+        cand = bad
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            row = adj[v]
+            cv = colors[v]
+            own = (row & cls[cv]).bit_count()
+            for c in range(m):
+                if c == cv:
+                    continue
+                d = (row & cls[c]).bit_count() - own
+                if d > best_d or (tabu[v * m + c] > it and conflicts + d >= best):
+                    continue
+                if d < best_d:
+                    best_d, picks = d, [(v, c)]
+                else:
+                    picks.append((v, c))
+        if not picks:  # every move tabu: wait for one to expire
+            continue
+        draw = mix64(key ^ it)
+        v, c = picks[draw % len(picks)]
+        a = colors[v]
+        vbit = 1 << v
+        cls[a] ^= vbit
+        cls[c] |= vbit
+        colors[v] = c
+        conflicts += best_d
+        best = min(best, conflicts)
+        touched = adj[v] & (cls[a] | cls[c]) | vbit
+        while touched:
+            low = touched & -touched
+            u = low.bit_length() - 1
+            touched ^= low
+            if adj[u] & cls[colors[u]]:
+                bad |= low
+            else:
+                bad &= ~low
+        tabu[v * m + a] = it + 1 + (bad.bit_count() * 3) // 5 + (draw >> 32) % 10
+    if conflicts:
+        return None
+    for v in verts:  # check edge by edge, apart from the bookkeeping above
+        c = colors[v]
+        if not 0 <= c < m or any(colors[u] == c for u in iter_bits(adj[v] & kernel)):
+            return None
+    return colors
+
+
 def _decide_colorable(
     adj: tuple[int, ...],
     m: int,
@@ -258,6 +413,11 @@ def _decide_colorable(
             bucket[(adj[u] & (kernel ^ uncolored)).bit_count()] |= 1 << u
 
         spend = counter.spend
+
+        def rescue() -> None:
+            found = _tabu_coloring(adj, kernel, m, TABU_MOVES)
+            if found is not None:
+                raise _Colored(found + [-1] * (n_bits - len(found)))
 
         def dfs(uncolored: int, used: int) -> bool:
             if uncolored == 0:
@@ -313,8 +473,14 @@ def _decide_colorable(
             bucket[sat] |= vbit
             return False
 
-        if uncolored and not dfs(uncolored, used0):
-            return None
+        counter.arm(rescue, TABU_AFTER)
+        try:
+            if uncolored and not dfs(uncolored, used0):
+                return None
+        except _Colored as done:
+            colors = done.colors
+        finally:
+            counter.disarm()
 
     # reinsert kernel-stripped vertices; a free color always exists for them
     seen = kernel

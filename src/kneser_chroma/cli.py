@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import bounds as bounds_mod
 from . import seeds
@@ -144,6 +143,10 @@ def run_random_chi(
     # the pool forks all its workers up front: no more than the trials or the CPUs
     nworkers = min(nworkers, trials, os.cpu_count() or 1)
     if nworkers > 1:
+        # imported here: it loads multiprocessing and logging, which no other
+        # command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             rows = list(pool.map(_random_chi_trial, jobs, chunksize=8))
     else:

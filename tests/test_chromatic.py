@@ -1,12 +1,16 @@
+import hashlib
+import json
 import sys
 from functools import cache
 
 import chromatic_reference as reference
 import pytest
 
-from kneser_chroma import seeds
+from kneser_chroma import chromatic, seeds
 from kneser_chroma.chromatic import (
     EXACT,
+    TABU_AFTER,
+    TABU_MOVES,
     Budget,
     _dsatur_greedy,
     chromatic_number,
@@ -15,6 +19,7 @@ from kneser_chroma.chromatic import (
     vertex_critical,
 )
 from kneser_chroma.graphs import Graph, build_kneser, build_schrijver, sample_subgraph
+from kneser_chroma.setfam import iter_bits
 
 
 def is_proper(graph: Graph, coloring) -> bool:
@@ -138,6 +143,12 @@ class TestChromaticNumber:
         assert res.coloring is not None
         assert is_proper(build_kneser(7, 2), res.coloring)
 
+    def test_time_budget(self):
+        # the deadline is read every 1,024 nodes; KG(10,2) takes 29,793
+        g = build_kneser(10, 2)
+        assert chromatic_number(g, Budget(max_ms=0)).status == "timeout"
+        assert chromatic_number(g, Budget(max_ms=10**7)) == chromatic_number(g)
+
     def test_recursion_limit_restored(self):
         # KG(14,4) has 1,001 vertices; the search on this sample runs deeper
         # than Python's default limit of 1,000 frames
@@ -179,6 +190,13 @@ def pin_grid():
         for p in (0.9, 0.97):
             cases.append((sample_subgraph(parent, p, seed), Budget(max_nodes=5000)))
     return cases
+
+
+# pin_grid() rows that timed out before the TabuCol rescue
+PIN_GRID_TIMEOUTS_BEFORE_RESCUE = frozenset(
+    (364, 365, 411, 489, 513, 623, 625, 743, 869, 969, 1041, 1087, 1143, 1173,
+     1221, 1225, 1299, 1301, 1349, 1399)
+)
 
 
 def assert_against_reference(graph, new, ref):
@@ -226,12 +244,43 @@ class TestAgainstReference:
             if ref.status == EXACT and new.status != EXACT:
                 turned_timeout.append(i)
         assert len(cases) == 1400
-        assert timeouts == {"new": 20, "reference": 72}
-        assert turned_exact == 57
+        assert timeouts == {"new": 12, "reference": 72}
+        assert turned_exact == 64
         # a different search order loses some instances the old one solved
-        # within the budget: 5 of the 1,000 coupled SG(10,3) samples, none of
-        # the 400 smaller graphs
-        assert len(turned_timeout) == 5 and min(turned_timeout) >= 400
+        # within the budget: 4 of the 1,000 coupled SG(10,3) samples (5 before
+        # the TabuCol rescue), none of the 400 smaller graphs
+        assert len(turned_timeout) == 4 and min(turned_timeout) >= 400
+
+    def test_coupled_rows_exact_before_the_rescue_pinned(self):
+        # chi/status/lower/upper of the coupled rows exact before the TabuCol
+        # rescue; digest computed then
+        h = hashlib.sha256()
+        for i, (g, budget) in enumerate(pin_grid()[400:], 400):
+            if i not in PIN_GRID_TIMEOUTS_BEFORE_RESCUE:
+                res = chromatic_number(g, budget)
+                row = {"chi": res.chi, "status": res.status, "lower": res.lower,
+                       "upper": res.upper}
+                h.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
+        assert h.hexdigest() == (
+            "694d0eddac2400d4026fe0f9b5f06a4235116a11832d6f1412b2577868248bc1"
+        )
+
+    @pytest.mark.parametrize(
+        "master_seed,trial,rescued",
+        [(1, 343, False), (1, 386, False), (1, 412, True), (1, 474, False),
+         (1, 499, False), (7, 5, True)],
+    )
+    def test_rows_lost_to_the_dynamic_key(self, master_seed, trial, rescued):
+        # coupled SG(10,3) samples at p = 0.97 that the reference solves within
+        # 5,000 nodes (chi 5) and the bucketed search alone did not
+        parent = build_schrijver(10, 3)
+        g = sample_subgraph(parent, 0.97, seeds.trial_seed(master_seed, trial))
+        res = chromatic_number(g, Budget(max_nodes=5000))
+        assert is_proper(g, res.coloring)
+        assert res.lower <= 5 <= res.upper
+        assert (res.status == EXACT) == rescued
+        if rescued:
+            assert res.chi == max(res.coloring) + 1 == 5
 
     def test_greedy_identical(self):
         graphs = criterion_01_grid() + [g for g, _ in pin_grid()]
@@ -252,6 +301,38 @@ class TestAgainstReference:
         res = chromatic_number(build(n, k))
         assert res.status == EXACT and res.chi == n - 2 * k + 2
         assert res.nodes_explored == nodes
+
+
+class TestTabuRescue:
+    def test_one_pass_per_search_once_it_spends_tabu_after_nodes(self, monkeypatch):
+        searches = []  # [counter, nodes at the start, (nodes, m, found) per pass]
+        decide, tabu = chromatic._decide_colorable, chromatic._tabu_coloring
+
+        def spy_decide(adj, m, active, counter):
+            searches.append([counter, counter.nodes, []])
+            return decide(adj, m, active, counter)
+
+        def spy_tabu(adj, kernel, m, moves):
+            counter, start, passes = searches[-1]
+            assert moves == TABU_MOVES
+            found = tabu(adj, kernel, m, moves)
+            passes.append((counter.nodes - start, m, found is not None))
+            if found is not None:
+                for v in iter_bits(kernel):
+                    assert 0 <= found[v] < m
+                    assert all(found[u] != found[v] for u in iter_bits(adj[v] & kernel))
+            return found
+
+        monkeypatch.setattr(chromatic, "_decide_colorable", spy_decide)
+        monkeypatch.setattr(chromatic, "_tabu_coloring", spy_tabu)
+        parent = build_schrijver(10, 3)
+        for trial in range(40):
+            g = sample_subgraph(parent, 0.97, seeds.trial_seed(1, trial))
+            res = chromatic_number(g, Budget(max_nodes=5000))
+            assert is_proper(g, res.coloring)
+        passes = [p for _, _, p in searches if p]
+        assert all(len(p) == 1 and p[0][0] == TABU_AFTER for p in passes)
+        assert {found for p in passes for _, _, found in p} == {False, True}
 
 
 class TestBoundsHelpers:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -164,11 +165,12 @@ class TestChi:
 
     def test_reports_pinned(self):
         # the whole report, nodes and colorings included; digest computed
-        # with the bucketed, uncolored-degree DSATUR search
+        # with the bucketed, uncolored-degree DSATUR search and its TabuCol
+        # rescue (7 timeouts before the rescue)
         reports = [rep for _, rep in chi_grid()]
-        assert sum(r["status"] == "timeout" for r in reports) == 7
+        assert sum(r["status"] == "timeout" for r in reports) == 4
         assert sha256_of_reports(reports) == (
-            "5f895a621d8aca0d24a85df1747c9f0d4b01e5ad175a17d7ead6d3271e597623"
+            "8b40ee74d4d2a4d2988ec4d8d669302a1223e5c3b0d5893e85206d1eeb1d3d2a"
         )
 
     def test_colorings_proper(self):
@@ -336,12 +338,20 @@ class TestRandomChi:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # run_random_chi imports the pool class where it needs it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("KNESER_CHROMA_THREADS", str(10**6))
         rows, _ = run_random_chi("kneser", 6, 2, 0.5, trials=3, master_seed=9)
         assert sizes == want
         assert [r[0] for r in rows] == [0, 1, 2]
+
+    def test_import_leaves_out_multiprocessing(self):
+        # only a pooled random-chi run needs the process pool and its imports
+        code = "import sys, kneser_chroma.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_library_matches_cli(self, tmp_path):
         rows, summary = run_random_chi(
