@@ -11,10 +11,17 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import mul
+from operator import attrgetter, mul
 
-from .errors import NoWitnessFound
-from .setfam import SubsetIndex, enumerate_stable_ksubsets
+from .errors import CapacityError, NoWitnessFound
+from .graphs import DEFAULT_VERTEX_CAP
+from .setfam import SubsetIndex, enumerate_stable_ksubsets, stable_count
+
+# the most faces enumerate_faces builds (Cover's formula) and the most
+# canonical hemispheres verify_gale_property checks (2 C(n, d-1)); a
+# hemisphere builds and checks its normal, a face only its signs
+MAX_FACES = 2**18
+MAX_HEMISPHERES = 2**16
 
 
 @dataclass(frozen=True)
@@ -27,12 +34,42 @@ class GaleEmbedding:
     points: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class HemispherePartition:
-    """Signs of <point_i, normal> for an exact integer normal direction."""
+    """Signs of <point_i, normal> for an exact integer normal direction.
 
-    normal: tuple[int, ...]
-    signs: tuple[int, ...]  # one of -1, 0, +1 per point
+    ``canonical_hemispheres`` passes the normal in.  ``enumerate_faces``
+    passes a recipe instead, and the face builds its primitive normal, and
+    checks it against its signs by exact dot products, when ``normal`` is
+    first read.  Faces are equal iff signs and normals are; the signs are
+    compared first, and they differ between any two faces of one
+    arrangement, so comparing such faces builds no normal.
+    """
+
+    def __init__(self, signs: tuple[int, ...], normal=None, recipe=None):
+        self.signs = signs  # one of -1, 0, +1 per point
+        if normal is not None:
+            self.normal = normal
+        self._recipe = recipe
+
+    @cached_property
+    def normal(self) -> tuple[int, ...]:
+        normal = _face_normal(*self._recipe)
+        for p, want in zip(self._recipe[0][0], self.signs):
+            v = sum(map(mul, p, normal))
+            if (v > 0) - (v < 0) != want:
+                raise RuntimeError(f"normal {normal} does not realize {self.signs}")
+        return normal
+
+    def __eq__(self, other):
+        if not isinstance(other, HemispherePartition):
+            return NotImplemented
+        return self.signs == other.signs and self.normal == other.normal
+
+    def __hash__(self):
+        return hash(self.signs)
+
+    def __repr__(self):
+        return f"HemispherePartition(signs={self.signs_string()!r})"
 
     # computed on first access and kept; most enumerated faces never need them
     @cached_property
@@ -129,12 +166,24 @@ def build_embedding(n: int, s: int) -> GaleEmbedding:
 
 
 def general_position_check(emb: GaleEmbedding) -> bool:
-    """True iff every d of the n points are linearly independent."""
+    """True iff every d of the n points are linearly independent.
+
+    On a curve sigma_i (1, x_i, ..., x_i^(d-1)) with sigma_i = +-1 and
+    ascending x_i (``_curve_parameters``) no determinant is needed: the rows
+    i_1 < ... < i_d form diag(sigma_i) times the Vandermonde matrix of
+    x_(i_1) < ... < x_(i_d), whose determinant
+    prod sigma_i * prod_(a < b) (x_(i_b) - x_(i_a)) is a product of nonzero
+    factors.  Any other point set takes the C(n, d) Bareiss determinants.
+    """
     if emb.n < emb.d:
         return True
-    for idx in combinations(range(emb.n), emb.d):
-        if det_exact([emb.points[i] for i in idx]) == 0:
-            return False
+    try:
+        _curve_parameters(emb)
+    except ValueError:
+        return all(
+            det_exact([emb.points[i] for i in idx]) != 0
+            for idx in combinations(range(emb.n), emb.d)
+        )
     return True
 
 
@@ -213,20 +262,46 @@ def canonical_hemispheres(emb: GaleEmbedding):
         )
 
 
+def _check_capacity(count: int, cap: int, what: str) -> None:
+    if count > cap:
+        raise CapacityError(f"{count} {what} exceed the cap of {cap}")
+
+
 def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     """None if every canonical open hemisphere contains a stable s-subset.
 
     Returns the first violating partition otherwise.  Together with the
     orientation-reversed copies this covers both open sides of every
     canonical great sphere; inclusion-minimality of canonical hemispheres
-    extends the check to arbitrary ones.
+    extends the check to arbitrary ones.  More than ``MAX_HEMISPHERES``
+    canonical hemispheres is a CapacityError, raised before any is built.
     """
+    _check_capacity(
+        2 * math.comb(emb.n, emb.d - 1),
+        MAX_HEMISPHERES,
+        f"canonical hemispheres of {emb.n} points in dimension {emb.d}",
+    )
     stable_masks = [t.mask for t in enumerate_stable_ksubsets(emb.n, emb.s)]
     index = SubsetIndex(stable_masks, emb.n)
     for part in canonical_hemispheres(emb):
         if index.within(part.plus_mask) == 0:
             return part
     return None
+
+
+def _face_normal(zero_set, cuts, orientation: int) -> tuple[int, ...]:
+    """Primitive normal of an ``enumerate_faces`` face, ``orientation`` = +-1.
+
+    ``zero_set`` is (points, Z, the points off Z); tau changes between
+    rest[c-1] and rest[c] for each c in ``cuts``.
+    """
+    points, zeros, rest = zero_set
+    poly = _zero_set_poly(zeros)
+    for c in cuts:
+        ab = rest[c - 1] + rest[c]
+        poly = _times_linear(poly, *((2, -ab) if ab % 2 else (1, -ab // 2)))
+    poly += [0] * (len(points[0]) - len(poly))
+    return tuple(poly) if orientation > 0 else tuple([-c for c in poly])
 
 
 def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
@@ -243,12 +318,15 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
 
     That f, made primitive, is each face's normal: by Gauss's lemma it is the
     product of the primitive factors, 2x - (a+b) halved when a+b is even.
-    Every face is re-checked by exact dot products.  Faces come in
-    (|Z|, Z, signs) order: zero count ascending (full cells first), zero sets
-    in ``combinations`` order, sign tuples ascending.  ``WitnessSearch.find``
+    Only the signs are built here.  A face builds its normal from Z and its
+    changes when ``normal`` is first read, and checks it then by exact dot
+    products; ``WitnessSearch`` reads it before it uses the face.  Faces come
+    in (|Z|, Z, signs) order: zero count ascending (full cells first), zero
+    sets in ``combinations`` order, sign tuples ascending.  ``WitnessSearch.find``
     reports the first witness in this order.  ``certified_exhaustive`` is the
-    check that the face count equals Cover's formula.  Any other point set
-    raises ValueError: the criterion holds only on this curve.
+    check that the face count equals Cover's formula, which is also checked
+    against ``MAX_FACES`` (CapacityError) before any face is built.  Any other
+    point set raises ValueError: the criterion holds only on this curve.
     """
     if emb != build_embedding(emb.n, emb.s):
         raise ValueError(
@@ -256,62 +334,50 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
             f"build_embedding({emb.n}, {emb.s})"
         )
     n, d, points = emb.n, emb.d, emb.points
+    cover = sum(
+        math.comb(n, j) * 2 * sum(math.comb(n - j - 1, i) for i in range(d - j))
+        for j in range(d)
+    )
+    _check_capacity(cover, MAX_FACES, f"faces of build_embedding({n}, {emb.s})")
     xs = range(1, n + 1)
     faces = []
     for j in range(d):
         for zeros in combinations(xs, j):
             # sigma_x / tau_x = (-1)^(x + #{z in Z: z > x}) at each point x
-            # off the zero set, and its negation
+            # off the zero set, and 0 on it
             rest, flip = [], []
             above = -1 if j % 2 else 1
             for x in xs:
                 if x in zeros:
                     above = -above
+                    flip.append(0)
                 else:
                     rest.append(x)
                     flip.append(-above if x % 2 else above)
             neg_flip = [-f for f in flip]
-            zero_poly = _zero_set_poly(zeros)
-            # factor[c-1]: the root of g between rest[c-1] and rest[c]
-            factor = [
-                (2, -(a + b)) if (a + b) % 2 else (1, -(a + b) // 2)
-                for a, b in zip(rest, rest[1:])
-            ]
+            zero_set = (points, zeros, rest)
             group = []
             for changes in range(d - j):
+                # tau is +1 above the largest cut (g > 0 above its largest
+                # root) and alternates across the cuts below it
+                runs = (flip, neg_flip) if changes % 2 == 0 else (neg_flip, flip)
                 for cuts in combinations(range(1, len(rest)), changes):
-                    poly = zero_poly
+                    pos, neg = [], []
+                    lo, (a, b) = 0, runs
                     for c in cuts:
-                        poly = _times_linear(poly, *factor[c - 1])
-                    normal = tuple(poly) + (0,) * (d - len(poly))
-                    # tau is +1 above the largest cut (g > 0 above its largest
-                    # root) and alternates across the cuts below it
-                    signs = []
-                    lo, run = 0, flip if changes % 2 == 0 else neg_flip
-                    for hi in cuts:
-                        signs += run[lo:hi]
-                        lo, run = hi, neg_flip if run is flip else flip
-                    signs += run[lo:]
-                    for z in zeros:
-                        signs.insert(z - 1, 0)
-                    # signs are linear in the normal: one check covers both
-                    # orientations
-                    for p, want in zip(points, signs):
-                        v = sum(map(mul, p, normal))
-                        if (v > 0) - (v < 0) != want:
-                            raise RuntimeError(
-                                f"normal {normal} does not realize {signs}"
-                            )
-                    group.append((tuple(signs), normal))
-                    group.append(
-                        (tuple([-s for s in signs]), tuple([-x for x in normal]))
+                        hi = rest[c] - 1  # the index of point rest[c]
+                        pos += a[lo:hi]
+                        neg += b[lo:hi]
+                        lo, a, b = hi, b, a
+                    pos += a[lo:]
+                    neg += b[lo:]
+                    group += (
+                        HemispherePartition(tuple(pos), recipe=(zero_set, cuts, 1)),
+                        HemispherePartition(tuple(neg), recipe=(zero_set, cuts, -1)),
                     )
-            group.sort()
-            faces.extend(HemispherePartition(normal=c, signs=s) for s, c in group)
-    cover = sum(
-        math.comb(n, j) * 2 * sum(math.comb(n - j - 1, i) for i in range(d - j))
-        for j in range(d)
-    )
+            # signs are distinct within a group, so they alone fix the order
+            group.sort(key=attrgetter("signs"))
+            faces += group
     return FaceSet(faces=tuple(faces), certified_exhaustive=len(faces) == cover)
 
 
@@ -321,8 +387,10 @@ class WitnessSearch:
     Precomputes the face arrangement of an embedding (full cells first, then
     boundary faces with 1..d-1 zeros).  The per-face census, the bitset of
     stable k-subsets lying strictly inside each open side, is built in face
-    order as ``find`` first reaches a face, and kept for later colorings.
-    Some colorings admit no witness on any full cell, so the boundary faces
+    order as ``find`` first reaches a face, right after the face has built
+    and checked its normal, and kept for later colorings.  More than
+    ``DEFAULT_VERTEX_CAP`` stable sets or ``MAX_FACES`` faces is a
+    CapacityError, raised before either is built.  Some colorings admit no witness on any full cell, so the boundary faces
     are part of the search space, with per-face thresholds
     ceil(|side census| / d).
     """
@@ -330,9 +398,12 @@ class WitnessSearch:
     def __init__(self, emb: GaleEmbedding, k: int):
         self.emb = emb
         self.k = k
+        # the stable k-subsets are the vertices of SG(n, k): the graph cap holds
+        count = stable_count(emb.n, k)
+        _check_capacity(count, DEFAULT_VERTEX_CAP, f"stable {k}-subsets of [{emb.n}]")
+        self.faceset = enumerate_faces(emb)
         self.stables = enumerate_stable_ksubsets(emb.n, k)
         self.num_stable = len(self.stables)
-        self.faceset = enumerate_faces(emb)
         self._index = SubsetIndex([t.mask for t in self.stables], emb.n)
         # (pos, neg, t_pos, t_neg) of the faces find has reached, in face order
         self._census: list[tuple[int, int, int, int]] = []
@@ -341,6 +412,7 @@ class WitnessSearch:
         census = self._census
         if i == len(census):
             face = self.faceset.faces[i]
+            face.normal  # builds and checks the normal before the signs are used
             pos = self._index.within(face.plus_mask)
             neg = self._index.within(face.minus_mask)
             d = self.emb.d

@@ -652,6 +652,29 @@ class TestGaleVerifyCmd:
         assert json.loads(out.read_text())["d"] == 4
 
 
+class TestGeometryCaps:
+    """Valid inputs past the geometry caps exit 4 before building anything."""
+
+    @pytest.mark.parametrize("args", [
+        ["witness", "--n", "30", "--k", "2", "--ell", "2", "--seed", "1"],
+        ["witness", "--n", "20", "--k", "2", "--ell", "2", "--seed", "1"],
+        ["witness", "--n", "64", "--k", "16", "--ell", "15", "--seed", "1"],
+        ["gale-verify", "--n", "24", "--s", "3"],
+        ["gale-verify", "--n", "30", "--s", "3"],
+    ])
+    def test_exit_4_within_a_second(self, args, capsys):
+        start = time.perf_counter()
+        assert main(args) == 4
+        assert time.perf_counter() - start < 1.0
+        assert "cap" in capsys.readouterr().err
+
+    def test_cli_exit_code(self):
+        rc, out, err = run_cli(["witness", "--n", "30", "--k", "2", "--ell", "2",
+                                "--seed", "1"])
+        assert rc == 4 and out == ""
+        assert "faces of build_embedding(30, 4) exceed the cap" in err
+
+
 class TestConfigPrecedence:
     def test_flags_beat_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,9 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
+from gale_reference import enumerate_faces_eager
 
+from kneser_chroma import gale, seeds
 from kneser_chroma.errors import NoWitnessFound
 from kneser_chroma.gale import (
+    MAX_FACES,
+    MAX_HEMISPHERES,
     FaceSet,
     GaleEmbedding,
     Witness,
@@ -103,7 +107,7 @@ class EagerWitnessSearch:
         stables = enumerate_stable_ksubsets(emb.n, k)
         index = SubsetIndex([t.mask for t in stables], emb.n)
         self.per_face = []
-        for face in enumerate_faces(emb).faces:
+        for face in enumerate_faces_eager(emb).faces:
             pos, neg = index.within(face.plus_mask), index.within(face.minus_mask)
             t_pos = -(-pos.bit_count() // self.d)
             t_neg = -(-neg.bit_count() // self.d)
@@ -551,3 +555,134 @@ class TestAgainstEagerCensus:
             search.find(coloring)
         assert not err.value.certified
         assert len(search._census) == len(full)
+
+
+def small_embeddings(max_n, max_d):
+    for n in range(5, max_n + 1):
+        for s in range(1, (n - 1) // 2 + 1):
+            emb = build_embedding(n, s)
+            if emb.d <= max_d:
+                yield emb
+
+
+def bench_search(n, k, ell, seed):
+    """WitnessSearch and the seeded coloring of one witness-grid op."""
+    emb = build_embedding(n, k + ell)
+    search = WitnessSearch(emb, k)
+    coloring = [seeds.color_at(seed, i, emb.d) for i in range(search.num_stable)]
+    return search, coloring
+
+
+class TestAgainstEagerFaces:
+    """Faces that build their normals on first read match the eager build."""
+
+    def test_small_grid(self):
+        for emb in small_embeddings(13, 5):
+            lazy, eager = enumerate_faces(emb), enumerate_faces_eager(emb)
+            assert lazy.certified_exhaustive == eager.certified_exhaustive
+            assert [f.signs for f in lazy.faces] == [f.signs for f in eager.faces]
+            assert [f.normal for f in lazy.faces] == [f.normal for f in eager.faces]
+
+    @pytest.mark.parametrize("n,k,ell", WITNESS_GRID)
+    def test_normals_built_only_for_censused_faces(self, monkeypatch, n, k, ell):
+        built = []
+        real = gale._face_normal
+
+        def spy(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gale, "_face_normal", spy)
+        for seed in range(1, 6):
+            built.clear()
+            search, coloring = bench_search(n, k, ell, seed)
+            w = search.find(coloring)
+            assert len(built) == len(search._census)
+            assert len(built) < len(search.faceset.faces)
+            assert signs_of(search.emb.points, w.face.normal) == w.face.signs
+
+    def test_broken_helper_fails_the_check(self, monkeypatch):
+        def wrong(poly, a, b):
+            out = [b * c for c in poly] + [0]
+            for i, c in enumerate(poly):
+                out[i + 1] -= a * c
+            return out
+
+        monkeypatch.setattr(gale, "_times_linear", wrong)
+        # a face with a zero set builds its normal through _times_linear
+        faces = enumerate_faces(build_embedding(9, 3)).faces
+        for face in [f for f in faces if f.zero_mask][::50]:
+            with pytest.raises(RuntimeError, match="does not realize"):
+                face.normal
+
+    @pytest.mark.parametrize("n,k,ell", WITNESS_GRID)
+    def test_find_raises_on_a_corrupted_witness_face(self, n, k, ell):
+        search, coloring = bench_search(n, k, ell, 7)
+        target = search.faceset.faces.index(search.find(coloring).face)
+        search, coloring = bench_search(n, k, ell, 7)
+        face = search.faceset.faces[target]
+        zero_set, cuts, orientation = face._recipe
+        face._recipe = (zero_set, cuts, -orientation)
+        with pytest.raises(RuntimeError, match="does not realize"):
+            search.find(coloring)
+        assert len(search._census) == target
+
+    def test_equality_reads_no_normal(self):
+        faces = enumerate_faces(build_embedding(10, 4)).faces
+        last = faces[-1]
+        assert faces.index(last) == len(faces) - 1
+        assert all("normal" not in vars(f) for f in faces[:-1])
+
+
+class TestGeneralPosition:
+    def test_curve_path_matches_bareiss(self, monkeypatch):
+        embs = [build_embedding(n, s) for n in range(5, 15)
+                for s in range(1, (n - 1) // 2 + 1)]
+        embs += [moment_curve((1, -1, -1, 1, 1, -1), (-3, -1, 0, 2, 5, 6), 4)]
+        for emb in embs:
+            every_minor = all(
+                det_exact([emb.points[i] for i in idx]) != 0
+                for idx in combinations(range(emb.n), emb.d)
+            )
+            assert every_minor, (emb.n, emb.s)
+
+        def no_det(rows):
+            raise AssertionError("a moment curve needs no determinant")
+
+        monkeypatch.setattr(gale, "det_exact", no_det)
+        assert all(general_position_check(emb) for emb in embs)
+
+    def test_other_point_sets_take_bareiss(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return det_exact(rows)
+
+        monkeypatch.setattr(gale, "det_exact", counted)
+        rng = random.Random(3)
+        seen = set()
+        for _ in range(200):
+            d = rng.randint(2, 4)
+            n = rng.randint(d, 7)
+            points = tuple(
+                tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)
+            )
+            emb = GaleEmbedding(n=n, s=1, d=d, points=points)
+            want = all(
+                brute_det([points[i] for i in idx]) != 0
+                for idx in combinations(range(n), d)
+            )
+            calls.clear()
+            assert general_position_check(emb) == want, points
+            assert calls
+            seen.add(want)
+        assert seen == {True, False}
+
+
+class TestCapacity:
+    def test_tested_instances_well_below_the_caps(self):
+        # (12, 4) is the largest enumerate_faces call of the tests; gale-verify
+        # (16, 5) has 2 C(16, 6) = 16,016 canonical hemispheres
+        assert 8 * len(enumerate_faces(build_embedding(12, 4)).faces) < MAX_FACES
+        assert 4 * 16016 < MAX_HEMISPHERES
