@@ -1,25 +1,26 @@
 """Moment-curve point placements and exact hemisphere combinatorics.
 
-Points are integer vectors, never normalized: every predicate is a sign of
-an exact integer inner product or determinant, so there is no floating
-point anywhere in this module.
+Points are integer vectors, never normalized, and there is no floating
+point anywhere in this module: every sign comes from a sign-change rule
+proven in its docstring, and every normal is re-checked against its signs
+by exact integer inner products when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
-from operator import attrgetter, mul
+from operator import attrgetter, mul, xor
 
 from .errors import CapacityError, NoWitnessFound
 from .graphs import DEFAULT_VERTEX_CAP
 from .setfam import SubsetIndex, enumerate_stable_ksubsets, stable_count
 
 # the most faces enumerate_faces builds (Cover's formula) and the most
-# canonical hemispheres verify_gale_property checks (2 C(n, d-1)); a
-# hemisphere builds and checks its normal, a face only its signs
+# canonical hemispheres verify_gale_property checks (2 C(n, d-1)); either
+# builds only its sides, and a normal only when it is read
 MAX_FACES = 2**18
 MAX_HEMISPHERES = 2**16
 
@@ -35,20 +36,22 @@ class GaleEmbedding:
 
 
 class HemispherePartition:
-    """Signs of <point_i, normal> for an exact integer normal direction.
+    """Sides of the points relative to an exact integer normal direction.
 
-    ``canonical_hemispheres`` passes the normal in.  ``enumerate_faces``
-    passes a recipe instead, and the face builds its primitive normal, and
-    checks it against its signs by exact dot products, when ``normal`` is
-    first read.  Faces are equal iff signs and normals are; the signs are
-    compared first, and they differ between any two faces of one
-    arrangement, so comparing such faces builds no normal.
+    ``enumerate_faces`` passes the signs, one of -1, 0, +1 per point;
+    ``canonical_hemispheres`` passes the plus and minus masks instead, and
+    the other form is derived on first read.  Either passes a recipe, and the
+    partition builds its primitive normal, and checks it against its signs
+    by exact dot products, when ``normal`` is first read.  Partitions are
+    equal iff their plus and minus masks are, so comparing them builds no
+    normal.
     """
 
-    def __init__(self, signs: tuple[int, ...], normal=None, recipe=None):
-        self.signs = signs  # one of -1, 0, +1 per point
-        if normal is not None:
-            self.normal = normal
+    def __init__(self, signs=None, recipe=None, masks=None):
+        if masks is None:
+            self.signs = signs
+        else:
+            self.plus_mask, self.minus_mask = masks
         self._recipe = recipe
 
     @cached_property
@@ -63,15 +66,21 @@ class HemispherePartition:
     def __eq__(self, other):
         if not isinstance(other, HemispherePartition):
             return NotImplemented
-        return self.signs == other.signs and self.normal == other.normal
+        return (self.plus_mask, self.minus_mask) == (other.plus_mask, other.minus_mask)
 
     def __hash__(self):
-        return hash(self.signs)
+        return hash((self.plus_mask, self.minus_mask))
 
     def __repr__(self):
         return f"HemispherePartition(signs={self.signs_string()!r})"
 
-    # computed on first access and kept; most enumerated faces never need them
+    # computed on first access and kept; most partitions never need them
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        plus, minus = self.plus_mask, self.minus_mask
+        n = len(self._recipe[0][0])
+        return tuple((plus >> i & 1) - (minus >> i & 1) for i in range(n))
+
     @cached_property
     def plus_mask(self) -> int:
         return _mask_of(self.signs, 1)
@@ -121,36 +130,6 @@ def _mask_of(signs, value: int) -> int:
     return m
 
 
-def _signs(points, normal) -> tuple[int, ...]:
-    """Exact sign of <point, normal> for every point."""
-    out = []
-    for p in points:
-        v = sum(map(mul, p, normal))
-        out.append((v > 0) - (v < 0))
-    return tuple(out)
-
-
-def det_exact(rows) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pivot = next((r for r in range(c, n) if mat[r][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                mat[i][j] = (mat[i][j] * mat[c][c] - mat[i][c] * mat[c][j]) // prev
-            mat[i][c] = 0
-        prev = mat[c][c]
-    return sign * mat[n - 1][n - 1]
-
-
 def build_embedding(n: int, s: int) -> GaleEmbedding:
     """Alternating moment-curve points: point i = (-1)^i (1, i, ..., i^(d-1))."""
     if s < 1:
@@ -168,22 +147,15 @@ def build_embedding(n: int, s: int) -> GaleEmbedding:
 def general_position_check(emb: GaleEmbedding) -> bool:
     """True iff every d of the n points are linearly independent.
 
-    On a curve sigma_i (1, x_i, ..., x_i^(d-1)) with sigma_i = +-1 and
-    ascending x_i (``_curve_parameters``) no determinant is needed: the rows
-    i_1 < ... < i_d form diag(sigma_i) times the Vandermonde matrix of
+    The points must be sigma_i (1, x_i, ..., x_i^(d-1)) with sigma_i = +-1 and
+    ascending x_i (``_curve_parameters``); any other point set raises
+    ValueError.  On such a curve the answer is True with no determinant: the
+    rows i_1 < ... < i_d form diag(sigma_i) times the Vandermonde matrix of
     x_(i_1) < ... < x_(i_d), whose determinant
     prod sigma_i * prod_(a < b) (x_(i_b) - x_(i_a)) is a product of nonzero
-    factors.  Any other point set takes the C(n, d) Bareiss determinants.
+    factors.
     """
-    if emb.n < emb.d:
-        return True
-    try:
-        _curve_parameters(emb)
-    except ValueError:
-        return all(
-            det_exact([emb.points[i] for i in idx]) != 0
-            for idx in combinations(range(emb.n), emb.d)
-        )
+    _curve_parameters(emb)
     return True
 
 
@@ -220,7 +192,7 @@ def _curve_parameters(emb: GaleEmbedding) -> tuple[list[int], list[int]]:
         ):
             return sigmas, xs
     raise ValueError(
-        "canonical_hemispheres needs points sigma_i (1, x_i, ..., x_i^(d-1)) "
+        "need points sigma_i (1, x_i, ..., x_i^(d-1)) "
         "with sigma_i = +-1 and ascending x_i"
     )
 
@@ -239,27 +211,39 @@ def canonical_hemispheres(emb: GaleEmbedding):
     (-1)^(d-1) <point_i, cofactor normal> = prod sigma_z sigma_i V_Z
     prod_{z in Z} (x_i - x_z).
 
+    The sides come without a dot product.  <point_i, f> is
+    sigma_i s prod_{z in Z} (x_i - x_z): zero on Z, and off Z a product of
+    nonzero factors (the x are distinct), negative exactly for the z > i
+    (the x ascend).  So point i is on the plus side iff an even number of
+    sigma_i < 0, s < 0 and #{z in Z : z > i} odd hold.  Bit i of
+    (1 << z) - 1 is set iff i < z, so P = XOR_{z in Z} ((1 << z) - 1) has bit
+    i set iff #{z > i} is odd, and with S the mask of sigma_i = +1,
+    plus = (S ^ P ^ (full if s < 0 else 0)) & ~Z.  Below, (-1)^(d-1) is folded
+    into S and each sigma_z = -1 into its prefix mask as a flip of all bits.
+    Negating f negates every sign, so the reversed orientation swaps the
+    masks.  Each partition builds f from Z and s, and re-checks it against
+    its sides by exact dot products, when its ``normal`` is first read.
+
     Emitted in a fixed order: boundary subsets ascending lexicographically,
-    positive orientation first.  Signs are exact dot products, and in general
-    position exactly the boundary subset gets sign 0.
+    positive orientation first.
     """
     sigmas, xs = _curve_parameters(emb)
-    d, points = emb.d, emb.points
-    for idx in combinations(range(emb.n), d - 1):
-        s = -1 if d % 2 == 0 else 1
-        for i in idx:
-            s *= sigmas[i]
-        normal = tuple(s * c for c in _zero_set_poly([xs[i] for i in idx]))
-        signs = _signs(points, normal)
-        zeros = tuple(i for i, sg in enumerate(signs) if sg == 0)
-        if zeros != idx:
-            raise RuntimeError(
-                f"embedding not in general position: boundary {idx} zeros {zeros}"
-            )
-        yield HemispherePartition(normal=normal, signs=signs)
-        yield HemispherePartition(
-            normal=tuple(-x for x in normal), signs=tuple(-sg for sg in signs)
-        )
+    n, d, points = emb.n, emb.d, emb.points
+    full = (1 << n) - 1
+    up = _mask_of(sigmas, 1) ^ (0 if d % 2 else full)
+    flips = [((1 << z) - 1) ^ (full if sg < 0 else 0) for z, sg in enumerate(sigmas)]
+    bits = [1 << z for z in range(n)]
+    sign = 1 if d % 2 else -1
+    # parallel combinations of the same indices: one boundary set Z per row
+    for flip, bit, sg, zx in zip(
+        *(combinations(v, d - 1) for v in (flips, bits, sigmas, xs))
+    ):
+        off = full - sum(bit)
+        plus = reduce(xor, flip, up) & off
+        s = sign * math.prod(sg)
+        zero_set = (points, zx, None)
+        yield HemispherePartition(masks=(plus, off ^ plus), recipe=(zero_set, (), s))
+        yield HemispherePartition(masks=(off ^ plus, plus), recipe=(zero_set, (), -s))
 
 
 def _check_capacity(count: int, cap: int, what: str) -> None:
@@ -290,10 +274,11 @@ def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
 
 
 def _face_normal(zero_set, cuts, orientation: int) -> tuple[int, ...]:
-    """Primitive normal of an ``enumerate_faces`` face, ``orientation`` = +-1.
+    """Primitive normal of a partition's recipe, ``orientation`` = +-1.
 
-    ``zero_set`` is (points, Z, the points off Z); tau changes between
-    rest[c-1] and rest[c] for each c in ``cuts``.
+    ``zero_set`` is (points, the x of Z, the x off Z); tau changes between
+    rest[c-1] and rest[c] for each c in ``cuts``.  A canonical hemisphere
+    has no cuts and needs no ``rest``.
     """
     points, zeros, rest = zero_set
     poly = _zero_set_poly(zeros)
@@ -488,7 +473,6 @@ __all__ = [
     "canonical_hemispheres",
     "verify_gale_property",
     "enumerate_faces",
-    "det_exact",
     "witness_to_json_dict",
     "partition_to_json_dict",
 ]

@@ -1,8 +1,12 @@
-"""Eager face enumeration, the reference for ``gale.enumerate_faces``.
+"""References for ``gale``: eager face enumeration and Bareiss determinants.
 
-This builds every face's primitive normal up front and re-checks it by exact
-dot products before the face is emitted.  ``gale.enumerate_faces`` builds
-each normal only when it is first read; the tests compare the two.
+``enumerate_faces_eager`` builds every face's primitive normal up front and
+re-checks it by exact dot products before the face is emitted.
+``gale.enumerate_faces`` builds each normal only when it is first read; the
+tests compare the two.  ``general_position_bareiss`` decides general
+position of any point set by C(n, d) determinants, where
+``gale.general_position_check`` takes only moment curves and relies on the
+Vandermonde proof.
 """
 
 from __future__ import annotations
@@ -12,6 +16,35 @@ from itertools import combinations
 from operator import mul
 
 from kneser_chroma.gale import FaceSet, HemispherePartition, build_embedding
+
+
+def det_exact(rows) -> int:
+    """Bareiss fraction-free determinant of a square integer matrix."""
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        pivot = next((r for r in range(c, n) if mat[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                mat[i][j] = (mat[i][j] * mat[c][c] - mat[i][c] * mat[c][j]) // prev
+            mat[i][c] = 0
+        prev = mat[c][c]
+    return sign * mat[n - 1][n - 1]
+
+
+def general_position_bareiss(emb) -> bool:
+    """True iff every d of the n points are linearly independent; any point set."""
+    return all(
+        det_exact([emb.points[i] for i in idx]) != 0
+        for idx in combinations(range(emb.n), emb.d)
+    )
 
 
 def _times_linear(poly, a, b):
@@ -81,7 +114,10 @@ def enumerate_faces_eager(emb) -> FaceSet:
                         (tuple([-s for s in signs]), tuple([-x for x in normal]))
                     )
             group.sort()
-            faces.extend(HemispherePartition(normal=c, signs=s) for s, c in group)
+            for s, c in group:
+                face = HemispherePartition(s)
+                face.normal = c  # built and checked above
+                faces.append(face)
     cover = sum(
         math.comb(n, j) * 2 * sum(math.comb(n - j - 1, i) for i in range(d - j))
         for j in range(d)

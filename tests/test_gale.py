@@ -1,12 +1,13 @@
 import hashlib
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
-from gale_reference import enumerate_faces_eager
+from gale_reference import det_exact, enumerate_faces_eager, general_position_bareiss
 
-from kneser_chroma import gale, seeds
+from kneser_chroma import events, gale, seeds
 from kneser_chroma.errors import NoWitnessFound
 from kneser_chroma.gale import (
     MAX_FACES,
@@ -17,7 +18,6 @@ from kneser_chroma.gale import (
     WitnessSearch,
     build_embedding,
     canonical_hemispheres,
-    det_exact,
     enumerate_faces,
     general_position_check,
     verify_gale_property,
@@ -155,12 +155,14 @@ class TestEmbedding:
         assert general_position_check(build_embedding(10, 4))
 
     def test_duplicate_point_fails(self):
+        # a repeated point is off every moment curve: the check refuses it
         base = build_embedding(6, 2)
         pts = list(base.points)
         pts[3] = pts[0]
-        assert not general_position_check(
-            GaleEmbedding(n=6, s=2, d=3, points=tuple(pts))
-        )
+        emb = GaleEmbedding(n=6, s=2, d=3, points=tuple(pts))
+        assert not general_position_bareiss(emb)
+        with pytest.raises(ValueError):
+            general_position_check(emb)
 
     def test_det_matches_bruteforce(self):
         rng = random.Random(7)
@@ -635,31 +637,16 @@ class TestAgainstEagerFaces:
 
 
 class TestGeneralPosition:
-    def test_curve_path_matches_bareiss(self, monkeypatch):
+    def test_curve_path_matches_bareiss(self):
         embs = [build_embedding(n, s) for n in range(5, 15)
                 for s in range(1, (n - 1) // 2 + 1)]
         embs += [moment_curve((1, -1, -1, 1, 1, -1), (-3, -1, 0, 2, 5, 6), 4)]
         for emb in embs:
-            every_minor = all(
-                det_exact([emb.points[i] for i in idx]) != 0
-                for idx in combinations(range(emb.n), emb.d)
-            )
-            assert every_minor, (emb.n, emb.s)
+            assert general_position_bareiss(emb), (emb.n, emb.s)
+            assert general_position_check(emb)
+        assert not hasattr(gale, "det_exact")
 
-        def no_det(rows):
-            raise AssertionError("a moment curve needs no determinant")
-
-        monkeypatch.setattr(gale, "det_exact", no_det)
-        assert all(general_position_check(emb) for emb in embs)
-
-    def test_other_point_sets_take_bareiss(self, monkeypatch):
-        calls = []
-
-        def counted(rows):
-            calls.append(rows)
-            return det_exact(rows)
-
-        monkeypatch.setattr(gale, "det_exact", counted)
+    def test_other_point_sets_raise(self):
         rng = random.Random(3)
         seen = set()
         for _ in range(200):
@@ -673,11 +660,127 @@ class TestGeneralPosition:
                 brute_det([points[i] for i in idx]) != 0
                 for idx in combinations(range(n), d)
             )
-            calls.clear()
-            assert general_position_check(emb) == want, points
-            assert calls
+            assert general_position_bareiss(emb) == want, points
             seen.add(want)
+            try:
+                gale._curve_parameters(emb)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    general_position_check(emb)
+            else:
+                assert general_position_check(emb) and want, points
         assert seen == {True, False}
+
+
+def patch_hemispheres(monkeypatch, each):
+    """Wrap ``canonical_hemispheres`` so that ``each`` sees every partition it
+    yields, in every package global bound to it, as a tracer rebinds them."""
+    real = gale.canonical_hemispheres
+
+    def wrapped(emb):
+        for part in real(emb):
+            each(part)
+            yield part
+
+    copies = [
+        (mod, name)
+        for key, mod in sorted(sys.modules.items())
+        if key == "kneser_chroma" or key.startswith("kneser_chroma.")
+        for name, value in vars(mod).items()
+        if value is real
+    ]
+    assert (gale, "canonical_hemispheres") in copies
+    for mod, name in copies:
+        monkeypatch.setattr(mod, name, wrapped)
+
+
+def spy_normals(monkeypatch):
+    """The recipes of the normals built from here on."""
+    built = []
+    real = gale._face_normal
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gale, "_face_normal", spy)
+    return built
+
+
+def adversarial_curve():
+    # demo 03's embedding: no sign alternation, so the Gale property fails
+    return moment_curve([1] * 6, range(1, 7), 3)
+
+
+class TestLazyHemisphereNormals:
+    """Canonical hemispheres build their normals only when read, and check them."""
+
+    def test_passing_instance_builds_no_normal(self, monkeypatch):
+        built = spy_normals(monkeypatch)
+        for emb in small_embeddings(12, 6):
+            assert verify_gale_property(emb) is None
+        assert built == []
+
+    def test_counterexample_normal_built_and_checked_on_read(self, monkeypatch):
+        built = spy_normals(monkeypatch)
+        emb = adversarial_curve()
+        bad = verify_gale_property(emb)
+        assert bad is not None and built == []
+        assert signs_of(emb.points, bad.normal) == bad.signs
+        assert len(built) == 1
+        assert gale.partition_to_json_dict(bad)["normal"] == list(bad.normal)
+        assert len(built) == 1
+
+    def test_event_a_partition_normal_built_and_checked_on_read(self, monkeypatch):
+        built = spy_normals(monkeypatch)
+        rep = events.event_a_oracle(8, 2, 1, 0.5, seed=1)
+        assert rep.holds and built == []
+        obj = events.event_a_json_dict(rep)
+        assert len(built) == 1
+        points = build_embedding(8, 3).points
+        normal = tuple(obj["witness"]["partition"]["normal"])
+        assert signs_of(points, normal) == rep.partition.signs
+
+    def test_corrupted_recipe_raises(self):
+        bad = verify_gale_property(adversarial_curve())
+        zero_set, cuts, orientation = bad._recipe
+        bad._recipe = (zero_set, cuts, -orientation)
+        with pytest.raises(RuntimeError, match="does not realize"):
+            gale.partition_to_json_dict(bad)
+
+    def test_corrupted_event_a_partition_raises(self, monkeypatch):
+        def corrupt(part):
+            zero_set, cuts, orientation = part._recipe
+            part._recipe = (zero_set, cuts, -orientation)
+
+        patch_hemispheres(monkeypatch, corrupt)
+        rep = events.event_a_oracle(8, 2, 1, 0.5, seed=1)
+        assert rep.holds
+        with pytest.raises(RuntimeError, match="does not realize"):
+            events.event_a_json_dict(rep)
+
+
+class TestHemisphereCountHook:
+    """Both hemisphere users iterate ``canonical_hemispheres`` through a module
+    global, where a tracer can count its yields."""
+
+    def test_verify_sees_every_hemisphere(self, monkeypatch):
+        seen = []
+        patch_hemispheres(monkeypatch, seen.append)
+        for n, k, ell in WITNESS_GRID:
+            emb = build_embedding(n, k + ell)
+            seen.clear()
+            assert verify_gale_property(emb) is None
+            assert len(seen) == 2 * math.comb(emb.n, emb.d - 1)
+
+    def test_event_a_sees_its_hemispheres(self, monkeypatch):
+        seen = []
+        patch_hemispheres(monkeypatch, seen.append)
+        for p in (0.5, 1.0):
+            seen.clear()
+            rep = events.event_a_oracle(8, 2, 1, p, seed=1)
+            assert len(seen) == rep.partitions_examined >= 1
+        assert len(seen) == 56  # p = 1 fails: every partition examined
 
 
 class TestCapacity:
