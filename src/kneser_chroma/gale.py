@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from operator import attrgetter, mul, xor
+from operator import mul, xor
 
 from .errors import CapacityError, NoWitnessFound
 from .graphs import DEFAULT_VERTEX_CAP
@@ -97,12 +97,38 @@ class HemispherePartition:
         return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in self.signs)
 
 
-@dataclass(frozen=True)
 class FaceSet:
-    """All realizable sign vectors, zeros allowed (covectors of the arrangement)."""
+    """The realizable sign vectors, zeros allowed, built only as far as read.
 
-    faces: tuple[HemispherePartition, ...]
-    certified_exhaustive: bool
+    ``built`` is the prefix pulled from ``stream`` so far; iterating pulls a
+    face only past its end.  ``faces`` and ``certified_exhaustive`` (the count
+    of faces generated equals ``cover``, Cover's formula) drain the stream.
+    """
+
+    def __init__(self, stream, cover: int):
+        self._stream = stream
+        self.cover = cover
+        self.built: list[HemispherePartition] = []
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i == len(self.built):
+                face = next(self._stream, None)
+                if face is None:
+                    return
+                self.built.append(face)
+            yield self.built[i]
+            i += 1
+
+    @cached_property
+    def faces(self) -> tuple[HemispherePartition, ...]:
+        self.built += self._stream
+        return tuple(self.built)
+
+    @property
+    def certified_exhaustive(self) -> bool:
+        return len(self.faces) == self.cover
 
 
 @dataclass(frozen=True)
@@ -123,11 +149,7 @@ class Witness:
 
 
 def _mask_of(signs, value: int) -> int:
-    m = 0
-    for i, s in enumerate(signs):
-        if s == value:
-            m |= 1 << i
-    return m
+    return sum(1 << i for i, s in enumerate(signs) if s == value)
 
 
 def build_embedding(n: int, s: int) -> GaleEmbedding:
@@ -165,14 +187,6 @@ def _times_linear(poly: list[int], a: int, b: int) -> list[int]:
     for i, c in enumerate(poly):
         out[i + 1] += a * c
     return out
-
-
-def _zero_set_poly(roots) -> list[int]:
-    """Coefficients, constant term first, of prod_{r in roots} (x - r)."""
-    poly = [1]
-    for r in roots:
-        poly = _times_linear(poly, 1, -r)
-    return poly
 
 
 def _curve_parameters(emb: GaleEmbedding) -> tuple[list[int], list[int]]:
@@ -260,11 +274,8 @@ def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     extends the check to arbitrary ones.  More than ``MAX_HEMISPHERES``
     canonical hemispheres is a CapacityError, raised before any is built.
     """
-    _check_capacity(
-        2 * math.comb(emb.n, emb.d - 1),
-        MAX_HEMISPHERES,
-        f"canonical hemispheres of {emb.n} points in dimension {emb.d}",
-    )
+    what = f"canonical hemispheres of {emb.n} points in dimension {emb.d}"
+    _check_capacity(2 * math.comb(emb.n, emb.d - 1), MAX_HEMISPHERES, what)
     stable_masks = [t.mask for t in enumerate_stable_ksubsets(emb.n, emb.s)]
     index = SubsetIndex(stable_masks, emb.n)
     for part in canonical_hemispheres(emb):
@@ -281,7 +292,9 @@ def _face_normal(zero_set, cuts, orientation: int) -> tuple[int, ...]:
     has no cuts and needs no ``rest``.
     """
     points, zeros, rest = zero_set
-    poly = _zero_set_poly(zeros)
+    poly = [1]
+    for z in zeros:
+        poly = _times_linear(poly, 1, -z)
     for c in cuts:
         ab = rest[c - 1] + rest[c]
         poly = _times_linear(poly, *((2, -ab) if ab % 2 else (1, -ab // 2)))
@@ -308,9 +321,19 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     products; ``WitnessSearch`` reads it before it uses the face.  Faces come
     in (|Z|, Z, signs) order: zero count ascending (full cells first), zero
     sets in ``combinations`` order, sign tuples ascending.  ``WitnessSearch.find``
-    reports the first witness in this order.  ``certified_exhaustive`` is the
-    check that the face count equals Cover's formula, which is also checked
-    against ``MAX_FACES`` (CapacityError) before any face is built.  Any other
+    reports the first witness in this order.
+
+    Within a zero set the signs come ascending with no sort: a depth-first
+    walk fixes tau at one point off Z after another, keeping it or spending
+    one of the d-1-j changes, and walks first the child that puts -1 at that
+    point (the faces below a node share its prefix).  Once no change is
+    left, the rest of the signs is one slice.
+
+    The returned ``FaceSet`` is a stream that builds a face only when a
+    reader first reaches it, so memory and time follow the faces read unless
+    ``faces`` is read whole.  Cover's formula is checked against ``MAX_FACES``
+    (CapacityError) before any face is built; ``certified_exhaustive``
+    compares it with the count the drained stream generated.  Any other
     point set raises ValueError: the criterion holds only on this curve.
     """
     if emb != build_embedding(emb.n, emb.s):
@@ -324,8 +347,12 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
         for j in range(d)
     )
     _check_capacity(cover, MAX_FACES, f"faces of build_embedding({n}, {emb.s})")
+    return FaceSet(_face_stream(n, d, points), cover)
+
+
+def _face_stream(n: int, d: int, points):
+    """The faces of ``enumerate_faces``, one at a time, in face order."""
     xs = range(1, n + 1)
-    faces = []
     for j in range(d):
         for zeros in combinations(xs, j):
             # sigma_x / tau_x = (-1)^(x + #{z in Z: z > x}) at each point x
@@ -339,45 +366,42 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
                 else:
                     rest.append(x)
                     flip.append(-above if x % 2 else above)
-            neg_flip = [-f for f in flip]
+            runs = {1: flip, -1: [-f for f in flip]}
             zero_set = (points, zeros, rest)
-            group = []
-            for changes in range(d - j):
-                # tau is +1 above the largest cut (g > 0 above its largest
-                # root) and alternates across the cuts below it
-                runs = (flip, neg_flip) if changes % 2 == 0 else (neg_flip, flip)
-                for cuts in combinations(range(1, len(rest)), changes):
-                    pos, neg = [], []
-                    lo, (a, b) = 0, runs
-                    for c in cuts:
-                        hi = rest[c] - 1  # the index of point rest[c]
-                        pos += a[lo:hi]
-                        neg += b[lo:hi]
-                        lo, a, b = hi, b, a
-                    pos += a[lo:]
-                    neg += b[lo:]
-                    group += (
-                        HemispherePartition(tuple(pos), recipe=(zero_set, cuts, 1)),
-                        HemispherePartition(tuple(neg), recipe=(zero_set, cuts, -1)),
-                    )
-            # signs are distinct within a group, so they alone fix the order
-            group.sort(key=attrgetter("signs"))
-            faces += group
-    return FaceSet(faces=tuple(faces), certified_exhaustive=len(faces) == cover)
+            # depth-first over rest: a node (r, v, b, cuts) has fixed tau at
+            # rest[:r], v at rest[r-1], b changes left, and a change just
+            # below rest[c] for each c in cuts; sigma = tau * f off Z
+            f = [flip[x - 1] for x in rest]
+            stack = [(1, f[0], d - 1 - j, ()), (1, -f[0], d - 1 - j, ())]
+            while stack:
+                r, v, b, cuts = stack.pop()
+                if b and r < len(rest):
+                    stay = (r + 1, v, b, cuts)
+                    change = (r + 1, -v, b - 1, (*cuts, r))
+                    # pop first the child with sigma = -1 at rest[r]
+                    stack += (change, stay) if v * f[r] < 0 else (stay, change)
+                    continue
+                # tau is v above the last cut and alternates below it
+                signs, lo, t = [], 0, v if len(cuts) % 2 == 0 else -v
+                for c in cuts:
+                    hi = rest[c] - 1  # the index of point rest[c]
+                    signs += runs[t][lo:hi]
+                    lo, t = hi, -t
+                signs += runs[t][lo:]
+                yield HemispherePartition(tuple(signs), recipe=(zero_set, cuts, v))
 
 
 class WitnessSearch:
     """Reusable antipodal-witness search for many colorings of one instance.
 
-    Precomputes the face arrangement of an embedding (full cells first, then
-    boundary faces with 1..d-1 zeros).  The per-face census, the bitset of
-    stable k-subsets lying strictly inside each open side, is built in face
-    order as ``find`` first reaches a face, right after the face has built
-    and checked its normal, and kept for later colorings.  More than
-    ``DEFAULT_VERTEX_CAP`` stable sets or ``MAX_FACES`` faces is a
-    CapacityError, raised before either is built.  Some colorings admit no witness on any full cell, so the boundary faces
-    are part of the search space, with per-face thresholds
-    ceil(|side census| / d).
+    Reads the ``enumerate_faces`` stream (full cells first, then boundary
+    faces with 1..d-1 zeros) only as far as ``find`` reaches.  There each
+    face builds and checks its normal, then its census (the bitset of
+    stable k-subsets strictly inside each open side), kept for later
+    colorings.  More than ``DEFAULT_VERTEX_CAP`` stable sets or
+    ``MAX_FACES`` faces is a CapacityError, raised before either is built.
+    Some colorings admit no witness on any full cell, so the boundary faces
+    are searched too, with per-face thresholds ceil(|side census| / d).
     """
 
     def __init__(self, emb: GaleEmbedding, k: int):
@@ -393,10 +417,9 @@ class WitnessSearch:
         # (pos, neg, t_pos, t_neg) of the faces find has reached, in face order
         self._census: list[tuple[int, int, int, int]] = []
 
-    def _census_of(self, i: int) -> tuple[int, int, int, int]:
+    def _census_of(self, i: int, face) -> tuple[int, int, int, int]:
         census = self._census
         if i == len(census):
-            face = self.faceset.faces[i]
             face.normal  # builds and checks the normal before the signs are used
             pos = self._index.within(face.plus_mask)
             neg = self._index.within(face.minus_mask)
@@ -407,7 +430,11 @@ class WitnessSearch:
         return census[i]
 
     def find(self, coloring) -> Witness:
-        """First witness in (face order, color index) order; raises if none."""
+        """First witness in (face order, color index) order; raises if none.
+
+        The raise drains the face stream first: it is ``certified`` only if
+        the stream generated Cover's count of faces.
+        """
         d = self.emb.d
         colors = list(coloring)
         if len(colors) != self.num_stable:
@@ -419,28 +446,18 @@ class WitnessSearch:
         classes = [0] * d
         for i, c in enumerate(colors):
             classes[c] |= 1 << i
-        for i, face in enumerate(self.faceset.faces):
-            pos, neg, t_pos, t_neg = self._census_of(i)
+        for i, face in enumerate(self.faceset):
+            pos, neg, t_pos, t_neg = self._census_of(i, face)
             for color, cls in enumerate(classes):
                 cp = (pos & cls).bit_count()
                 cn = (neg & cls).bit_count()
                 if cp >= t_pos and cn >= t_neg:
-                    return Witness(
-                        face=face,
-                        color=color,
-                        count_pos=cp,
-                        count_neg=cn,
-                        t_pos=t_pos,
-                        t_neg=t_neg,
-                    )
+                    return Witness(face, color, cp, cn, t_pos, t_neg)
+        certified = self.faceset.certified_exhaustive
         raise NoWitnessFound(
             "no direction carries the same color above threshold on both sides"
-            + (
-                ""
-                if self.faceset.certified_exhaustive
-                else " (face count differs from Cover's formula)"
-            ),
-            certified=self.faceset.certified_exhaustive,
+            + ("" if certified else " (face count differs from Cover's formula)"),
+            certified=certified,
         )
 
 
@@ -460,19 +477,3 @@ def witness_to_json_dict(w: Witness) -> dict:
 
 def partition_to_json_dict(p: HemispherePartition) -> dict:
     return {"normal": list(p.normal), "signs": p.signs_string()}
-
-
-__all__ = [
-    "GaleEmbedding",
-    "HemispherePartition",
-    "FaceSet",
-    "Witness",
-    "WitnessSearch",
-    "build_embedding",
-    "general_position_check",
-    "canonical_hemispheres",
-    "verify_gale_property",
-    "enumerate_faces",
-    "witness_to_json_dict",
-    "partition_to_json_dict",
-]

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
+from operator import and_
 
 from .errors import CapacityError
 
@@ -138,10 +139,8 @@ class SubsetIndex:
         self._avoid = [self._positions ^ h for h in has]
 
     def within(self, ground: int) -> int:
-        out = self._positions
-        for e in iter_bits(self._elements & ~ground):
-            out &= self._avoid[e]
-        return out
+        missing = select_bits(self._elements & ~ground, self._avoid)
+        return reduce(and_, missing, self._positions)
 
 
 def binomial_exact(a: int, b: int) -> int:

@@ -122,4 +122,4 @@ def enumerate_faces_eager(emb) -> FaceSet:
         math.comb(n, j) * 2 * sum(math.comb(n - j - 1, i) for i in range(d - j))
         for j in range(d)
     )
-    return FaceSet(faces=tuple(faces), certified_exhaustive=len(faces) == cover)
+    return FaceSet(iter(faces), cover)

@@ -14,6 +14,7 @@ from kneser_chroma import bounds, cli, seeds
 from kneser_chroma.chromatic import Budget, chromatic_number
 from kneser_chroma.cli import CSV_HEADER, chi_report, main, run_random_chi, run_witness
 from kneser_chroma.events import event_a_json_dict, event_a_oracle
+from kneser_chroma.gale import GaleEmbedding
 from kneser_chroma.graphs import build_kneser, build_schrijver, sample_subgraph
 
 PETERSEN_JSON = (
@@ -650,6 +651,37 @@ class TestGaleVerifyCmd:
         assert main(["gale-verify", "--n", "9", "--s", "3",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["d"] == 4
+
+    @staticmethod
+    def grid_reports():
+        return [
+            cli.gale_verify_report(n, s)
+            for n in range(3, 17)
+            for s in range(1, (n - 1) // 2 + 1)
+        ]
+
+    def test_reports_pinned(self, monkeypatch):
+        # every valid (n, s) for n = 3..16; digests computed before the face
+        # stream and the select_bits SubsetIndex.within
+        reports = self.grid_reports()
+        assert len(reports) == 56 and all(rep["ok"] for rep in reports)
+        assert sha256_of_reports(reports) == (
+            "9ce04246e842f5428ce14ec106b6512fb8031d5e9b9603bab998f10e0e6cb22d"
+        )
+
+        # the same grid on the all-positive curve (1, x, ..., x^(d-1)), where
+        # every report carries a counterexample with its normal
+        def positive_curve(n, s):
+            d = n - 2 * s + 1
+            points = tuple(tuple(x**j for j in range(d)) for x in range(1, n + 1))
+            return GaleEmbedding(n=n, s=s, d=d, points=points)
+
+        monkeypatch.setattr(cli, "build_embedding", positive_curve)
+        reports = self.grid_reports()
+        assert not any(rep["ok"] for rep in reports)
+        assert sha256_of_reports(reports) == (
+            "2b61feb6f4745dc40936e16979ecd628e45a98c209ea918d2f53e557c7b071f8"
+        )
 
 
 class TestGeometryCaps:

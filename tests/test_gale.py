@@ -547,16 +547,116 @@ class TestAgainstEagerCensus:
 
     def test_no_witness_raised_after_every_face(self):
         # with the boundary faces withheld this coloring has no witness; the
-        # search must census every remaining face before it gives up
+        # search must census every remaining face, and drain the stream,
+        # before it gives up.  A certificate decided before the stream ran
+        # out would compare a prefix of the full cells with the face count.
         emb = build_embedding(7, 3)
-        search = WitnessSearch(emb, 2)
-        full = tuple(f for f in search.faceset.faces if 0 not in f.signs)
-        search.faceset = FaceSet(faces=full, certified_exhaustive=False)
+        full = [f for f in enumerate_faces(emb).faces if f.zero_mask == 0]
         coloring = [0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1]
-        with pytest.raises(NoWitnessFound) as err:
-            search.find(coloring)
-        assert not err.value.certified
-        assert len(search._census) == len(full)
+        for cover in (len(full), enumerate_faces(emb).cover):
+            pulled = []
+
+            def stream():
+                for face in full:
+                    pulled.append(face)
+                    yield face
+                pulled.append("drained")
+
+            search = WitnessSearch(emb, 2)
+            search.faceset = FaceSet(stream(), cover)
+            with pytest.raises(NoWitnessFound) as err:
+                search.find(coloring)
+            assert pulled == [*full, "drained"]
+            assert err.value.certified == (cover == len(full))
+            assert len(search._census) == len(full)
+
+
+def boundary_coloring(eager, num_stable, level, seed):
+    """A coloring with no witness on any face of at most ``level`` zeros.
+
+    Hill-climbs a seeded random coloring, one recolored stable set at a
+    time, down the number of (face, color) witnesses on those faces.
+    """
+    d = eager.d
+    census = [c for f, *c in eager.per_face if f.zero_mask.bit_count() <= level]
+    rng = random.Random(seed)
+    coloring = [rng.randrange(d) for _ in range(num_stable)]
+
+    def witnesses():
+        classes = [0] * d
+        for i, c in enumerate(coloring):
+            classes[c] |= 1 << i
+        return sum(
+            (pos & cls).bit_count() >= t_pos and (neg & cls).bit_count() >= t_neg
+            for pos, neg, t_pos, t_neg in census
+            for cls in classes
+        )
+
+    score = witnesses()
+    for _ in range(5000):
+        if not score:
+            return coloring
+        i = rng.randrange(num_stable)
+        old, coloring[i] = coloring[i], rng.randrange(d)
+        new = witnesses()
+        if new <= score:
+            score = new
+        else:
+            coloring[i] = old
+    raise AssertionError(f"seed {seed}: {score} witnesses left after 5000 steps")
+
+
+class TestStreamPastLevelZero:
+    """Witnesses on boundary faces match the eager search, and the stream
+    stops at the witness: no face after it, so no zero-set group after its
+    group, is built."""
+
+    @staticmethod
+    def check(emb, k, eager, coloring):
+        search = WitnessSearch(emb, k)
+        w = search.find(coloring)
+        assert w == eager.find(coloring)
+        faces = [f for f, *_ in eager.per_face]
+        assert search.faceset.built == faces[: faces.index(w.face) + 1]
+        return w
+
+    def test_first_boundary_coloring_7_2_1(self):
+        emb = build_embedding(7, 3)
+        coloring = [0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1]
+        w = self.check(emb, 2, EagerWitnessSearch(emb, 2), coloring)
+        assert w.face.zero_mask.bit_count() == 1
+
+    @pytest.mark.parametrize(
+        "n,k,ell,level", [(9, 3, 1, 0), (10, 3, 1, 0), (12, 2, 3, 0), (12, 2, 3, 1)]
+    )
+    def test_seeded_boundary_colorings(self, n, k, ell, level):
+        emb = build_embedding(n, k + ell)
+        eager = EagerWitnessSearch(emb, k)
+        num_stable = len(enumerate_stable_ksubsets(n, k))
+        for seed in range(3):
+            coloring = boundary_coloring(eager, num_stable, level, seed)
+            w = self.check(emb, k, eager, coloring)
+            assert w.face.zero_mask.bit_count() > level
+
+
+class TestFaceStream:
+    def test_reading_faces_drains_the_stream(self):
+        fs = enumerate_faces(build_embedding(9, 3))
+        assert fs.built == []
+        first = next(iter(fs))
+        assert fs.built == [first]
+        assert fs.certified_exhaustive  # drains the stream to decide
+        assert len(fs.built) == len(fs.faces) == fs.cover
+        assert fs.built == list(fs.faces) and fs.faces[0] is first
+        assert list(fs) == fs.built
+
+    def test_readers_share_one_prefix(self):
+        fs = enumerate_faces(build_embedding(8, 3))
+        a, b = iter(fs), iter(fs)
+        firsts = [next(a) for _ in range(60)]
+        assert [next(b) for _ in range(60)] == firsts
+        assert len(fs.built) == 60
+        assert firsts + list(a) == list(fs.faces)
 
 
 def small_embeddings(max_n, max_d):

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations, count
 
 import pytest
@@ -303,6 +304,25 @@ class TestSubsetIndex:
         for g in grounds:
             want = sum(1 << i for i, m in enumerate(masks) if m & g == m)
             assert index.within(g) == want
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 31, 63, 64])
+    def test_within_matches_bruteforce_up_to_64(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        # sparse, uniform and dense subsets of [n]
+        draws = (
+            lambda: rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n),
+            lambda: rng.getrandbits(n),
+            lambda: rng.getrandbits(n) | rng.getrandbits(n),
+        )
+        for size in (0, 1, 50, 300):
+            masks = [draws[i % 3]() for i in range(size)]
+            index = SubsetIndex(masks, n)
+            grounds = [full, 0] + [rng.getrandbits(n) for _ in range(20)]
+            grounds += [full ^ (1 << rng.randrange(n)) for _ in range(5) if n]
+            for g in grounds:
+                want = sum(1 << i for i, m in enumerate(masks) if m & g == m)
+                assert index.within(g) == want
 
     def test_iter_bits(self):
         assert list(iter_bits(0)) == []
