@@ -16,7 +16,7 @@ from operator import mul, xor
 
 from .errors import CapacityError, NoWitnessFound
 from .graphs import DEFAULT_VERTEX_CAP
-from .setfam import SubsetIndex, enumerate_stable_ksubsets, stable_count
+from .setfam import MAX_GROUND_SET, SubsetIndex, enumerate_stable_ksubsets, stable_count
 
 # the most faces enumerate_faces builds (Cover's formula) and the most
 # canonical hemispheres verify_gale_property checks (2 C(n, d-1)); either
@@ -265,6 +265,25 @@ def _check_capacity(count: int, cap: int, what: str) -> None:
         raise CapacityError(f"{count} {what} exceed the cap of {cap}")
 
 
+def _max_stable(mask: int, n: int) -> int:
+    """Size of the largest stable subset of ``mask`` on the n-cycle: floor(n/2)
+    for the whole cycle, else the sum of ceil(L/2) over its runs of L points.
+    """
+    full = (1 << n) - 1
+    if mask == full:
+        return n // 2
+    # rotate the lowest missing position to the top, so no run wraps; each
+    # pass counts every run's start and drops it and the point after it
+    shift = (~mask & (mask + 1)).bit_length()
+    m = (mask >> shift | mask << (n - shift)) & full
+    size = 0
+    while m:
+        starts = m & ~(m << 1)
+        size += starts.bit_count()
+        m &= ~(starts | starts << 1)
+    return size
+
+
 def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     """None if every canonical open hemisphere contains a stable s-subset.
 
@@ -272,14 +291,45 @@ def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     orientation-reversed copies this covers both open sides of every
     canonical great sphere; inclusion-minimality of canonical hemispheres
     extends the check to arbitrary ones.  More than ``MAX_HEMISPHERES``
-    canonical hemispheres is a CapacityError, raised before any is built.
+    canonical hemispheres, or more than ``MAX_GROUND_SET`` points, is a
+    CapacityError, raised before any hemisphere is built.
+
+    No stable set is listed: a side P holds a stable s-subset iff its
+    largest stable subset on the n-cycle has at least s points (subsets of
+    stable sets are stable).  If P is the whole cycle that size is
+    floor(n/2).  Otherwise P splits into maximal cyclic runs, each followed
+    by a missing position, so points of different runs are never
+    consecutive; a run of L consecutive points holds at most ceil(L/2)
+    pairwise non-consecutive ones (every other point from one end), and the
+    size is the sum of ceil(L/2) over the runs (``_max_stable``).
+
+    The check first takes |P| - |P & rot(P)|, where P & rot(P) marks the
+    cyclically consecutive pairs inside P.  A run of L < n points has L - 1
+    such pairs and adds 1 <= ceil(L/2), with equality iff L <= 2; the whole
+    cycle gives n - n = 0 <= floor(n/2).  So this is a lower bound on the
+    size, exact when no run is longer than 2, and only a side whose bound is
+    below s is counted run by run.
+
+    On the alternating curve the bound is exact, so the runs are counted
+    only for a side that violates the property, and Gale's lemma says there
+    is none.  There sigma_i = (-1)^i and x_i = i, so for a fixed sign c the
+    plus side of the sphere through Z holds point i iff
+    (-1)^i c prod_{z in Z} (i - z) > 0 (``canonical_hemispheres``).  Two
+    points i, i+1 off Z have no boundary point between them, so the product
+    has one sign at both while (-1)^i flips: at most one of them is plus.
+    Only the pair {n, 1} can therefore be consecutive in P, no run is
+    longer than 2, and the bound is exact.
     """
-    what = f"canonical hemispheres of {emb.n} points in dimension {emb.d}"
-    _check_capacity(2 * math.comb(emb.n, emb.d - 1), MAX_HEMISPHERES, what)
-    stable_masks = [t.mask for t in enumerate_stable_ksubsets(emb.n, emb.s)]
-    index = SubsetIndex(stable_masks, emb.n)
+    n = emb.n
+    what = f"canonical hemispheres of {n} points in dimension {emb.d}"
+    _check_capacity(2 * math.comb(n, emb.d - 1), MAX_HEMISPHERES, what)
+    if n > MAX_GROUND_SET:
+        raise CapacityError(f"n={n} exceeds {MAX_GROUND_SET}")
+    s, top = emb.s, n - 1
     for part in canonical_hemispheres(emb):
-        if index.within(part.plus_mask) == 0:
+        plus = part.plus_mask
+        pairs = plus & (plus << 1 | plus >> top)
+        if plus.bit_count() - pairs.bit_count() < s and _max_stable(plus, n) < s:
             return part
     return None
 

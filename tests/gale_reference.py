@@ -1,4 +1,4 @@
-"""References for ``gale``: eager face enumeration and Bareiss determinants.
+"""References for ``gale``: eager faces, Bareiss determinants, indexed Gale check.
 
 ``enumerate_faces_eager`` builds every face's primitive normal up front and
 re-checks it by exact dot products before the face is emitted.
@@ -6,7 +6,9 @@ re-checks it by exact dot products before the face is emitted.
 tests compare the two.  ``general_position_bareiss`` decides general
 position of any point set by C(n, d) determinants, where
 ``gale.general_position_check`` takes only moment curves and relies on the
-Vandermonde proof.
+Vandermonde proof.  ``verify_gale_property_indexed`` lists the stable
+s-subsets and asks a ``SubsetIndex`` about every canonical plus side, where
+``gale.verify_gale_property`` counts the side's runs on the n-cycle.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import math
 from itertools import combinations
 from operator import mul
 
+from kneser_chroma import gale
 from kneser_chroma.gale import FaceSet, HemispherePartition, build_embedding
+from kneser_chroma.setfam import SubsetIndex, enumerate_stable_ksubsets
 
 
 def det_exact(rows) -> int:
@@ -123,3 +127,20 @@ def enumerate_faces_eager(emb) -> FaceSet:
         for j in range(d)
     )
     return FaceSet(iter(faces), cover)
+
+
+def verify_gale_property_indexed(emb):
+    """``gale.verify_gale_property`` by stable-set enumeration and an index.
+
+    The first canonical hemisphere whose plus side contains no stable
+    s-subset of [n], or None; same hemisphere cap, and n > 64 raises from
+    the enumeration.
+    """
+    what = f"canonical hemispheres of {emb.n} points in dimension {emb.d}"
+    gale._check_capacity(2 * math.comb(emb.n, emb.d - 1), gale.MAX_HEMISPHERES, what)
+    stable_masks = [t.mask for t in enumerate_stable_ksubsets(emb.n, emb.s)]
+    index = SubsetIndex(stable_masks, emb.n)
+    for part in gale.canonical_hemispheres(emb):
+        if index.within(part.plus_mask) == 0:
+            return part
+    return None

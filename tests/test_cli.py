@@ -700,6 +700,13 @@ class TestGeometryCaps:
         assert time.perf_counter() - start < 1.0
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,s", [(65, 32), (70, 34)])
+    def test_gale_verify_past_the_ground_set_exits_4(self, n, s):
+        # few hemispheres, so only the n <= 64 ground-set cap refuses these
+        rc, out, err = run_cli(["gale-verify", "--n", str(n), "--s", str(s)])
+        assert rc == 4 and out == ""
+        assert f"n={n} exceeds 64" in err
+
     def test_cli_exit_code(self):
         rc, out, err = run_cli(["witness", "--n", "30", "--k", "2", "--ell", "2",
                                 "--seed", "1"])

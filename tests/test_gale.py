@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -5,9 +6,14 @@ import sys
 from itertools import combinations
 
 import pytest
-from gale_reference import det_exact, enumerate_faces_eager, general_position_bareiss
+from gale_reference import (
+    det_exact,
+    enumerate_faces_eager,
+    general_position_bareiss,
+    verify_gale_property_indexed,
+)
 
-from kneser_chroma import events, gale, seeds
+from kneser_chroma import events, gale, seeds, setfam
 from kneser_chroma.errors import NoWitnessFound
 from kneser_chroma.gale import (
     MAX_FACES,
@@ -287,6 +293,59 @@ class TestGaleProperty:
                     for part in canonical_hemispheres(emb):
                         for side in (part.plus_mask, part.minus_mask):
                             assert sum(m & side == m for m in masks) >= floor
+
+
+def positive_curve(n, s):
+    """The all-positive curve (1, x, ..., x^(d-1)), x = 1..n: no alternation."""
+    d = n - 2 * s + 1
+    return dataclasses.replace(moment_curve([1] * n, range(1, n + 1), d), s=s)
+
+
+def gale_grid():
+    return [(n, s) for n in range(3, 17) for s in range(1, (n - 1) // 2 + 1)]
+
+
+class TestAgainstIndexedVerify:
+    """Counting runs on the n-cycle reports what the SubsetIndex check did."""
+
+    @staticmethod
+    def same(emb):
+        got, want = verify_gale_property(emb), verify_gale_property_indexed(emb)
+        if want is None:
+            assert got is None, emb
+        else:
+            assert got is not None, emb
+            assert (got.plus_mask, got.minus_mask) == (want.plus_mask, want.minus_mask)
+            assert got.signs == want.signs
+        return got
+
+    def test_alternating_curve_grid(self):
+        assert all(self.same(build_embedding(n, s)) is None for n, s in gale_grid())
+
+    def test_all_positive_curve_grid(self):
+        assert all(self.same(positive_curve(n, s)) for n, s in gale_grid())
+
+    def test_random_curves(self):
+        rng = random.Random(29)
+        found = set()
+        for _ in range(400):
+            d = rng.randint(2, 6)
+            n = rng.randint(d - 1, 13)
+            xs = sorted(rng.sample(range(-15, 16), n))
+            emb = moment_curve([rng.choice((1, -1)) for _ in xs], xs, d)
+            emb = dataclasses.replace(emb, s=rng.randint(1, max(1, n // 2)))
+            found.add(self.same(emb) is None)
+        assert found == {True, False}
+
+    def test_max_stable_matches_bruteforce(self):
+        for n in range(3, 13):
+            stables = [
+                t.mask for k in range(n // 2 + 1)
+                for t in enumerate_stable_ksubsets(n, k)
+            ]
+            for mask in range(1 << n):
+                want = max(t.bit_count() for t in stables if t & mask == t)
+                assert gale._max_stable(mask, n) == want, (n, bin(mask))
 
 
 class TestCells:
@@ -865,6 +924,13 @@ class TestHemisphereCountHook:
     global, where a tracer can count its yields."""
 
     def test_verify_sees_every_hemisphere(self, monkeypatch):
+        # and counts runs: it lists no stable set and builds no SubsetIndex
+        built = []
+        for mod in (gale, setfam):
+            monkeypatch.setattr(mod, "SubsetIndex", lambda *a: built.append(a))
+            monkeypatch.setattr(
+                mod, "enumerate_stable_ksubsets", lambda *a: built.append(a)
+            )
         seen = []
         patch_hemispheres(monkeypatch, seen.append)
         for n, k, ell in WITNESS_GRID:
@@ -872,6 +938,7 @@ class TestHemisphereCountHook:
             seen.clear()
             assert verify_gale_property(emb) is None
             assert len(seen) == 2 * math.comb(emb.n, emb.d - 1)
+        assert built == []
 
     def test_event_a_sees_its_hemispheres(self, monkeypatch):
         seen = []
