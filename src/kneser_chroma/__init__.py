@@ -43,7 +43,6 @@ from .graphs import (
 )
 from .setfam import (
     KSubset,
-    binomial_exact,
     enumerate_ksubsets,
     enumerate_stable_ksubsets,
     ln_binomial,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapacityError
-from .setfam import binomial_exact, ln_binomial
+from .setfam import ln_binomial
 
 LN3 = math.log(3.0)
 # C(k+ell, k) is computed exactly only up to this many bits, as predicted
@@ -58,7 +58,7 @@ def derived_params(n: int, k: int, ell: int) -> tuple[int, int]:
         raise CapacityError(
             f"C(k+ell, k) at k={k}, ell={ell} has over {MAX_T_BITS} bits (cap)"
         )
-    t = -(-binomial_exact(k + ell, k) // d)
+    t = -(-math.comb(k + ell, k) // d)
     return d, t
 
 

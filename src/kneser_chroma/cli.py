@@ -428,7 +428,7 @@ def _cmd_witness(cfg) -> int:
             num_colors = data.get("num_colors")
         else:
             coloring = data
-        if coloring is None:
+        if not isinstance(coloring, list):
             raise ValueError("coloring file carries no colors")
     out = run_witness(
         n=cfg["n"],

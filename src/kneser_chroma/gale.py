@@ -38,26 +38,23 @@ class GaleEmbedding:
 class HemispherePartition:
     """Sides of the points relative to an exact integer normal direction.
 
-    ``enumerate_faces`` passes the signs, one of -1, 0, +1 per point;
-    ``canonical_hemispheres`` passes the plus and minus masks instead, and
-    the other form is derived on first read.  Either passes a recipe, and the
-    partition builds its primitive normal, and checks it against its signs
-    by exact dot products, when ``normal`` is first read.  Partitions are
-    equal iff their plus and minus masks are, so comparing them builds no
-    normal.
+    Built from the plus and minus masks and a recipe (points, the x of the
+    zero set, a+b for each sign change, orientation); the signs are derived
+    on first read.  The partition builds its primitive normal from the
+    recipe (``_face_normal``), and checks it against its signs by exact dot
+    products, when ``normal`` is first read.  Partitions are equal iff their
+    plus and minus masks are, so comparing them builds no normal.
     """
 
-    def __init__(self, signs=None, recipe=None, masks=None):
-        if masks is None:
-            self.signs = signs
-        else:
-            self.plus_mask, self.minus_mask = masks
+    def __init__(self, plus_mask: int, minus_mask: int, recipe):
+        self.plus_mask = plus_mask
+        self.minus_mask = minus_mask
         self._recipe = recipe
 
     @cached_property
     def normal(self) -> tuple[int, ...]:
         normal = _face_normal(*self._recipe)
-        for p, want in zip(self._recipe[0][0], self.signs):
+        for p, want in zip(self._recipe[0], self.signs):
             v = sum(map(mul, p, normal))
             if (v > 0) - (v < 0) != want:
                 raise RuntimeError(f"normal {normal} does not realize {self.signs}")
@@ -78,20 +75,12 @@ class HemispherePartition:
     @cached_property
     def signs(self) -> tuple[int, ...]:
         plus, minus = self.plus_mask, self.minus_mask
-        n = len(self._recipe[0][0])
+        n = len(self._recipe[0])
         return tuple((plus >> i & 1) - (minus >> i & 1) for i in range(n))
-
-    @cached_property
-    def plus_mask(self) -> int:
-        return _mask_of(self.signs, 1)
-
-    @cached_property
-    def minus_mask(self) -> int:
-        return _mask_of(self.signs, -1)
 
     @property
     def zero_mask(self) -> int:
-        return _mask_of(self.signs, 0)
+        return ((1 << len(self._recipe[0])) - 1) ^ self.plus_mask ^ self.minus_mask
 
     def signs_string(self) -> str:
         return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in self.signs)
@@ -211,6 +200,39 @@ def _curve_parameters(emb: GaleEmbedding) -> tuple[list[int], list[int]]:
     )
 
 
+def _zero_sets(curve, j: int):
+    """Each j-subset Z of the points, in ``combinations`` order, with its sides.
+
+    ``curve`` is the (sigma, x) of ``_curve_parameters``.  For each Z this
+    yields (the x of Z, prod_{z in Z} sigma_z, off, base): ``off`` is the
+    mask of the points off Z, and ``base`` the plus side of the direction
+    whose polynomial is prod_{z in Z} (x - x_z).
+
+    The sides come without a dot product.  A direction c with polynomial
+    f(x) = sum_j c_j x^j has <point_i, c> = sigma_i f(x_i), here
+    sigma_i prod_{z in Z} (x_i - x_z): zero on Z, and off Z a product of
+    nonzero factors (the x are distinct), negative exactly for the z > i
+    (the x ascend).  So point i off Z is on the plus side iff an even number
+    of sigma_i < 0 and #{z in Z : z > i} odd hold.  Bit i of (1 << z) - 1 is
+    set iff i < z, so P = XOR_{z in Z} ((1 << z) - 1) has bit i set iff
+    #{z > i} is odd, and with S the mask of sigma_i = +1,
+    base = (S ^ P) & off.  Negating the direction negates every sign off Z,
+    so the plus side of -f is base ^ off.
+    """
+    sigmas, xs = curve
+    n = len(xs)
+    full = (1 << n) - 1
+    up = _mask_of(sigmas, 1)
+    prefixes = [(1 << z) - 1 for z in range(n)]
+    bits = [1 << z for z in range(n)]
+    # parallel combinations of the same indices: one zero set Z per row
+    for pre, bit, sg, zx in zip(
+        *(combinations(v, j) for v in (prefixes, bits, sigmas, xs))
+    ):
+        off = full - sum(bit)
+        yield zx, math.prod(sg), off, reduce(xor, pre, up) & off
+
+
 def canonical_hemispheres(emb: GaleEmbedding):
     """Both orientations of every great sphere through d-1 of the points.
 
@@ -225,39 +247,22 @@ def canonical_hemispheres(emb: GaleEmbedding):
     (-1)^(d-1) <point_i, cofactor normal> = prod sigma_z sigma_i V_Z
     prod_{z in Z} (x_i - x_z).
 
-    The sides come without a dot product.  <point_i, f> is
-    sigma_i s prod_{z in Z} (x_i - x_z): zero on Z, and off Z a product of
-    nonzero factors (the x are distinct), negative exactly for the z > i
-    (the x ascend).  So point i is on the plus side iff an even number of
-    sigma_i < 0, s < 0 and #{z in Z : z > i} odd hold.  Bit i of
-    (1 << z) - 1 is set iff i < z, so P = XOR_{z in Z} ((1 << z) - 1) has bit
-    i set iff #{z > i} is odd, and with S the mask of sigma_i = +1,
-    plus = (S ^ P ^ (full if s < 0 else 0)) & ~Z.  Below, (-1)^(d-1) is folded
-    into S and each sigma_z = -1 into its prefix mask as a flip of all bits.
-    Negating f negates every sign, so the reversed orientation swaps the
-    masks.  Each partition builds f from Z and s, and re-checks it against
-    its sides by exact dot products, when its ``normal`` is first read.
+    The sides come from ``_zero_sets`` without a dot product: the plus side
+    is its ``base`` when s > 0 and ``base ^ off`` otherwise, and the reversed
+    orientation swaps the masks.  Each partition builds f from Z and s, and
+    re-checks it against its sides by exact dot products, when its
+    ``normal`` is first read.
 
     Emitted in a fixed order: boundary subsets ascending lexicographically,
     positive orientation first.
     """
-    sigmas, xs = _curve_parameters(emb)
-    n, d, points = emb.n, emb.d, emb.points
-    full = (1 << n) - 1
-    up = _mask_of(sigmas, 1) ^ (0 if d % 2 else full)
-    flips = [((1 << z) - 1) ^ (full if sg < 0 else 0) for z, sg in enumerate(sigmas)]
-    bits = [1 << z for z in range(n)]
-    sign = 1 if d % 2 else -1
-    # parallel combinations of the same indices: one boundary set Z per row
-    for flip, bit, sg, zx in zip(
-        *(combinations(v, d - 1) for v in (flips, bits, sigmas, xs))
-    ):
-        off = full - sum(bit)
-        plus = reduce(xor, flip, up) & off
-        s = sign * math.prod(sg)
-        zero_set = (points, zx, None)
-        yield HemispherePartition(masks=(plus, off ^ plus), recipe=(zero_set, (), s))
-        yield HemispherePartition(masks=(off ^ plus, plus), recipe=(zero_set, (), -s))
+    points = emb.points
+    sign = 1 if emb.d % 2 else -1
+    for zx, sg, off, base in _zero_sets(_curve_parameters(emb), emb.d - 1):
+        s = sign * sg
+        plus = base if s > 0 else base ^ off
+        yield HemispherePartition(plus, off ^ plus, (points, zx, (), s))
+        yield HemispherePartition(off ^ plus, plus, (points, zx, (), -s))
 
 
 def _check_capacity(count: int, cap: int, what: str) -> None:
@@ -314,7 +319,7 @@ def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     only for a side that violates the property, and Gale's lemma says there
     is none.  There sigma_i = (-1)^i and x_i = i, so for a fixed sign c the
     plus side of the sphere through Z holds point i iff
-    (-1)^i c prod_{z in Z} (i - z) > 0 (``canonical_hemispheres``).  Two
+    (-1)^i c prod_{z in Z} (i - z) > 0 (``_zero_sets``).  Two
     points i, i+1 off Z have no boundary point between them, so the product
     has one sign at both while (-1)^i flips: at most one of them is plus.
     Only the pair {n, 1} can therefore be consecutive in P, no run is
@@ -334,19 +339,17 @@ def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     return None
 
 
-def _face_normal(zero_set, cuts, orientation: int) -> tuple[int, ...]:
+def _face_normal(points, zeros, sums, orientation: int) -> tuple[int, ...]:
     """Primitive normal of a partition's recipe, ``orientation`` = +-1.
 
-    ``zero_set`` is (points, the x of Z, the x off Z); tau changes between
-    rest[c-1] and rest[c] for each c in ``cuts``.  A canonical hemisphere
-    has no cuts and needs no ``rest``.
+    The product of x - z over the x values z in ``zeros`` and of 2x - ab
+    over ``sums`` (ab = a + b for the x values a < b either side of a sign
+    change), each halved when ab is even, times ``orientation``.
     """
-    points, zeros, rest = zero_set
     poly = [1]
     for z in zeros:
         poly = _times_linear(poly, 1, -z)
-    for c in cuts:
-        ab = rest[c - 1] + rest[c]
+    for ab in sums:
         poly = _times_linear(poly, *((2, -ab) if ab % 2 else (1, -ab // 2)))
     poly += [0] * (len(points[0]) - len(poly))
     return tuple(poly) if orientation > 0 else tuple([-c for c in poly])
@@ -355,14 +358,15 @@ def _face_normal(zero_set, cuts, orientation: int) -> tuple[int, ...]:
 def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     """Every realizable sign vector of the moment-curve arrangement, zeros included.
 
-    Point i (1-based) is (-1)^i (1, i, ..., i^(d-1)), so a direction c with
-    polynomial f(x) = sum_j c_j x^j has <point_i, c> = (-1)^i f(i).  A sign
-    vector sigma with zero set Z, |Z| = j < d, is realizable iff the corrected
-    signs tau_i = sigma_i (-1)^i (-1)^#{z in Z : z > i} change sign at most
-    d-1-j times along the points i not in Z.
-    Proof: f = prod_{z in Z} (x - z) * g with g != 0, deg g <= d-1-j and
-    tau_i = sign g(i), so each change of tau needs its own root of g; conversely
-    g = +-prod (2x - (a+b)) over the neighbours a < b of each change realizes tau.
+    The points must be sigma_i (1, x_i, ..., x_i^(d-1)) with sigma_i = +-1 and
+    ascending x_i; any other point set raises ValueError.  A direction whose
+    zero set is Z, |Z| = j < d, has the polynomial f = prod_{z in Z} (x - x_z) g
+    with g != 0 and deg g <= d-1-j, so by ``_zero_sets`` its sign at a point
+    i off Z is tau_i = sign g(x_i), negated where ``base`` does not hold i.  A
+    sign vector with zero set Z is therefore realizable iff its tau changes
+    sign at most d-1-j times along the points off Z: each change of tau
+    needs its own root of g; conversely g = +-prod (2x - (a+b)) over the
+    x values a < b either side of each change realizes tau.
 
     That f, made primitive, is each face's normal: by Gauss's lemma it is the
     product of the primitive factors, 2x - (a+b) halved when a+b is even.
@@ -376,69 +380,54 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     Within a zero set the signs come ascending with no sort: a depth-first
     walk fixes tau at one point off Z after another, keeping it or spending
     one of the d-1-j changes, and walks first the child that puts -1 at that
-    point (the faces below a node share its prefix).  Once no change is
-    left, the rest of the signs is one slice.
+    point (the faces below a node share its prefix).  At a leaf tau is v
+    from the last change up, so the plus side is ``base`` (``base ^ off``
+    when v < 0) with the points below each change flipped: XOR with
+    (1 << i) - 1 for the first point i above it.
 
     The returned ``FaceSet`` is a stream that builds a face only when a
     reader first reaches it, so memory and time follow the faces read unless
     ``faces`` is read whole.  Cover's formula is checked against ``MAX_FACES``
     (CapacityError) before any face is built; ``certified_exhaustive``
-    compares it with the count the drained stream generated.  Any other
-    point set raises ValueError: the criterion holds only on this curve.
+    compares it with the count the drained stream generated.
     """
-    if emb != build_embedding(emb.n, emb.s):
-        raise ValueError(
-            "enumerate_faces needs the alternating moment curve "
-            f"build_embedding({emb.n}, {emb.s})"
-        )
-    n, d, points = emb.n, emb.d, emb.points
+    curve = _curve_parameters(emb)
+    n, d = emb.n, emb.d
     cover = sum(
         math.comb(n, j) * 2 * sum(math.comb(n - j - 1, i) for i in range(d - j))
         for j in range(d)
     )
     _check_capacity(cover, MAX_FACES, f"faces of build_embedding({n}, {emb.s})")
-    return FaceSet(_face_stream(n, d, points), cover)
+    return FaceSet(_face_stream(emb.points, d, curve), cover)
 
 
-def _face_stream(n: int, d: int, points):
+def _face_stream(points, d: int, curve):
     """The faces of ``enumerate_faces``, one at a time, in face order."""
-    xs = range(1, n + 1)
+    xs = curve[1]
     for j in range(d):
-        for zeros in combinations(xs, j):
-            # sigma_x / tau_x = (-1)^(x + #{z in Z: z > x}) at each point x
-            # off the zero set, and 0 on it
-            rest, flip = [], []
-            above = -1 if j % 2 else 1
-            for x in xs:
-                if x in zeros:
-                    above = -above
-                    flip.append(0)
-                else:
-                    rest.append(x)
-                    flip.append(-above if x % 2 else above)
-            runs = {1: flip, -1: [-f for f in flip]}
-            zero_set = (points, zeros, rest)
+        for zx, _, off, base in _zero_sets(curve, j):
+            rest = [i for i in range(len(xs)) if off >> i & 1]
             # depth-first over rest: a node (r, v, b, cuts) has fixed tau at
             # rest[:r], v at rest[r-1], b changes left, and a change just
-            # below rest[c] for each c in cuts; sigma = tau * f off Z
-            f = [flip[x - 1] for x in rest]
-            stack = [(1, f[0], d - 1 - j, ()), (1, -f[0], d - 1 - j, ())]
+            # below rest[c] for each c in cuts; the sign at a point is tau
+            # there, negated where base does not hold it
+            v = 1 if base >> rest[0] & 1 else -1
+            stack = [(1, v, d - 1 - j, ()), (1, -v, d - 1 - j, ())]
             while stack:
                 r, v, b, cuts = stack.pop()
                 if b and r < len(rest):
                     stay = (r + 1, v, b, cuts)
                     change = (r + 1, -v, b - 1, (*cuts, r))
-                    # pop first the child with sigma = -1 at rest[r]
-                    stack += (change, stay) if v * f[r] < 0 else (stay, change)
+                    # pop first the child with sign -1 at rest[r]
+                    minus = (v > 0) != (base >> rest[r] & 1)
+                    stack += (change, stay) if minus else (stay, change)
                     continue
-                # tau is v above the last cut and alternates below it
-                signs, lo, t = [], 0, v if len(cuts) % 2 == 0 else -v
+                plus = base if v > 0 else base ^ off
                 for c in cuts:
-                    hi = rest[c] - 1  # the index of point rest[c]
-                    signs += runs[t][lo:hi]
-                    lo, t = hi, -t
-                signs += runs[t][lo:]
-                yield HemispherePartition(tuple(signs), recipe=(zero_set, cuts, v))
+                    plus ^= (1 << rest[c]) - 1
+                plus &= off
+                sums = tuple(xs[rest[c - 1]] + xs[rest[c]] for c in cuts)
+                yield HemispherePartition(plus, off ^ plus, (points, zx, sums, v))
 
 
 class WitnessSearch:
@@ -491,7 +480,7 @@ class WitnessSearch:
             raise ValueError(
                 f"coloring must assign all {self.num_stable} stable {self.k}-subsets"
             )
-        if any(not 0 <= c < d for c in colors):
+        if any(type(c) is not int or not 0 <= c < d for c in colors):
             raise ValueError(f"colors must lie in 0..{d - 1}")
         classes = [0] * d
         for i, c in enumerate(colors):
@@ -511,10 +500,13 @@ class WitnessSearch:
         )
 
 
+def partition_to_json_dict(p: HemispherePartition) -> dict:
+    return {"normal": list(p.normal), "signs": p.signs_string()}
+
+
 def witness_to_json_dict(w: Witness) -> dict:
     return {
-        "normal": list(w.face.normal),
-        "signs": w.face.signs_string(),
+        **partition_to_json_dict(w.face),
         "color": w.color,
         "counts": {
             "pos": w.count_pos,
@@ -523,7 +515,3 @@ def witness_to_json_dict(w: Witness) -> dict:
             "t_neg": w.t_neg,
         },
     }
-
-
-def partition_to_json_dict(p: HemispherePartition) -> dict:
-    return {"normal": list(p.normal), "signs": p.signs_string()}

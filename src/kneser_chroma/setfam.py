@@ -143,15 +143,6 @@ class SubsetIndex:
         return reduce(and_, missing, self._positions)
 
 
-def binomial_exact(a: int, b: int) -> int:
-    """Exact C(a, b); zero when b > a."""
-    if a < 0 or b < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    if b > a:
-        return 0
-    return math.comb(a, b)
-
-
 def _ln_factorial(x: int) -> float:
     if x < 2**53:
         return math.lgamma(x + 1.0)

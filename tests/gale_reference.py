@@ -113,13 +113,18 @@ def enumerate_faces_eager(emb) -> FaceSet:
                             raise RuntimeError(
                                 f"normal {normal} does not realize {signs}"
                             )
-                    group.append((tuple(signs), normal))
-                    group.append(
-                        (tuple([-s for s in signs]), tuple([-x for x in normal]))
-                    )
+                    sums = tuple(rest[c - 1] + rest[c] for c in cuts)
+                    for o in (1, -1):
+                        group.append((
+                            tuple([o * s for s in signs]),
+                            tuple([o * x for x in normal]),
+                            (points, zeros, sums, o),
+                        ))
             group.sort()
-            for s, c in group:
-                face = HemispherePartition(s)
+            for s, c, recipe in group:
+                plus = sum(1 << i for i, x in enumerate(s) if x > 0)
+                minus = sum(1 << i for i, x in enumerate(s) if x < 0)
+                face = HemispherePartition(plus, minus, recipe)
                 face.normal = c  # built and checked above
                 faces.append(face)
     cover = sum(

@@ -492,6 +492,17 @@ class TestWitnessCmd:
                             "--coloring-file", str(cf)])
         assert rc == 2
 
+    def test_malformed_colors_exit_2(self, tmp_path, capsys):
+        # (7, 2, 1) has 14 stable 2-subsets; a JSON true is no color 1
+        for i, data in enumerate([["a"] * 14, [1.0] * 14, [[0]] * 14,
+                                  {"colors": 5}, {"colors": [True] * 14}]):
+            cf = tmp_path / f"col{i}.json"
+            cf.write_text(json.dumps(data))
+            assert main(["witness", "--n", "7", "--k", "2", "--ell", "1",
+                         "--coloring-file", str(cf)]) == 2, data
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: "), data
+
     def test_solver_coloring_feeds_witness(self, tmp_path):
         # an exact d-coloring of a proper subgraph still yields a witness
         parent = build_schrijver(8, 2)

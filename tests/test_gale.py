@@ -425,10 +425,40 @@ class TestFaces:
             assert len(enumerate_faces(emb).faces) == expected
 
     def test_rejects_other_point_sets(self):
-        # the sign-change rule holds only on the alternating moment curve
-        pts = tuple(tuple(i**j for j in range(3)) for i in range(1, 7))
+        # the sign-change rule holds only on a curve sigma_i (1, x_i, ...)
+        planar = ((1, 1), (1, 2), (-1, 3), (2, -1))
         with pytest.raises(ValueError):
-            enumerate_faces(GaleEmbedding(n=6, s=2, d=3, points=pts))
+            enumerate_faces(GaleEmbedding(n=4, s=1, d=2, points=planar))
+        points = build_embedding(7, 2).points[:6] + ((-1, -7, -49, -344),)
+        with pytest.raises(ValueError):
+            enumerate_faces(GaleEmbedding(n=7, s=2, d=4, points=points))
+
+    def test_other_moment_curves(self):
+        # the all-positive curve, and random sigma and x (zero and negative
+        # x included): exhaustive, checked normals, distinct signs in face
+        # order, and level d-1 is the canonical hemispheres
+        curves = [([1] * n, range(1, n + 1), d)
+                  for n in range(4, 11) for d in range(2, min(n, 6))]
+        rng = random.Random(29)
+        for _ in range(40):
+            d = rng.randint(2, 5)
+            xs = sorted(rng.sample(range(-9, 10), rng.randint(d, 9)))
+            curves.append(([rng.choice((1, -1)) for _ in xs], xs, d))
+        assert any(0 in xs for _, xs, _ in curves)
+        assert any(xs[0] < 0 for _, xs, _ in curves)
+        for sigmas, xs, d in curves:
+            emb = moment_curve(sigmas, xs, d)
+            fs = enumerate_faces(emb)
+            assert fs.certified_exhaustive, emb
+            keys = []
+            for f in fs.faces:
+                assert signs_of(emb.points, f.normal) == f.signs
+                zeros = [i for i, s in enumerate(f.signs) if s == 0]
+                keys.append((len(zeros), zeros, f.signs))
+            assert keys == sorted(keys)
+            assert len({f.signs for f in fs.faces}) == len(keys)
+            top = {(f.signs, f.normal) for f in fs.faces if f.signs.count(0) == d - 1}
+            assert top == {(p.signs, p.normal) for p in canonical_hemispheres(emb)}
 
     def test_sign_strings_pinned(self):
         # sha256 of the ordered sign strings, one line per face and a blank
@@ -782,8 +812,8 @@ class TestAgainstEagerFaces:
         target = search.faceset.faces.index(search.find(coloring).face)
         search, coloring = bench_search(n, k, ell, 7)
         face = search.faceset.faces[target]
-        zero_set, cuts, orientation = face._recipe
-        face._recipe = (zero_set, cuts, -orientation)
+        *rest, orientation = face._recipe
+        face._recipe = (*rest, -orientation)
         with pytest.raises(RuntimeError, match="does not realize"):
             search.find(coloring)
         assert len(search._census) == target
@@ -902,15 +932,15 @@ class TestLazyHemisphereNormals:
 
     def test_corrupted_recipe_raises(self):
         bad = verify_gale_property(adversarial_curve())
-        zero_set, cuts, orientation = bad._recipe
-        bad._recipe = (zero_set, cuts, -orientation)
+        *rest, orientation = bad._recipe
+        bad._recipe = (*rest, -orientation)
         with pytest.raises(RuntimeError, match="does not realize"):
             gale.partition_to_json_dict(bad)
 
     def test_corrupted_event_a_partition_raises(self, monkeypatch):
         def corrupt(part):
-            zero_set, cuts, orientation = part._recipe
-            part._recipe = (zero_set, cuts, -orientation)
+            *rest, orientation = part._recipe
+            part._recipe = (*rest, -orientation)
 
         patch_hemispheres(monkeypatch, corrupt)
         rep = events.event_a_oracle(8, 2, 1, 0.5, seed=1)

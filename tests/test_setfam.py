@@ -11,7 +11,6 @@ from kneser_chroma.setfam import (
     MAX_GROUND_SET,
     KSubset,
     SubsetIndex,
-    binomial_exact,
     enumerate_ksubsets,
     enumerate_stable_ksubsets,
     iter_bits,
@@ -103,7 +102,7 @@ class TestEnumeration:
 
     def test_count_and_distinct_10_3(self):
         subs = enumerate_ksubsets(10, 3)
-        assert len(subs) == binomial_exact(10, 3) == 120
+        assert len(subs) == math.comb(10, 3) == 120
         assert len({s.mask for s in subs}) == 120
 
     def test_positions_are_ranks(self):
@@ -243,15 +242,6 @@ class TestStableEnumeration:
 
 
 class TestBinomials:
-    def test_exact_values(self):
-        assert binomial_exact(4, 2) == 6
-        assert binomial_exact(202, 2) == 202 * 201 // 2 == 20301
-        assert binomial_exact(10, 11) == 0
-
-    def test_exact_rejects_negative(self):
-        with pytest.raises(ValueError):
-            binomial_exact(-1, 0)
-
     def test_ln_small(self):
         assert ln_binomial(4, 2) == pytest.approx(math.log(6), rel=1e-12)
         for a in (0, 1, 7, 100, 10**9):
