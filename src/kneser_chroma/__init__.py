@@ -41,11 +41,6 @@ from .graphs import (
     sample_subgraph,
     to_canonical_json,
 )
-from .setfam import (
-    KSubset,
-    enumerate_ksubsets,
-    enumerate_stable_ksubsets,
-    ln_binomial,
-)
+from .setfam import KSubset, ln_binomial
 
 __version__ = "0.1.0"

@@ -196,12 +196,12 @@ def _clique(adj: tuple[int, ...], active: int, counter: _Counter) -> list[int]:
     return sorted(_greedy_clique(adj, active))
 
 
-def clique_lower(graph: Graph, budget: Budget | None = None) -> int:
+def clique_lower(graph: Graph) -> int:
     """Size of a clique found: exact for <= 64 vertices, greedy beyond."""
     m = graph.num_vertices
     if m == 0:
         raise ValueError("empty graph")
-    return len(_clique(graph.adj, (1 << m) - 1, _Counter(budget)))
+    return len(_clique(graph.adj, (1 << m) - 1, _Counter(None)))
 
 
 @dataclass(frozen=True)
@@ -212,23 +212,16 @@ class IndependentSetResult:
     nodes_explored: int
 
 
-def max_independent_set(
-    graph: Graph, budget: Budget | None = None
-) -> IndependentSetResult:
-    """Exact alpha(G) within budget, else the best set found with status."""
+def max_independent_set(graph: Graph) -> IndependentSetResult:
+    """Exact alpha(G): a maximum clique of the complement."""
     m = graph.num_vertices
     if m == 0:
         raise ValueError("empty graph")
     full = (1 << m) - 1
     comp = tuple(~graph.adj[u] & full & ~(1 << u) for u in range(m))
-    counter = _Counter(budget)
-    try:
-        best = _max_clique_exact(comp, full, counter)
-        status = EXACT
-    except _OutOfBudget:
-        best = _greedy_clique(comp, full)
-        status = TIMEOUT
-    return IndependentSetResult(len(best), tuple(sorted(best)), status, counter.nodes)
+    counter = _Counter(None)
+    best = _max_clique_exact(comp, full, counter)
+    return IndependentSetResult(len(best), tuple(sorted(best)), EXACT, counter.nodes)
 
 
 def _dsatur_greedy(adj: tuple[int, ...], active: int) -> tuple[list[int], int]:

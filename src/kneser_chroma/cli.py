@@ -50,6 +50,11 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _rounded(fields: dict) -> dict:
+    """A copy of a dataclass's fields with ``_round12`` applied to every float."""
+    return {key: _round12(v) if type(v) is float else v for key, v in fields.items()}
+
+
 def _canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
@@ -131,13 +136,12 @@ def run_random_chi(
     ell: int | None = None,
     max_nodes: int | None = None,
     max_ms: float | None = None,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
     workers: int | None = None,
 ) -> tuple[list[tuple], dict]:
     """One row per trial plus a summary; chi values are seed-deterministic."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    parent = _build_family(family, n, k, max_vertices)
+    parent = _build_family(family, n, k, DEFAULT_VERTEX_CAP)
     jobs = [(parent, p, t, master_seed, max_nodes, max_ms) for t in range(trials)]
     nworkers = workers if workers is not None else worker_count()
     # the pool forks all its workers up front: no more than the trials or the CPUs
@@ -224,48 +228,27 @@ def bounds_report(
     sweep: bool = False,
     extra_ells=(),
 ) -> dict:
+    # _round12 by name, so that an int p or eps still prints as a float; the
+    # field order of each dataclass is its key order in the report
     out: dict = {"n": n, "k": k, "p": _round12(p), "eps": _round12(eps)}
     if ell is not None:
         params = bounds_mod.TheoremParams(n=n, k=k, ell=ell, p=p, eps=eps)
         d, t = params.dt
-        chain = bounds_mod.ln_pA_bound(params)
         out.update(
-            {
-                "ell": ell,
-                "d": d,
-                "t": t,
-                "rhs": _round12(bounds_mod._rhs(n, d, t)),
-                "lhs": _round12((1.0 - eps) * p),
-                "condition": bounds_mod.condition_holds(params),
-                "g_decreasing": bounds_mod.g_is_decreasing(d, t, p),
-                "chain": {
-                    "l1": _round12(chain.l1),
-                    "l2": _round12(chain.l2) if chain.conclusive else None,
-                    "l3": _round12(chain.l3) if chain.conclusive else None,
-                    "l4": _round12(chain.l4) if chain.conclusive else None,
-                    "conclusive": chain.conclusive,
-                },
-            }
+            ell=ell,
+            d=d,
+            t=t,
+            rhs=_round12(bounds_mod._rhs(n, d, t)),
+            lhs=_round12((1.0 - eps) * p),
+            condition=bounds_mod.condition_holds(params),
+            g_decreasing=bounds_mod.g_is_decreasing(d, t, p),
+            chain=_rounded(vars(bounds_mod.ln_pA_bound(params))),
         )
     if sweep:
         bg = bounds_mod.best_gap(n, k, p, eps)
-        out["best_gap"] = (
-            {"ell": bg.ell, "gap": bg.gap, "chi_lower": bg.chi_lower}
-            if bg is not None
-            else None
-        )
+        out["best_gap"] = _rounded(vars(bg)) if bg is not None else None
         report = bounds_mod.corollary_regime_report(n, k, p, eps, extra_ells)
-        out["regime"] = [
-            {
-                "ell": e.ell,
-                "d": e.d,
-                "t": e.t,
-                "rhs": _round12(e.rhs) if e.rhs is not None else None,
-                "holds": e.holds,
-                "conclusion": e.conclusion,
-            }
-            for e in report.entries
-        ]
+        out["regime"] = [_rounded(vars(e)) for e in report.entries]
         out["certified"] = list(report.certified)
     return out
 
@@ -275,14 +258,15 @@ def bounds_report(
 
 def gale_verify_report(n: int, s: int) -> dict:
     emb = build_embedding(n, s)
-    ok_position = general_position_check(emb)
-    counterexample = verify_gale_property(emb) if ok_position else None
+    # True or a ValueError: the embedding is a moment curve
+    general_position = general_position_check(emb)
+    counterexample = verify_gale_property(emb)
     return {
         "n": n,
         "s": s,
         "d": emb.d,
-        "general_position": ok_position,
-        "ok": ok_position and counterexample is None,
+        "general_position": general_position,
+        "ok": counterexample is None,
         "counterexample": (
             partition_to_json_dict(counterexample) if counterexample else None
         ),

@@ -15,8 +15,8 @@ from itertools import combinations
 from operator import mul, xor
 
 from .errors import CapacityError, NoWitnessFound
-from .graphs import DEFAULT_VERTEX_CAP
-from .setfam import MAX_GROUND_SET, SubsetIndex, enumerate_stable_ksubsets, stable_count
+from .graphs import SCHRIJVER, family_vertices
+from .setfam import MAX_GROUND_SET, SubsetIndex
 
 # the most faces enumerate_faces builds (Cover's formula) and the most
 # canonical hemispheres verify_gale_property checks (2 C(n, d-1)); either
@@ -359,8 +359,9 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     """Every realizable sign vector of the moment-curve arrangement, zeros included.
 
     The points must be sigma_i (1, x_i, ..., x_i^(d-1)) with sigma_i = +-1 and
-    ascending x_i; any other point set raises ValueError.  A direction whose
-    zero set is Z, |Z| = j < d, has the polynomial f = prod_{z in Z} (x - x_z) g
+    ascending x_i; any other point set raises ValueError.  A face's zero set Z
+    has j < min(d, n) points (the all-zero vector is no face), and a
+    direction with zero set Z has the polynomial f = prod_{z in Z} (x - x_z) g
     with g != 0 and deg g <= d-1-j, so by ``_zero_sets`` its sign at a point
     i off Z is tau_i = sign g(x_i), negated where ``base`` does not hold i.  A
     sign vector with zero set Z is therefore realizable iff its tau changes
@@ -395,7 +396,7 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     n, d = emb.n, emb.d
     cover = sum(
         math.comb(n, j) * 2 * sum(math.comb(n - j - 1, i) for i in range(d - j))
-        for j in range(d)
+        for j in range(min(d, n))
     )
     _check_capacity(cover, MAX_FACES, f"faces of build_embedding({n}, {emb.s})")
     return FaceSet(_face_stream(emb.points, d, curve), cover)
@@ -404,7 +405,7 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
 def _face_stream(points, d: int, curve):
     """The faces of ``enumerate_faces``, one at a time, in face order."""
     xs = curve[1]
-    for j in range(d):
+    for j in range(min(d, len(xs))):
         for zx, _, off, base in _zero_sets(curve, j):
             rest = [i for i in range(len(xs)) if off >> i & 1]
             # depth-first over rest: a node (r, v, b, cuts) has fixed tau at
@@ -437,8 +438,8 @@ class WitnessSearch:
     faces with 1..d-1 zeros) only as far as ``find`` reaches.  There each
     face builds and checks its normal, then its census (the bitset of
     stable k-subsets strictly inside each open side), kept for later
-    colorings.  More than ``DEFAULT_VERTEX_CAP`` stable sets or
-    ``MAX_FACES`` faces is a CapacityError, raised before either is built.
+    colorings.  More stable sets than SG(n, k)'s vertex cap, or more than
+    ``MAX_FACES`` faces, is a CapacityError raised before any of them is built.
     Some colorings admit no witness on any full cell, so the boundary faces
     are searched too, with per-face thresholds ceil(|side census| / d).
     """
@@ -446,11 +447,9 @@ class WitnessSearch:
     def __init__(self, emb: GaleEmbedding, k: int):
         self.emb = emb
         self.k = k
-        # the stable k-subsets are the vertices of SG(n, k): the graph cap holds
-        count = stable_count(emb.n, k)
-        _check_capacity(count, DEFAULT_VERTEX_CAP, f"stable {k}-subsets of [{emb.n}]")
+        # the stable k-subsets are the vertices of SG(n, k), capped as the graph's
+        self.stables = family_vertices(SCHRIJVER, emb.n, k)
         self.faceset = enumerate_faces(emb)
-        self.stables = enumerate_stable_ksubsets(emb.n, k)
         self.num_stable = len(self.stables)
         self._index = SubsetIndex([t.mask for t in self.stables], emb.n)
         # (pos, neg, t_pos, t_neg) of the faces find has reached, in face order

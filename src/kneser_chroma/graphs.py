@@ -54,13 +54,39 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-def _check_capacity(n: int, k: int, max_vertices: int) -> None:
+def _family(family: str, n: int, k: int):
+    """(vertex count, enumeration) of a family's graph on k-subsets of [n].
+
+    The family name and 0 <= k <= n (ValueError), then n <= MAX_GROUND_SET
+    (CapacityError) are checked before anything is counted, so no count sees
+    a huge n.  The setfam enumeration is looked up at each call, so a rebound
+    module attribute is the one returned.
+    """
+    if family not in (KNESER, SCHRIJVER):
+        raise ValueError(f"family {family!r} is neither {KNESER!r} nor {SCHRIJVER!r}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     if n > MAX_GROUND_SET:
         raise CapacityError(f"n={n} exceeds ground-set cap {MAX_GROUND_SET}")
-    if math.comb(n, k) > max_vertices:
+    if family == KNESER:
+        return math.comb(n, k), enumerate_ksubsets
+    return stable_count(n, k), enumerate_stable_ksubsets
+
+
+def family_vertices(
+    family: str, n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP
+) -> list[KSubset]:
+    """The family's vertices in colex order: C(n, k) k-subsets for kneser,
+    (n/(n-k)) C(n-k, k) stable ones for schrijver.  That count is held to
+    ``max_vertices`` (CapacityError) before any vertex is built.
+    """
+    count, enumerate_family = _family(family, n, k)
+    if count > max_vertices:
         raise CapacityError(
-            f"C({n},{k})={math.comb(n, k)} exceeds vertex cap {max_vertices}"
+            f"{family}({n}, {k}) has {count} vertices, "
+            f"over the vertex cap {max_vertices}"
         )
+    return enumerate_family(n, k)
 
 
 def _disjointness_adjacency(vertices: tuple[KSubset, ...], n: int) -> tuple[int, ...]:
@@ -72,19 +98,13 @@ def _disjointness_adjacency(vertices: tuple[KSubset, ...], n: int) -> tuple[int,
 
 def build_kneser(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Kneser graph: all k-subsets of [n], edges between disjoint pairs."""
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    _check_capacity(n, k, max_vertices)
-    vertices = tuple(enumerate_ksubsets(n, k))
+    vertices = tuple(family_vertices(KNESER, n, k, max_vertices))
     return Graph(KNESER, n, k, vertices, _disjointness_adjacency(vertices, n))
 
 
 def build_schrijver(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Schrijver graph: the Kneser graph induced on stable k-subsets."""
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    _check_capacity(n, k, max_vertices)
-    vertices = tuple(enumerate_stable_ksubsets(n, k))
+    vertices = tuple(family_vertices(SCHRIJVER, n, k, max_vertices))
     return Graph(SCHRIJVER, n, k, vertices, _disjointness_adjacency(vertices, n))
 
 
@@ -164,24 +184,17 @@ def from_json_dict(obj: dict) -> Graph:
     count matches.  Edges may come in any order and repeat.
     """
     family, n, k = obj["family"], obj["n"], obj["k"]
-    if family not in (KNESER, SCHRIJVER):
-        raise ValueError(f"family {family!r} is neither {KNESER!r} nor {SCHRIJVER!r}")
     if type(n) is not int or type(k) is not int:
         raise ValueError(f"n={n!r} and k={k!r} must be integers")
-    if not 0 <= n <= MAX_GROUND_SET:
-        raise CapacityError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
+    whole, enumerate_family = _family(family, n, k)
     masks = obj["vertices"]
     # counted before the family is enumerated, so that costs in proportion
     # to the file's own vertex list (times O(k^2) at worst for schrijver,
     # whose enumeration never walks all C(n, k) masks)
-    whole = math.comb(n, k) if family == KNESER else stable_count(n, k)
     m = len(masks)
     if m != whole:
         raise ValueError(f"{family} file lists {m} of the family's {whole} vertices")
-    if family == KNESER:
-        vertices = tuple(enumerate_ksubsets(n, k))
-    else:
-        vertices = tuple(enumerate_stable_ksubsets(n, k))
+    vertices = tuple(enumerate_family(n, k))
     for i, (v, mask) in enumerate(zip(vertices, masks)):
         if type(mask) is not int or mask != v.mask:
             raise ValueError(

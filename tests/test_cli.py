@@ -78,6 +78,17 @@ class TestGenGraph:
         assert rc == 4
         assert "cap" in err
 
+    def test_schrijver_capped_by_its_own_count(self, tmp_path):
+        # SG(40,19) has 400 vertices, though C(40,19) ~ 1.3e11
+        path = tmp_path / "sg.json"
+        rc, _, err = run_cli(["gen-graph", "--family", "schrijver", "--n", "40",
+                              "--k", "19", "--out", str(path)])
+        assert rc == 0 and err == ""
+        rc, out, _ = run_cli(["chi", str(path), "--budget-nodes", "1000"])
+        rep = json.loads(out)
+        assert rc == (0 if rep["status"] == "exact" else 3)
+        assert len(rep["coloring"]) == 400
+
     def test_zero_vertex_cap_exit_4(self):
         # a cap of 0 is a cap, not "use the default"
         for cap in ("0", "1"):

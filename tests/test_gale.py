@@ -13,7 +13,7 @@ from gale_reference import (
     verify_gale_property_indexed,
 )
 
-from kneser_chroma import events, gale, seeds, setfam
+from kneser_chroma import events, gale, graphs, seeds, setfam
 from kneser_chroma.errors import NoWitnessFound
 from kneser_chroma.gale import (
     MAX_FACES,
@@ -459,6 +459,23 @@ class TestFaces:
             assert len({f.signs for f in fs.faces}) == len(keys)
             top = {(f.signs, f.normal) for f in fs.faces if f.signs.count(0) == d - 1}
             assert top == {(p.signs, p.normal) for p in canonical_hemispheres(emb)}
+
+    def test_fewer_points_than_dimensions(self):
+        # with n < d every nonzero sign vector is a face: 3^n - 1 of them
+        rng = random.Random(31)
+        curves = [([1, 1, 1], [1, 2, 3], 4)]
+        for _ in range(30):
+            d = rng.randint(2, 6)
+            xs = sorted(rng.sample(range(-9, 10), rng.randint(1, d - 1)))
+            curves.append(([rng.choice((1, -1)) for _ in xs], xs, d))
+        for sigmas, xs, d in curves:
+            emb = moment_curve(sigmas, xs, d)
+            fs = enumerate_faces(emb)
+            assert fs.certified_exhaustive, emb
+            assert fs.cover == len(fs.faces) == 3 ** len(xs) - 1
+            assert len({f.signs for f in fs.faces}) == len(fs.faces)
+            for f in fs.faces:
+                assert signs_of(emb.points, f.normal) == f.signs
 
     def test_sign_strings_pinned(self):
         # sha256 of the ordered sign strings, one line per face and a blank
@@ -958,6 +975,7 @@ class TestHemisphereCountHook:
         built = []
         for mod in (gale, setfam):
             monkeypatch.setattr(mod, "SubsetIndex", lambda *a: built.append(a))
+        for mod in (graphs, setfam):
             monkeypatch.setattr(
                 mod, "enumerate_stable_ksubsets", lambda *a: built.append(a)
             )

@@ -10,6 +10,7 @@ from graph_reference import reference_canonical_json, to_json_dict
 from test_setfam import rank_mask
 
 from kneser_chroma.errors import CapacityError
+from kneser_chroma.gale import WitnessSearch, build_embedding
 from kneser_chroma.graphs import (
     build_kneser,
     build_schrijver,
@@ -151,6 +152,55 @@ class TestBuilders:
             assert not g.adj[u] >> u & 1
             for v in range(g.num_vertices):
                 assert g.adj[u] >> v & 1 == g.adj[v] >> u & 1
+
+
+class TestFamilyCap:
+    """The vertex cap counts each family's own vertices, on every path."""
+
+    def test_schrijver_counts_its_stable_sets(self):
+        # SG(40,19) has 400 vertices among C(40,19) ~ 1.3e11 19-subsets: the
+        # same graph as the file read in test_schrijver_read_cost_follows_the_file
+        masks = [s.mask for s in enumerate_stable_ksubsets(40, 19)]
+        edges = [
+            [u, v] for u, v in combinations(range(len(masks)), 2)
+            if not masks[u] & masks[v]
+        ]
+        header = {"family": "schrijver", "p": None, "seed": None, "rng_id": None}
+        read = from_json_dict(
+            header | {"n": 40, "k": 19, "vertices": masks, "edges": edges}
+        )
+        assert build_schrijver(40, 19) == read
+
+    def test_cap_is_the_own_count(self):
+        # SG(30,14) has 30/16 C(16,14) = 225 vertices
+        assert build_schrijver(30, 14, max_vertices=225).num_vertices == 225
+        with pytest.raises(CapacityError, match="225 vertices, over the vertex cap"):
+            build_schrijver(30, 14, max_vertices=224)
+        # SG(34,3) has 4,930 vertices among C(34,3) = 5,984 3-subsets
+        assert build_schrijver(34, 3).num_vertices == 4930
+        with pytest.raises(CapacityError, match="cap"):
+            build_kneser(30, 15)
+
+    def test_stable_sets_refused_alike(self):
+        # SG(35,3) has 5,425 vertices: the witness search's stable sets are
+        # refused by the graph's rule, with the graph's message
+        with pytest.raises(CapacityError) as graph_error:
+            build_schrijver(35, 3)
+        with pytest.raises(CapacityError) as witness_error:
+            WitnessSearch(build_embedding(35, 4), 3)
+        assert "5425 vertices" in str(graph_error.value)
+        assert str(witness_error.value) == str(graph_error.value)
+
+    def test_domain_checked_before_counting(self):
+        for n, k in [(5, 6), (5, -1), (-1, 0)]:
+            for build in (build_kneser, build_schrijver):
+                with pytest.raises(ValueError):
+                    build(n, k)
+        with pytest.raises(CapacityError, match="ground-set cap"):
+            build_schrijver(10**9, 2)
+        header = {"family": "schrijver", "p": None, "seed": None, "rng_id": None}
+        with pytest.raises(ValueError):
+            from_json_dict(header | {"n": -1, "k": 0, "vertices": [], "edges": []})
 
 
 class TestAdjacent:
