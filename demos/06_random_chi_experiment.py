@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 # Monte Carlo: chromatic number of random spanning subgraphs SG(n,k)(p).
 # Per-trial seeds derive from the master seed, so the p-series is coupled
-# and the distributions shift monotonically.  The event-A oracle gives an
-# exhaustive cross-independence check on individual samples.
+# and the distributions shift monotonically.  The event-A oracle checks
+# individual samples exhaustively: event A holds iff some full cell of the
+# moment-curve arrangement has families M+ and M- of the fixed size
+# t = ceil(C(k+ell, k)/d) inside its two open sides, with no sampled edge
+# between them.
 
 from collections import Counter
 

@@ -141,6 +141,8 @@ def run_random_chi(
     """One row per trial plus a summary; chi values are seed-deterministic."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # a bad ell is refused before the parent is built or any trial solved
+    threshold = None if ell is None else bounds_mod.derived_params(n, k, ell)[0] + 1
     parent = _build_family(family, n, k, DEFAULT_VERTEX_CAP)
     jobs = [(parent, p, t, master_seed, max_nodes, max_ms) for t in range(trials)]
     nworkers = workers if workers is not None else worker_count()
@@ -163,9 +165,7 @@ def run_random_chi(
         "solved": len(exact_rows),
         "timeouts": trials - len(exact_rows),
     }
-    if ell is not None:
-        d, _ = bounds_mod.derived_params(n, k, ell)
-        threshold = d + 1
+    if threshold is not None:
         summary["chi_threshold"] = threshold
         if exact_rows:
             freq = sum(1 for r in exact_rows if r[2] >= threshold) / len(exact_rows)

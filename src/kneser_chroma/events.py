@@ -9,12 +9,12 @@ from .bounds import derived_params
 from .errors import CapacityError
 from .gale import (
     HemispherePartition,
+    WitnessSearch,
     build_embedding,
-    canonical_hemispheres,
     partition_to_json_dict,
 )
 from .graphs import build_schrijver, sample_subgraph
-from .setfam import SubsetIndex, iter_bits
+from .setfam import iter_bits
 
 # the largest side and pigeonhole size the exhaustive search takes on
 MAX_SIDE = 128
@@ -38,65 +38,59 @@ def event_a_oracle(
     seed: int,
     max_nodes: int = 10**7,
 ) -> EventAReport:
-    """Exhaustive cross-independent-set search over canonical partitions.
+    """Exhaustive search for event A over the full cells of the arrangement.
 
-    Holds iff some canonical great-sphere partition admits M+ and M- of the
-    pigeonhole sizes t(S+), t(S-) drawn from the stable k-subsets strictly
-    inside each side, with no sampled edge between them.  M+ candidates are
-    enumerated in colex order with partial cross-edge pruning; both sides are
-    bitsets over the sampled graph's vertex indices.
+    A holds iff some direction has families M+ and M- of stable k-subsets
+    strictly inside its two open sides, each of the fixed size
+    t = ceil(C(k+ell, k) / d), with no sampled edge between them.  A boundary
+    face's open sides only grow into those of an adjacent full cell, so it
+    is enough to walk the full cells, the first faces of the witness
+    search's stream, and read their sides from its census: its stables are
+    SG(n, k)'s vertices in the same colex order.  M+ is grown in colex order
+    with partial cross-edge pruning.
     """
-    d, _ = derived_params(n, k, ell)
-    emb = build_embedding(n, k + ell)
-    sampled = sample_subgraph(build_schrijver(n, k), p, seed)
-    index = SubsetIndex([v.mask for v in sampled.vertices], n)
-    nodes = 0
-    examined = 0
-
-    for part in canonical_hemispheres(emb):
+    _, t = derived_params(n, k, ell)
+    if t > MAX_T:
+        raise CapacityError(f"instance too large for event-A oracle (t={t} > {MAX_T})")
+    search = WitnessSearch(build_embedding(n, k + ell), k)
+    adj = sample_subgraph(build_schrijver(n, k), p, seed).adj
+    nodes = examined = 0
+    for i, cell in enumerate(search.faceset):
+        if cell.zero_mask:
+            break
         examined += 1
-        sp = list(iter_bits(index.within(part.plus_mask)))
-        sm = index.within(part.minus_mask)
-        t_p = -(-len(sp) // d)
-        t_m = -(-sm.bit_count() // d)
-        if max(len(sp), sm.bit_count()) > MAX_SIDE or max(t_p, t_m) > MAX_T:
+        pos, neg, _, _ = search.census_of(i)
+        sp = list(iter_bits(pos))
+        if max(len(sp), neg.bit_count()) > MAX_SIDE:
             raise CapacityError(
-                f"instance too large for event-A oracle "
-                f"(sides {len(sp)}/{sm.bit_count()}, t {t_p}/{t_m})"
+                "instance too large for event-A oracle "
+                f"(sides {len(sp)}/{neg.bit_count()})"
             )
-        chosen: list[int] = []
 
-        def search(need: int, cap: int, allowed: int) -> int | None:
-            """The M- candidates left once M+ is complete, or None."""
+        def grow(chosen: tuple[int, ...], cap: int, allowed: int):
+            """(M+, the M- candidates left) extending ``chosen``, or None."""
             nonlocal nodes
-            if need == 0:
-                return allowed
-            for top in range(need - 1, cap):
+            if len(chosen) == t:
+                return chosen, allowed
+            for top in range(t - len(chosen) - 1, cap):
                 nodes += 1
                 if nodes > max_nodes:
                     raise CapacityError(
-                        "event-A search exceeded the node cap "
-                        f"({max_nodes}); instance too large"
+                        f"event-A search exceeded the node cap ({max_nodes}); "
+                        "instance too large"
                     )
-                nxt = allowed & ~sampled.adj[sp[top]]
-                if nxt.bit_count() < t_m:  # every call starts with >= t_m left
-                    continue
-                chosen.append(sp[top])
-                found = search(need - 1, top, nxt)
-                if found is not None:
-                    return found
-                chosen.pop()
+                nxt = allowed & ~adj[sp[top]]
+                if nxt.bit_count() >= t:
+                    found = grow((sp[top], *chosen), top, nxt)
+                    if found:
+                        return found
             return None
 
-        allowed = search(t_p, len(sp), sm)
-        if allowed is not None:
-            return EventAReport(
-                holds=True,
-                partitions_examined=examined,
-                partition=part,
-                m_plus=tuple(sorted(chosen)),
-                m_minus=tuple(islice(iter_bits(allowed), t_m)),
-            )
+        found = grow((), len(sp), neg)
+        if found:
+            m_plus, allowed = found
+            m_minus = tuple(islice(iter_bits(allowed), t))
+            return EventAReport(True, examined, cell, m_plus, m_minus)
     return EventAReport(holds=False, partitions_examined=examined)
 
 

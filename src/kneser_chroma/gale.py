@@ -398,7 +398,7 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
         math.comb(n, j) * 2 * sum(math.comb(n - j - 1, i) for i in range(d - j))
         for j in range(min(d, n))
     )
-    _check_capacity(cover, MAX_FACES, f"faces of build_embedding({n}, {emb.s})")
+    _check_capacity(cover, MAX_FACES, f"faces of {n} points in dimension {d}")
     return FaceSet(_face_stream(emb.points, d, curve), cover)
 
 
@@ -435,10 +435,10 @@ class WitnessSearch:
     """Reusable antipodal-witness search for many colorings of one instance.
 
     Reads the ``enumerate_faces`` stream (full cells first, then boundary
-    faces with 1..d-1 zeros) only as far as ``find`` reaches.  There each
-    face builds and checks its normal, then its census (the bitset of
-    stable k-subsets strictly inside each open side), kept for later
-    colorings.  More stable sets than SG(n, k)'s vertex cap, or more than
+    faces with 1..d-1 zeros) only as far as its readers reach.  There each
+    face builds and checks its normal, then its census (``census_of``: the
+    bitset of stable k-subsets strictly inside each open side), kept for
+    later colorings.  More stable sets than SG(n, k)'s vertex cap, or more than
     ``MAX_FACES`` faces, is a CapacityError raised before any of them is built.
     Some colorings admit no witness on any full cell, so the boundary faces
     are searched too, with per-face thresholds ceil(|side census| / d).
@@ -452,12 +452,15 @@ class WitnessSearch:
         self.faceset = enumerate_faces(emb)
         self.num_stable = len(self.stables)
         self._index = SubsetIndex([t.mask for t in self.stables], emb.n)
-        # (pos, neg, t_pos, t_neg) of the faces find has reached, in face order
+        # (pos, neg, t_pos, t_neg) of the faces read so far, in face order
         self._census: list[tuple[int, int, int, int]] = []
 
-    def _census_of(self, i: int, face) -> tuple[int, int, int, int]:
-        census = self._census
-        if i == len(census):
+    def census_of(self, i: int) -> tuple[int, int, int, int]:
+        """(pos, neg, t_pos, t_neg) of ``faceset.built[i]``, kept once built:
+        bitsets over ``stables`` of each open side, t = ceil(|side| / d)."""
+        census, built = self._census, self.faceset.built
+        while len(census) <= i:
+            face = built[len(census)]
             face.normal  # builds and checks the normal before the signs are used
             pos = self._index.within(face.plus_mask)
             neg = self._index.within(face.minus_mask)
@@ -485,7 +488,7 @@ class WitnessSearch:
         for i, c in enumerate(colors):
             classes[c] |= 1 << i
         for i, face in enumerate(self.faceset):
-            pos, neg, t_pos, t_neg = self._census_of(i, face)
+            pos, neg, t_pos, t_neg = self.census_of(i)
             for color, cls in enumerate(classes):
                 cp = (pos & cls).bit_count()
                 cn = (neg & cls).bit_count()

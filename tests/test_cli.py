@@ -325,6 +325,21 @@ class TestRandomChi:
         chis = [int(ln.split(",")[2]) for ln in lines[2:-1]]
         assert all(c <= 6 for c in chis)  # chi(SG_8_2) = 6
 
+    def test_bad_ell_exits_2_before_the_parent(self):
+        # KG(20, 8) is over the vertex cap, but d = -13 is refused first
+        rc, out, err = run_cli(["random-chi", "--family", "kneser", "--n", "20",
+                                "--k", "8", "--ell", "9", "--p", "0.5",
+                                "--trials", "1", "--seed", "1"])
+        assert rc == 2 and out == ""
+        assert "d >= 2" in err
+
+    def test_bad_ell_solves_no_trial(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(cli, "chromatic_number", lambda *a: solved.append(a))
+        with pytest.raises(ValueError, match="d >= 2"):
+            run_random_chi("schrijver", 8, 2, 0.5, trials=3, master_seed=1, ell=3)
+        assert solved == []
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         args = ["random-chi", "--family", "kneser", "--n", "6", "--k", "2",
                 "--p", "0.5", "--trials", "8", "--seed", "9"]
@@ -392,7 +407,8 @@ class TestRandomChi:
 
 class TestEventA:
     def test_reports_pinned(self):
-        # digest of the 224 reports computed before the sides became bitsets
+        # digest of the 224 reports once event A searched the full cells with
+        # the fixed t; the canonical-hemisphere search held on 206 of them
         grid = [(8, 2, 1), (9, 2, 1), (9, 2, 2), (10, 2, 1), (10, 3, 1),
                 (11, 2, 2), (10, 2, 2)]
         reports = [
@@ -401,9 +417,9 @@ class TestEventA:
             for p in (0.1, 0.3, 0.5, 0.9)
             for seed in range(1, 9)
         ]
-        assert sum(r["holds"] for r in reports) == 206
+        assert sum(r["holds"] for r in reports) == 211
         assert sha256_of_reports(reports) == (
-            "c7d97e4ed4494bd4499b1ec55688ca9fda43e5d18923d92131584311d3f2b074"
+            "371fb3fcfdb074df2759ce4898bd22c461ddfa3001f2bfaa39c05a6c40aed9ad"
         )
 
     def test_p0_holds(self):
@@ -414,36 +430,55 @@ class TestEventA:
     def test_p1_fails(self):
         rep = event_a_oracle(8, 2, 1, 1.0, seed=1)
         assert not rep.holds
-        assert rep.partitions_examined == 56  # 2 * C(8,2)
+        # every full cell: 2 (C(7,0) + C(7,1) + C(7,2)) at n = 8, d = 3
+        assert rep.partitions_examined == 58
 
     def test_witness_is_cross_independent(self):
-        found = 0
-        for seed in range(20):
-            rep = event_a_oracle(8, 2, 1, 0.5, seed=seed)
-            if not rep.holds:
-                continue
-            found += 1
-            d = 3
-            parent = build_schrijver(8, 2)
-            g = sample_subgraph(parent, 0.5, seed)
-            masks = [v.mask for v in g.vertices]
-            plus, minus = rep.partition.plus_mask, rep.partition.minus_mask
-            sp = [i for i, m in enumerate(masks) if m & plus == m]
-            sm = [i for i, m in enumerate(masks) if m & minus == m]
-            assert len(rep.m_plus) == -(-len(sp) // d)
-            assert len(rep.m_minus) == -(-len(sm) // d)
-            assert set(rep.m_plus) <= set(sp)
-            assert set(rep.m_minus) <= set(sm)
-            for u in rep.m_plus:
-                for v in rep.m_minus:
-                    assert not g.adj[u] >> v & 1
-        assert found > 0
+        for n, k, ell, p in [(8, 2, 1, 0.5), (10, 3, 1, 0.9)]:
+            _, t = bounds.derived_params(n, k, ell)
+            parent = build_schrijver(n, k)
+            found = 0
+            for seed in range(20):
+                rep = event_a_oracle(n, k, ell, p, seed=seed)
+                if not rep.holds:
+                    continue
+                found += 1
+                g = sample_subgraph(parent, p, seed)
+                masks = [v.mask for v in g.vertices]
+                assert rep.partition.zero_mask == 0  # a full cell
+                plus, minus = rep.partition.plus_mask, rep.partition.minus_mask
+                sp = [i for i, m in enumerate(masks) if m & plus == m]
+                sm = [i for i, m in enumerate(masks) if m & minus == m]
+                assert len(rep.m_plus) == len(rep.m_minus) == t
+                assert set(rep.m_plus) <= set(sp)
+                assert set(rep.m_minus) <= set(sm)
+                for u in rep.m_plus:
+                    for v in rep.m_minus:
+                        assert not g.adj[u] >> v & 1
+            assert found > 0
 
     def test_node_cap_exit_4(self, tmp_path):
         rc, _, err = run_cli(["event-a", "--n", "10", "--k", "2", "--ell", "1",
                               "--p", "0.99", "--seed", "3", "--max-nodes", "5"])
         assert rc == 4
         assert "too large" in err
+
+    def test_t_cap_exit_4(self):
+        # t = ceil(C(6, 3) / 2) = 10 is over MAX_T = 8
+        rc, out, err = run_cli(["event-a", "--n", "13", "--k", "3", "--ell", "3",
+                                "--p", "0.5", "--seed", "1"])
+        assert rc == 4 and out == ""
+        assert "too large" in err and "t=10" in err
+
+    def test_refuses_what_witness_refuses(self):
+        # (13, 2, 1) has 526,292 faces, over MAX_FACES
+        rc_a, out_a, err_a = run_cli(["event-a", "--n", "13", "--k", "2",
+                                      "--ell", "1", "--p", "0.5", "--seed", "1"])
+        rc_w, out_w, err_w = run_cli(["witness", "--n", "13", "--k", "2",
+                                      "--ell", "1", "--seed", "1"])
+        assert rc_a == rc_w == 4 and out_a == out_w == ""
+        assert err_a == err_w
+        assert "faces of 13 points in dimension 8 exceed the cap" in err_a
 
     def test_zero_node_cap_exit_4(self):
         for cap in ("0", "1"):
@@ -733,7 +768,7 @@ class TestGeometryCaps:
         rc, out, err = run_cli(["witness", "--n", "30", "--k", "2", "--ell", "2",
                                 "--seed", "1"])
         assert rc == 4 and out == ""
-        assert "faces of build_embedding(30, 4) exceed the cap" in err
+        assert "faces of 30 points in dimension 23 exceed the cap" in err
 
 
 class TestConfigPrecedence:

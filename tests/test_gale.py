@@ -651,6 +651,17 @@ class TestAgainstEagerCensus:
             coloring = [rng.randrange(emb.d) for _ in range(search.num_stable)]
             assert search.find(coloring) == eager.find(coloring)
 
+    def test_census_of_builds_up_to_the_face_it_reads(self):
+        emb = build_embedding(9, 3)
+        search, eager = WitnessSearch(emb, 2), EagerWitnessSearch(emb, 2)
+        want = [tuple(c) for _, *c in eager.per_face[:40]]
+        for _ in zip(range(40), search.faceset):
+            pass
+        assert search.census_of(39) == want[39] and len(search._census) == 40
+        assert [search.census_of(i) for i in range(40)] == want
+        with pytest.raises(IndexError):
+            search.census_of(40)  # not yet pulled from the stream
+
     def test_no_witness_raised_after_every_face(self):
         # with the boundary faces withheld this coloring has no witness; the
         # search must census every remaining face, and drain the stream,
@@ -900,6 +911,19 @@ def patch_hemispheres(monkeypatch, each):
         monkeypatch.setattr(mod, name, wrapped)
 
 
+def patch_face_stream(monkeypatch, each):
+    """Wrap the face stream behind ``enumerate_faces`` so that ``each`` sees
+    every face it builds, before any reader does."""
+    real = gale._face_stream
+
+    def wrapped(*args):
+        for face in real(*args):
+            each(face)
+            yield face
+
+    monkeypatch.setattr(gale, "_face_stream", wrapped)
+
+
 def spy_normals(monkeypatch):
     """The recipes of the normals built from here on."""
     built = []
@@ -938,11 +962,14 @@ class TestLazyHemisphereNormals:
         assert len(built) == 1
 
     def test_event_a_partition_normal_built_and_checked_on_read(self, monkeypatch):
+        # event A reads each full cell's census, which builds and checks the
+        # cell's normal first; the report's cell then has its normal already
         built = spy_normals(monkeypatch)
         rep = events.event_a_oracle(8, 2, 1, 0.5, seed=1)
-        assert rep.holds and built == []
+        assert rep.holds and len(built) == rep.partitions_examined
+        assert all(not zeros for _, zeros, _, _ in built)
         obj = events.event_a_json_dict(rep)
-        assert len(built) == 1
+        assert len(built) == rep.partitions_examined
         points = build_embedding(8, 3).points
         normal = tuple(obj["witness"]["partition"]["normal"])
         assert signs_of(points, normal) == rep.partition.signs
@@ -955,20 +982,19 @@ class TestLazyHemisphereNormals:
             gale.partition_to_json_dict(bad)
 
     def test_corrupted_event_a_partition_raises(self, monkeypatch):
-        def corrupt(part):
-            *rest, orientation = part._recipe
-            part._recipe = (*rest, -orientation)
+        def corrupt(face):
+            *rest, orientation = face._recipe
+            face._recipe = (*rest, -orientation)
 
-        patch_hemispheres(monkeypatch, corrupt)
-        rep = events.event_a_oracle(8, 2, 1, 0.5, seed=1)
-        assert rep.holds
+        patch_face_stream(monkeypatch, corrupt)
         with pytest.raises(RuntimeError, match="does not realize"):
-            events.event_a_json_dict(rep)
+            events.event_a_oracle(8, 2, 1, 0.5, seed=1)
 
 
 class TestHemisphereCountHook:
-    """Both hemisphere users iterate ``canonical_hemispheres`` through a module
-    global, where a tracer can count its yields."""
+    """``verify_gale_property`` iterates ``canonical_hemispheres`` through a
+    module global, where a tracer can count its yields; event A reads the
+    face stream instead."""
 
     def test_verify_sees_every_hemisphere(self, monkeypatch):
         # and counts runs: it lists no stable set and builds no SubsetIndex
@@ -989,13 +1015,18 @@ class TestHemisphereCountHook:
         assert built == []
 
     def test_event_a_sees_its_hemispheres(self, monkeypatch):
-        seen = []
-        patch_hemispheres(monkeypatch, seen.append)
+        hemispheres, faces = [], []
+        patch_hemispheres(monkeypatch, hemispheres.append)
+        patch_face_stream(monkeypatch, faces.append)
         for p in (0.5, 1.0):
-            seen.clear()
+            faces.clear()
             rep = events.event_a_oracle(8, 2, 1, p, seed=1)
-            assert len(seen) == rep.partitions_examined >= 1
-        assert len(seen) == 56  # p = 1 fails: every partition examined
+            full = [f for f in faces if f.zero_mask == 0]
+            assert len(full) == rep.partitions_examined >= 1
+        # p = 1 fails: all 2 (C(7,0) + C(7,1) + C(7,2)) = 58 full cells are
+        # examined, and the walk stops at the first boundary face
+        assert len(full) == 58 and len(faces) == 59 and faces[-1].zero_mask
+        assert hemispheres == []
 
 
 class TestCapacity:
