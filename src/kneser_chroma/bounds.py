@@ -11,7 +11,7 @@ evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import CapacityError
 from .setfam import ln_binomial
@@ -23,24 +23,34 @@ MAX_T_BITS = 2**16
 MAX_T_LN = MAX_T_BITS * math.log(2.0)
 
 
-@dataclass(frozen=True)
-class TheoremParams:
-    """Finite parameter tuple (n, k, ell, p, eps), validated on construction."""
+class TheoremParams(namedtuple("TheoremParams", "n k ell p eps dt")):
+    """Finite parameter tuple (n, k, ell, p, eps), validated on construction.
 
-    n: int
-    k: int
-    ell: int
-    p: float
-    eps: float
-    # derived_params(n, k, ell), kept so that t is built once per params
-    dt: tuple[int, int] = field(init=False, repr=False, compare=False)
+    The last field, dt, is derived_params(n, k, ell), built here so that t is
+    built once per params.  It is a function of n, k and ell, so it decides no
+    comparison, and the repr leaves it out.  Construction, copies, pickles and
+    ``_replace`` all pass the five parameters through ``__new__``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "dt", derived_params(self.n, self.k, self.ell))
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside (0, 1]")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps={self.eps} outside (0, 1)")
+    __slots__ = ()
+
+    def __new__(cls, n, k, ell, p, eps):
+        dt = derived_params(n, k, ell)
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"p={p} outside (0, 1]")
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps={eps} outside (0, 1)")
+        return super().__new__(cls, n, k, ell, p, eps, dt)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*tuple(iterable)[:5])
+
+    def __getnewargs__(self):
+        return self[:5]
+
+    def __repr__(self):
+        return "TheoremParams(n=%r, k=%r, ell=%r, p=%r, eps=%r)" % self[:5]
 
 
 def derived_params(n: int, k: int, ell: int) -> tuple[int, int]:
@@ -117,8 +127,7 @@ def g_is_decreasing(d: int, t: int, p: float) -> bool:
     return p > (1.0 + math.log(d)) * inv_t
 
 
-@dataclass(frozen=True)
-class ChainBounds:
+class ChainBounds(namedtuple("ChainBounds", "l1 l2 l3 l4 conclusive")):
     """Successive log-space upper bounds on the bad-event probability.
 
     l1 = n ln3 + 2 ln C(td,t) + t^2 ln(1-p)   (exact first bound)
@@ -128,11 +137,7 @@ class ChainBounds:
     l2..l4 are only meaningful when the condition holds (conclusive=True).
     """
 
-    l1: float
-    l2: float | None
-    l3: float | None
-    l4: float | None
-    conclusive: bool
+    __slots__ = ()
 
 
 def ln_pA_bound(params: TheoremParams) -> ChainBounds:
@@ -152,11 +157,7 @@ def ln_pA_bound(params: TheoremParams) -> ChainBounds:
     return ChainBounds(l1=l1, l2=l2, l3=l3, l4=l4, conclusive=True)
 
 
-@dataclass(frozen=True)
-class BestGap:
-    ell: int
-    gap: int
-    chi_lower: int
+BestGap = namedtuple("BestGap", "ell gap chi_lower")
 
 
 def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
@@ -229,20 +230,8 @@ def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
     return BestGap(ell=lo, gap=2 * lo, chi_lower=d + 1)
 
 
-@dataclass(frozen=True)
-class RegimeEntry:
-    ell: int
-    d: int | None
-    t: int | None
-    rhs: float | None
-    holds: bool
-    conclusion: str | None
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    entries: tuple[RegimeEntry, ...]
-    certified: tuple[str, ...]
+RegimeEntry = namedtuple("RegimeEntry", "ell d t rhs holds conclusion")
+RegimeReport = namedtuple("RegimeReport", "entries certified")
 
 
 def corollary_regime_report(

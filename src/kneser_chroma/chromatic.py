@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .graphs import Graph
 from .seeds import mix64
@@ -47,12 +47,10 @@ TABU_AFTER = 500
 TABU_MOVES = 200
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(namedtuple("Budget", "max_nodes max_ms", defaults=[None, None])):
     """Search budget; ``max_nodes`` is deterministic, ``max_ms`` is not."""
 
-    max_nodes: int | None = None
-    max_ms: float | None = None
+    __slots__ = ()
 
 
 class _OutOfBudget(Exception):
@@ -120,15 +118,9 @@ class _Counter:
         self._relimit()
 
 
-@dataclass(frozen=True)
-class ColoringResult:
-    chi: int
-    coloring: tuple[int, ...] | None
-    clique: tuple[int, ...]
-    nodes_explored: int
-    status: str
-    lower: int
-    upper: int
+ColoringResult = namedtuple(
+    "ColoringResult", "chi coloring clique nodes_explored status lower upper"
+)
 
 
 def _greedy_clique(adj: tuple[int, ...], active: int) -> list[int]:
@@ -204,12 +196,9 @@ def clique_lower(graph: Graph) -> int:
     return len(_clique(graph.adj, (1 << m) - 1, _Counter(None)))
 
 
-@dataclass(frozen=True)
-class IndependentSetResult:
-    size: int
-    vertices: tuple[int, ...]
-    status: str
-    nodes_explored: int
+IndependentSetResult = namedtuple(
+    "IndependentSetResult", "size vertices status nodes_explored"
+)
 
 
 def max_independent_set(graph: Graph) -> IndependentSetResult:

@@ -51,7 +51,7 @@ def _round12(x: float) -> float:
 
 
 def _rounded(fields: dict) -> dict:
-    """A copy of a dataclass's fields with ``_round12`` applied to every float."""
+    """A copy of a record's fields with ``_round12`` applied to every float."""
     return {key: _round12(v) if type(v) is float else v for key, v in fields.items()}
 
 
@@ -229,7 +229,7 @@ def bounds_report(
     extra_ells=(),
 ) -> dict:
     # _round12 by name, so that an int p or eps still prints as a float; the
-    # field order of each dataclass is its key order in the report
+    # field order of each record is its key order in the report
     out: dict = {"n": n, "k": k, "p": _round12(p), "eps": _round12(eps)}
     if ell is not None:
         params = bounds_mod.TheoremParams(n=n, k=k, ell=ell, p=p, eps=eps)
@@ -242,13 +242,13 @@ def bounds_report(
             lhs=_round12((1.0 - eps) * p),
             condition=bounds_mod.condition_holds(params),
             g_decreasing=bounds_mod.g_is_decreasing(d, t, p),
-            chain=_rounded(vars(bounds_mod.ln_pA_bound(params))),
+            chain=_rounded(bounds_mod.ln_pA_bound(params)._asdict()),
         )
     if sweep:
         bg = bounds_mod.best_gap(n, k, p, eps)
-        out["best_gap"] = _rounded(vars(bg)) if bg is not None else None
+        out["best_gap"] = _rounded(bg._asdict()) if bg is not None else None
         report = bounds_mod.corollary_regime_report(n, k, p, eps, extra_ells)
-        out["regime"] = [_rounded(vars(e)) for e in report.entries]
+        out["regime"] = [_rounded(e._asdict()) for e in report.entries]
         out["certified"] = list(report.certified)
     return out
 

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .bounds import derived_params
 from .errors import CapacityError
-from .gale import (
-    HemispherePartition,
-    WitnessSearch,
-    build_embedding,
-    partition_to_json_dict,
-)
+from .gale import WitnessSearch, build_embedding, partition_to_json_dict
 from .graphs import build_schrijver, sample_subgraph
 from .setfam import iter_bits
 
@@ -21,13 +16,11 @@ MAX_SIDE = 128
 MAX_T = 8
 
 
-@dataclass(frozen=True)
-class EventAReport:
-    holds: bool
-    partitions_examined: int
-    partition: HemispherePartition | None = None
-    m_plus: tuple[int, ...] = ()
-    m_minus: tuple[int, ...] = ()
+EventAReport = namedtuple(
+    "EventAReport",
+    "holds partitions_examined partition m_plus m_minus",
+    defaults=[None, (), ()],
+)
 
 
 def event_a_oracle(

@@ -9,7 +9,7 @@ by exact integer inner products when it is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import mul, xor
@@ -25,14 +25,10 @@ MAX_FACES = 2**18
 MAX_HEMISPHERES = 2**16
 
 
-@dataclass(frozen=True)
-class GaleEmbedding:
+class GaleEmbedding(namedtuple("GaleEmbedding", "n s d points")):
     """n alternating-sign moment-curve points in Z^d, d = n - 2s + 1."""
 
-    n: int
-    s: int
-    d: int
-    points: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 class HemispherePartition:
@@ -120,8 +116,7 @@ class FaceSet:
         return len(self.faces) == self.cover
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "face color count_pos count_neg t_pos t_neg")):
     """Direction whose two strict open sides both host >= t of the same color.
 
     The direction may lie on up to d-1 point hyperplanes; those points count
@@ -129,12 +124,7 @@ class Witness:
     colorings for which no full-dimensional cell works.
     """
 
-    face: HemispherePartition
-    color: int
-    count_pos: int
-    count_neg: int
-    t_pos: int
-    t_neg: int
+    __slots__ = ()
 
 
 def _mask_of(signs, value: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import seeds
 from .errors import CapacityError
@@ -30,20 +30,11 @@ KNESER = "kneser"
 SCHRIJVER = "schrijver"
 
 
-@dataclass(frozen=True)
-class Provenance:
-    p: float
-    seed: int
+Provenance = namedtuple("Provenance", "p seed")
 
 
-@dataclass(frozen=True)
-class Graph:
-    family: str
-    n: int
-    k: int
-    vertices: tuple[KSubset, ...]
-    adj: tuple[int, ...]
-    provenance: Provenance | None = None
+class Graph(namedtuple("Graph", "family n k vertices adj provenance", defaults=[None])):
+    __slots__ = ()
 
     @property
     def num_vertices(self) -> int:

@@ -7,7 +7,7 @@ The canonical vertex order everywhere in this package is colexicographic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_
@@ -19,14 +19,10 @@ MAX_GROUND_SET = 64
 LN_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class KSubset:
+class KSubset(namedtuple("KSubset", "mask n k rank")):
     """A k-element subset of [n], with its colex rank among all k-subsets."""
 
-    mask: int
-    n: int
-    k: int
-    rank: int
+    __slots__ = ()
 
     def elements(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)

@@ -380,6 +380,17 @@ class TestRandomChi:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_out_dataclasses(self):
+        # records are named tuples: every command's start-up skips dataclasses
+        # and the inspect, ast and dis modules that it pulls in
+        code = (
+            "import sys, kneser_chroma.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_library_matches_cli(self, tmp_path):
         rows, summary = run_random_chi(
             family="schrijver", n=7, k=2, p=0.6, trials=6, master_seed=4, ell=1

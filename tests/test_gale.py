@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -298,7 +297,7 @@ class TestGaleProperty:
 def positive_curve(n, s):
     """The all-positive curve (1, x, ..., x^(d-1)), x = 1..n: no alternation."""
     d = n - 2 * s + 1
-    return dataclasses.replace(moment_curve([1] * n, range(1, n + 1), d), s=s)
+    return moment_curve([1] * n, range(1, n + 1), d)._replace(s=s)
 
 
 def gale_grid():
@@ -333,7 +332,7 @@ class TestAgainstIndexedVerify:
             n = rng.randint(d - 1, 13)
             xs = sorted(rng.sample(range(-15, 16), n))
             emb = moment_curve([rng.choice((1, -1)) for _ in xs], xs, d)
-            emb = dataclasses.replace(emb, s=rng.randint(1, max(1, n // 2)))
+            emb = emb._replace(s=rng.randint(1, max(1, n // 2)))
             found.add(self.same(emb) is None)
         assert found == {True, False}
 
