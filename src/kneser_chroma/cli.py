@@ -312,6 +312,23 @@ def _config_flags(argv: list[str]) -> list[str]:
     return flags
 
 
+def _at_least_zero(kind):
+    """An argparse type: ``kind`` of the text, refused below 0 or as NaN.
+
+    It keeps ``kind``'s name, so unparsable text still reads "invalid int
+    value", and a refusal names the flag, from a config file too.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _budget_args(cfg) -> Budget | None:
     if cfg.get("budget_nodes") is None and cfg.get("budget_ms") is None:
         return None
@@ -428,6 +445,8 @@ def _cmd_witness(cfg) -> int:
 
 
 def _cmd_bounds(cfg) -> int:
+    if cfg.get("ells") is not None and not cfg.get("sweep"):
+        raise ValueError("--ells is read only by --sweep")
     out = bounds_report(
         n=cfg["n"],
         k=cfg["k"],
@@ -454,6 +473,14 @@ def _cmd_gale_verify(cfg) -> int:
     return EXIT_OK if out["ok"] else EXIT_FALSIFIED
 
 
+def _add_budget(sub: argparse.ArgumentParser) -> None:
+    # a NaN deadline never passes and a negative node cap stops every
+    # search at once; 0 is still a budget
+    nodes, ms = _at_least_zero(int), _at_least_zero(float)
+    sub.add_argument("--budget-nodes", type=nodes, default=None, dest="budget_nodes")
+    sub.add_argument("--budget-ms", type=ms, default=None, dest="budget_ms")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file (flags take precedence)")
     sub.add_argument("--out", help="output path (default stdout)")
@@ -478,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("chi", help="exact chromatic number of a graph file")
     sub.add_argument("input", help="graph JSON file")
-    sub.add_argument("--budget-nodes", type=int, default=None, dest="budget_nodes")
-    sub.add_argument("--budget-ms", type=float, default=None, dest="budget_ms")
+    _add_budget(sub)
     _add_common(sub)
     sub.set_defaults(func=_cmd_chi)
 
@@ -491,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--trials", type=int, required=True)
     sub.add_argument("--seed", type=int, required=True, help="master seed")
-    sub.add_argument("--budget-nodes", type=int, default=None, dest="budget_nodes")
-    sub.add_argument("--budget-ms", type=float, default=None, dest="budget_ms")
+    _add_budget(sub)
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     _add_common(sub)
     sub.set_defaults(func=_cmd_random_chi)

@@ -173,6 +173,12 @@ def from_json_dict(obj: dict) -> Graph:
     vertices must be the family's whole vertex set in colex order, so they
     and their ranks are taken from the family's own enumeration once the
     count matches.  Edges may come in any order and repeat.
+
+    Each edge is checked where it is read: two indices in range, no
+    self-loop, then disjoint vertex masks (the self-loop check goes first,
+    since the empty set is disjoint from itself).  So every edge of a
+    sampled file lies in the parent graph, and the parent's adjacency is
+    built only for an unsampled file, which must hold all of its edges.
     """
     family, n, k = obj["family"], obj["n"], obj["k"]
     if type(n) is not int or type(k) is not int:
@@ -200,12 +206,12 @@ def from_json_dict(obj: dict) -> Graph:
             raise ValueError(f"edge [{u!r}, {v!r}] is not two indices in 0..{m - 1}")
         if u == v:
             raise ValueError("self-loop in edge list")
+        if masks[u] & masks[v]:
+            raise ValueError("an edge joins two intersecting vertex masks")
         adj[u] |= bit[v]
         adj[v] |= bit[u]
+    adj = tuple(adj)
     prov = _provenance(obj)
-    disjoint = _disjointness_adjacency(vertices, n)
-    if any(row & ~fit for row, fit in zip(adj, disjoint)):
-        raise ValueError("an edge joins two intersecting vertex masks")
-    if prov is None and tuple(adj) != disjoint:
+    if prov is None and adj != _disjointness_adjacency(vertices, n):
         raise ValueError("an unsampled graph lacks an edge between disjoint vertices")
-    return Graph(family, n, k, vertices, tuple(adj), prov)
+    return Graph(family, n, k, vertices, adj, prov)

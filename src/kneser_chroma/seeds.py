@@ -46,28 +46,47 @@ def kept_adjacency(
     so it sends a ^ b to f(a) ^ f(b) and runs once per row key and once
     per column key instead of once per edge.  Likewise y >> 11 < T iff
     y < T << 11 for integers y, T >= 0, so the final shift folds into the
-    threshold.
+    threshold, ``limit``.
+
+    The round ends with y = x ^ (x >> 31) on a 64-bit x.  As x >> 31 <
+    2^33, y and x agree on bits 33-63: y >> 33 == x >> 33.  With
+    ``low = (limit >> 33) << 33`` and ``high = low + 2^33``, x < low gives
+    y >> 33 < limit >> 33, so y < limit, and x >= high gives y >> 33 >
+    limit >> 33, so y >= limit.  Only x in [low, high), one 2^-31 share of
+    the values, computes y.
+
+    Each kept edge costs two big-int ORs.  For p > 1/2 the loop records the
+    dropped edges instead, the smaller side in expectation, and row u is
+    ``adj[u] & ~dropped[u]``: the dropped rows are symmetric like the kept
+    ones, and every edge of ``adj`` is either kept or dropped.
     """
     m = len(ranks)
+    c1, c2, m64 = _MIX_C1, _MIX_C2, _M64
     limit = math.ceil(p * (1 << 53)) << 11
+    low = limit >> 33 << 33
+    high = low + (1 << 33)
+    drop = p > 0.5
     seed_key = mix64(seed ^ _GOLDEN)
-    col_keys = [(r * _MIX_C2) & _M64 for r in ranks]
+    col_keys = [(r * c2) & m64 for r in ranks]
     col_keys = [c ^ (c >> 30) for c in col_keys]
     bits = [1 << v for v in range(m)]
     out = [0] * m
     for u, (rank_lo, row) in enumerate(zip(ranks, adj)):
-        row_key = mix64(seed_key ^ ((rank_lo * _MIX_C1) & _M64))
+        row_key = mix64(seed_key ^ ((rank_lo * c1) & m64))
         row_key ^= row_key >> 30
         bit = bits[u]
-        kept = 0
+        side = 0
         for v in select_bits(row >> (u + 1), range(u + 1, m)):
-            x = ((row_key ^ col_keys[v]) * _MIX_C1) & _M64
+            x = ((row_key ^ col_keys[v]) * c1) & m64
             x ^= x >> 27
-            x = (x * _MIX_C2) & _M64
-            if x ^ (x >> 31) < limit:
-                kept |= bits[v]
+            x = (x * c2) & m64
+            # dropped iff y >= limit, settled on x outside [low, high)
+            if (x >= low and (x >= high or x ^ (x >> 31) >= limit)) is drop:
+                side |= bits[v]
                 out[v] |= bit
-        out[u] |= kept
+        out[u] |= side
+    if drop:
+        return [row & ~dropped for row, dropped in zip(adj, out)]
     return out
 
 

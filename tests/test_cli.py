@@ -640,6 +640,14 @@ class TestBoundsCmd:
         assert [e["ell"] for e in rep["regime"]] == [1, 2, 3, 5]
         assert rep["config"]["ells"] == [3, 5]
 
+    def test_ells_without_sweep_exit_2(self):
+        # without --sweep no regime is computed, so the listed ells go unread
+        rc, out, err = run_cli(["bounds", "--n", "1000", "--k", "2", "--p", "0.5",
+                                "--eps", "0.1", "--ells", "3", "5"])
+        assert rc == 2
+        assert out == ""
+        assert "--sweep" in err and "Traceback" not in err
+
     def test_sweeps_pinned(self):
         # digest computed with the linear scan over ell that the search replaced
         grid = (
@@ -853,3 +861,56 @@ class TestConfigPrecedence:
         first = out.read_text().splitlines()[0]
         echoed = json.loads(first.split(" ", 2)[2])
         assert echoed["p"] == 0.5 and echoed["seed"] == 3
+
+
+class TestBudgetFlags:
+    RANDOM_CHI = ["random-chi", "--family", "schrijver", "--n", "10", "--k", "3",
+                  "--p", "0.5", "--trials", "1", "--seed", "1"]
+
+    @pytest.mark.parametrize("command", ["chi", "random-chi"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--budget-ms", "nan"), ("--budget-ms", "-1"), ("--budget-ms", "-inf"),
+         ("--budget-nodes", "-1")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nan_or_negative_exit_2(self, tmp_path, command, flag, value, source):
+        # a NaN deadline never passes, so the run would have no limit; a
+        # negative cap would turn every solve into a timeout
+        if command == "chi":
+            g = tmp_path / "g.json"
+            g.write_text(PETERSEN_JSON)
+            args = ["chi", str(g)]
+        else:
+            args = list(self.RANDOM_CHI)
+        if source == "flag":
+            # one word: argparse would take a separate "-inf" for an option
+            args.append(f"{flag}={value}")
+        else:
+            cfg = tmp_path / "cfg.json"
+            key = flag[2:].replace("-", "_")
+            number = float(value) if flag == "--budget-ms" else int(value)
+            # json writes a NaN float as NaN, which its reader takes back
+            cfg.write_text(json.dumps({key: number}))
+            args += ["--config", str(cfg)]
+        rc, out, err = run_cli(args)
+        assert rc == 2
+        assert out == ""
+        assert f"argument {flag}: must be a number >= 0" in err
+        assert "Traceback" not in err
+
+    def test_unparsable_value_message_kept(self):
+        rc, _, err = run_cli([*self.RANDOM_CHI, "--budget-nodes", "x"])
+        assert rc == 2
+        assert "argument --budget-nodes: invalid int value: 'x'" in err
+
+    def test_zero_is_still_a_budget(self, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(PETERSEN_JSON)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        # no node may be spent; the deadline is checked every 1024 nodes, and
+        # Petersen is solved in 5
+        assert main(["chi", str(g), "--budget-nodes", "0", "--out", str(a)]) == 3
+        assert main(["chi", str(g), "--budget-ms", "0", "--out", str(b)]) == 0
+        assert json.loads(a.read_text())["status"] == "timeout"
+        assert json.loads(b.read_text())["status"] == "exact"

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_reference import edges as edge_list
 from graph_reference import reference_canonical_json, to_json_dict
 from test_setfam import rank_mask
 
+from kneser_chroma import graphs
 from kneser_chroma.errors import CapacityError
 from kneser_chroma.gale import WitnessSearch, build_embedding
 from kneser_chroma.graphs import (
@@ -30,6 +32,17 @@ def edge_value(seed, rank_lo, rank_hi):
     x = mix64(x ^ ((rank_lo * 0xBF58476D1CE4E5B9) & M64))
     x = mix64(x ^ ((rank_hi * 0x94D049BB133111EB) & M64))
     return x >> 11
+
+
+def last_product(seed, rank_lo, rank_hi):
+    """x of the last mix64 round, before its final y = x ^ (x >> 31)."""
+    x = mix64(seed ^ 0x9E3779B97F4A7C15)
+    x = mix64(x ^ ((rank_lo * 0xBF58476D1CE4E5B9) & M64))
+    x ^= (rank_hi * 0x94D049BB133111EB) & M64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & M64
+    x ^= x >> 27
+    return (x * 0x94D049BB133111EB) & M64
 
 
 def keep_edge(seed, rank_lo, rank_hi, p):
@@ -307,6 +320,38 @@ class TestSampling:
             assert sample_subgraph(g, p, 5).adj[0] >> 5 & 1 == kept
             assert keep_edge(5, g.vertices[0].rank, g.vertices[5].rank, p) == kept
 
+    def test_tie_band_and_recorded_side(self):
+        # y = x ^ (x >> 31) shares bits 33-63 with x, so the sampler settles
+        # x below [low, low + 2^33) as kept and above it as dropped, and
+        # computes y only inside.  p = value / 2^53 and (value + 1) / 2^53
+        # put the edge of that value inside the band; the other edges of
+        # the graph fall on either side of it.  Below p = 1/2 the kept edges
+        # are recorded, above it the dropped ones.
+        seed = 5
+        hits = set()
+        for g in (build_kneser(6, 2), build_schrijver(8, 2), build_kneser(7, 3)):
+            ranks = [v.rank for v in g.vertices]
+            pairs = [(ranks[u], ranks[v]) for u, v in edge_list(g)]
+            values = [edge_value(seed, *pair) for pair in pairs]
+            ps = [value / 2**53 for value in values]
+            ps += [(value + 1) / 2**53 for value in values]
+            for p in ps + [0.5, math.nextafter(0.5, 1)]:
+                assert sample_subgraph(g, p, seed).adj == per_edge_sample(g, p, seed)
+                limit = math.ceil(p * 2**53) << 11
+                low, high = limit >> 33 << 33, (limit >> 33) + 1 << 33
+                for pair, value in zip(pairs, values):
+                    x = last_product(seed, *pair)
+                    assert (x ^ (x >> 31)) >> 11 == value
+                    band = "below" if x < low else "inside" if x < high else "above"
+                    hits.add((p > 0.5, band, value < p * 2**53))
+        for dropped_recorded in (False, True):
+            assert {
+                (dropped_recorded, "below", True),
+                (dropped_recorded, "above", False),
+                (dropped_recorded, "inside", True),
+                (dropped_recorded, "inside", False),
+            } <= hits
+
     def test_rejects_bad_p_and_resampling(self):
         g = build_kneser(5, 2)
         with pytest.raises(ValueError):
@@ -450,6 +495,44 @@ class TestJson:
         obj.update(change)
         with pytest.raises(ValueError):
             from_json_dict(obj)
+
+    @pytest.mark.parametrize("p", [None, 0.5])
+    def test_parent_adjacency_built_only_for_unsampled(self, monkeypatch, p):
+        # a sampled file's edges are checked one by one against the masks
+        calls = []
+        built = graphs._disjointness_adjacency
+
+        def spy(*args):
+            calls.append(args)
+            return built(*args)
+
+        g = build_schrijver(8, 2)
+        if p is not None:
+            g = sample_subgraph(g, p, seed=3)
+        monkeypatch.setattr(graphs, "_disjointness_adjacency", spy)
+        assert from_json_dict(json.loads(to_canonical_json(g))) == g
+        assert len(calls) == (p is None)
+
+    def test_sampled_edge_between_intersecting_sets_refused(self):
+        obj = to_json_dict(sample_subgraph(build_kneser(4, 2), 0.5, seed=3))
+        obj["edges"].append([0, 1])  # {1,2} and {1,3} intersect
+        with pytest.raises(ValueError, match="intersecting"):
+            from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "prov",
+        [{"p": None, "seed": None, "rng_id": None},
+         {"p": 0.5, "seed": 1, "rng_id": "splitmix64-edge-v1"}],
+        ids=["unsampled", "sampled"],
+    )
+    def test_self_loop_on_the_empty_set_refused(self, prov):
+        # KG(3,0) is one vertex, the empty set, disjoint from itself: only
+        # the self-loop check refuses its loop
+        obj = {"family": "kneser", "n": 3, "k": 0, **prov,
+               "vertices": [0], "edges": [[0, 0]]}
+        with pytest.raises(ValueError, match="self-loop"):
+            from_json_dict(obj)
+        assert from_json_dict(obj | {"edges": []}).adj == (0,)
 
     def test_rejects_unstable_schrijver_vertex(self):
         obj = to_json_dict(build_kneser(5, 2))
