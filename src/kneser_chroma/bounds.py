@@ -84,7 +84,11 @@ def _inv_powers(t: int) -> tuple[float, float]:
 
 def _rhs(n: int, d: int, t: int) -> float:
     inv_t, inv_t2 = _inv_powers(t)
-    return n * LN3 * inv_t2 + 2.0 * (1.0 + math.log(d)) * inv_t
+    try:
+        n_ln3 = n * LN3
+    except OverflowError:  # not a CapacityError: best_gap reads that as t past the cap
+        raise ValueError(f"n with {n.bit_length()} bits is past float range") from None
+    return n_ln3 * inv_t2 + 2.0 * (1.0 + math.log(d)) * inv_t
 
 
 def condition_rhs(n: int, k: int, ell: int) -> float:
@@ -143,11 +147,12 @@ class ChainBounds(namedtuple("ChainBounds", "l1 l2 l3 l4 conclusive")):
 def ln_pA_bound(params: TheoremParams) -> ChainBounds:
     n, p, eps = params.n, params.p, params.eps
     d, t = params.dt
+    conclusive = condition_holds(params)  # first: it refuses an n past float range
     t2 = _safe_product(t, t)
     lnq = math.log1p(-p) if p < 1.0 else -math.inf
     tail = 0.0 if lnq == 0.0 else t2 * lnq
     l1 = n * LN3 + 2.0 * ln_binomial(t * d, t) + tail
-    if not condition_holds(params):
+    if not conclusive:
         return ChainBounds(l1=l1, l2=None, l3=None, l4=None, conclusive=False)
     inv_t, _ = _inv_powers(t)
     tf = 1.0 / inv_t

@@ -48,9 +48,19 @@ TABU_MOVES = 200
 
 
 class Budget(namedtuple("Budget", "max_nodes max_ms", defaults=[None, None])):
-    """Search budget; ``max_nodes`` is deterministic, ``max_ms`` is not."""
+    """Search budget; ``max_nodes`` is deterministic, ``max_ms`` is not.
+
+    A NaN or negative limit is a ValueError, from ``_replace`` too: a NaN
+    deadline never passes, and a negative cap stops every search at once.
+    """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __new__(cls, max_nodes=None, max_ms=None):
+        if not all(x is None or x >= 0 for x in (max_nodes, max_ms)):
+            raise ValueError(f"budget limits must be >= 0, got {max_nodes}, {max_ms}")
+        return super().__new__(cls, max_nodes, max_ms)
 
 
 class _OutOfBudget(Exception):

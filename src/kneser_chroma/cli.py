@@ -116,10 +116,9 @@ def chi_report(graph, budget: Budget | None) -> dict:
 
 
 def _random_chi_trial(args):
-    parent, p, trial, master_seed, max_nodes, max_ms = args
+    parent, p, trial, master_seed, budget = args
     seed = seeds.trial_seed(master_seed, trial)
     sampled = sample_subgraph(parent, p, seed)
-    budget = Budget(max_nodes=max_nodes, max_ms=max_ms)
     t0 = time.perf_counter()
     res = chromatic_number(sampled, budget)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -141,10 +140,11 @@ def run_random_chi(
     """One row per trial plus a summary; chi values are seed-deterministic."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # a bad ell is refused before the parent is built or any trial solved
+    # a bad ell or budget is refused before the parent is built or any trial solved
     threshold = None if ell is None else bounds_mod.derived_params(n, k, ell)[0] + 1
+    budget = Budget(max_nodes, max_ms)
     parent = _build_family(family, n, k, DEFAULT_VERTEX_CAP)
-    jobs = [(parent, p, t, master_seed, max_nodes, max_ms) for t in range(trials)]
+    jobs = [(parent, p, t, master_seed, budget) for t in range(trials)]
     nworkers = workers if workers is not None else worker_count()
     # the pool forks all its workers up front: no more than the trials or the CPUs
     nworkers = min(nworkers, trials, os.cpu_count() or 1)
@@ -329,17 +329,11 @@ def _at_least_zero(kind):
     return parse
 
 
-def _budget_args(cfg) -> Budget | None:
-    if cfg.get("budget_nodes") is None and cfg.get("budget_ms") is None:
-        return None
-    return Budget(max_nodes=cfg.get("budget_nodes"), max_ms=cfg.get("budget_ms"))
-
-
 def _config_echo(cfg: dict, keys) -> dict:
     return {key: cfg.get(key) for key in keys if cfg.get(key) is not None}
 
 
-def _cmd_gen_graph(cfg) -> int:
+def _cmd_gen_graph(cfg) -> tuple[str, int]:
     graph = gen_graph(
         cfg["family"],
         cfg["n"],
@@ -348,27 +342,20 @@ def _cmd_gen_graph(cfg) -> int:
         seed=cfg.get("seed"),
         max_vertices=cfg["max_vertices"],
     )
-    _write_out(to_canonical_json(graph), cfg.get("out"))
-    return EXIT_OK
+    return to_canonical_json(graph), EXIT_OK
 
 
-def _cmd_chi(cfg) -> int:
+def _cmd_chi(cfg) -> tuple[dict, int]:
     with open(cfg["input"], encoding="utf-8") as fh:
         try:
             graph = from_json_dict(json.load(fh))
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ValueError(f"malformed graph file: {exc}") from exc
-    report = chi_report(graph, _budget_args(cfg))
-    report["config"] = _config_echo(cfg, ("input", "budget_nodes", "budget_ms"))
-    _write_out(_canonical_json(report), cfg.get("out"))
-    return EXIT_OK if report["status"] == EXACT else EXIT_TIMEOUT
+    report = chi_report(graph, Budget(cfg["budget_nodes"], cfg["budget_ms"]))
+    return report, EXIT_OK if report["status"] == EXACT else EXIT_TIMEOUT
 
 
-def _cmd_random_chi(cfg) -> int:
-    config = _config_echo(
-        cfg,
-        ("family", "n", "k", "ell", "p", "trials", "seed", "budget_nodes", "budget_ms"),
-    )
+def _cmd_random_chi(cfg) -> tuple[str | dict, int]:
     rows, summary = run_random_chi(
         family=cfg["family"],
         n=cfg["n"],
@@ -380,29 +367,24 @@ def _cmd_random_chi(cfg) -> int:
         max_nodes=cfg.get("budget_nodes"),
         max_ms=cfg.get("budget_ms"),
     )
+    config = _config_echo(cfg, cfg["echo"])
     emit_elapsed = cfg.get("budget_ms") is not None
-    if cfg.get("format") == "json":
-        payload = {
-            "config": config,
-            "rows": [
-                {
-                    "trial": trial,
-                    "seed": seed,
-                    "chi": chi,
-                    "status": status,
-                    "elapsed_ms": round(ms, 3) if emit_elapsed else None,
-                }
-                for trial, seed, chi, status, ms in rows
-            ],
-            "summary": summary,
+    if cfg.get("format") != "json":
+        return random_chi_csv(rows, summary, config, emit_elapsed), EXIT_OK
+    json_rows = [
+        {
+            "trial": trial,
+            "seed": seed,
+            "chi": chi,
+            "status": status,
+            "elapsed_ms": round(ms, 3) if emit_elapsed else None,
         }
-        _write_out(_canonical_json(payload), cfg.get("out"))
-    else:
-        _write_out(random_chi_csv(rows, summary, config, emit_elapsed), cfg.get("out"))
-    return EXIT_OK
+        for trial, seed, chi, status, ms in rows
+    ]
+    return {"config": config, "rows": json_rows, "summary": summary}, EXIT_OK
 
 
-def _cmd_event_a(cfg) -> int:
+def _cmd_event_a(cfg) -> tuple[dict, int]:
     report = event_a_oracle(
         n=cfg["n"],
         k=cfg["k"],
@@ -411,13 +393,10 @@ def _cmd_event_a(cfg) -> int:
         seed=cfg["seed"],
         max_nodes=cfg["max_nodes"],
     )
-    out = event_a_json_dict(report)
-    out["config"] = _config_echo(cfg, ("n", "k", "ell", "p", "seed"))
-    _write_out(_canonical_json(out), cfg.get("out"))
-    return EXIT_OK
+    return event_a_json_dict(report), EXIT_OK
 
 
-def _cmd_witness(cfg) -> int:
+def _cmd_witness(cfg) -> tuple[dict, int]:
     coloring = None
     num_colors = None
     if cfg.get("coloring_file"):
@@ -439,12 +418,10 @@ def _cmd_witness(cfg) -> int:
         coloring=coloring,
         num_colors=num_colors,
     )
-    out["config"] = _config_echo(cfg, ("n", "k", "ell", "seed", "coloring_file"))
-    _write_out(_canonical_json(out), cfg.get("out"))
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def _cmd_bounds(cfg) -> int:
+def _cmd_bounds(cfg) -> tuple[dict, int]:
     if cfg.get("ells") is not None and not cfg.get("sweep"):
         raise ValueError("--ells is read only by --sweep")
     out = bounds_report(
@@ -456,26 +433,21 @@ def _cmd_bounds(cfg) -> int:
         sweep=bool(cfg.get("sweep")),
         extra_ells=cfg.get("ells") or (),
     )
-    out["config"] = _config_echo(cfg, ("n", "k", "ell", "p", "eps", "sweep", "ells"))
-    _write_out(_canonical_json(out), cfg.get("out"))
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def _cmd_gale_verify(cfg) -> int:
+def _cmd_gale_verify(cfg) -> tuple[dict, int]:
     s = cfg.get("s")
     if s is None:
         if cfg.get("k") is None or cfg.get("ell") is None:
             raise ValueError("provide --s or both --k and --ell")
         s = cfg["k"] + cfg["ell"]
     out = gale_verify_report(cfg["n"], s)
-    out["config"] = _config_echo(cfg, ("n", "s", "k", "ell"))
-    _write_out(_canonical_json(out), cfg.get("out"))
-    return EXIT_OK if out["ok"] else EXIT_FALSIFIED
+    return out, EXIT_OK if out["ok"] else EXIT_FALSIFIED
 
 
 def _add_budget(sub: argparse.ArgumentParser) -> None:
-    # a NaN deadline never passes and a negative node cap stops every
-    # search at once; 0 is still a budget
+    # what Budget refuses, refused by the flag's name; 0 is still a budget
     nodes, ms = _at_least_zero(int), _at_least_zero(float)
     sub.add_argument("--budget-nodes", type=nodes, default=None, dest="budget_nodes")
     sub.add_argument("--budget-ms", type=ms, default=None, dest="budget_ms")
@@ -507,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("input", help="graph JSON file")
     _add_budget(sub)
     _add_common(sub)
-    sub.set_defaults(func=_cmd_chi)
+    sub.set_defaults(func=_cmd_chi, echo=("input", "budget_nodes", "budget_ms"))
 
     sub = subs.add_parser("random-chi", help="chi of sampled subgraphs, CSV rows")
     sub.add_argument("--family", required=True, choices=("kneser", "schrijver"))
@@ -520,7 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(sub)
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     _add_common(sub)
-    sub.set_defaults(func=_cmd_random_chi)
+    sub.set_defaults(
+        func=_cmd_random_chi,
+        echo=("family", "n", "k", "ell", "p", "trials", "seed", "budget_nodes",
+              "budget_ms"),
+    )
 
     sub = subs.add_parser("event-a", help="exhaustive event-A oracle on one sample")
     sub.add_argument("--n", type=int, required=True)
@@ -530,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--max-nodes", type=int, default=10**7, dest="max_nodes")
     _add_common(sub)
-    sub.set_defaults(func=_cmd_event_a)
+    sub.set_defaults(func=_cmd_event_a, echo=("n", "k", "ell", "p", "seed"))
 
     sub = subs.add_parser("witness", help="antipodal monochromatic witness search")
     sub.add_argument("--n", type=int, required=True)
@@ -539,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=None, help="random-coloring seed")
     sub.add_argument("--coloring-file", default=None, dest="coloring_file")
     _add_common(sub)
-    sub.set_defaults(func=_cmd_witness)
+    sub.set_defaults(func=_cmd_witness, echo=("n", "k", "ell", "seed", "coloring_file"))
 
     sub = subs.add_parser("bounds", help="condition, chain, and gap optimizer")
     sub.add_argument("--n", type=int, required=True)
@@ -550,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sweep", action="store_true")
     sub.add_argument("--ells", type=int, nargs="*", default=None)
     _add_common(sub)
-    sub.set_defaults(func=_cmd_bounds)
+    sub.set_defaults(
+        func=_cmd_bounds, echo=("n", "k", "ell", "p", "eps", "sweep", "ells")
+    )
 
     sub = subs.add_parser("gale-verify", help="hemisphere property of the embedding")
     sub.add_argument("--n", type=int, required=True)
@@ -558,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--ell", type=int, default=None)
     _add_common(sub)
-    sub.set_defaults(func=_cmd_gale_verify)
+    sub.set_defaults(func=_cmd_gale_verify, echo=("n", "s", "k", "ell"))
 
     return parser
 
@@ -568,15 +546,20 @@ def main(argv=None) -> int:
     try:
         # config entries go first, so that the command line's own flags win
         argv[1:1] = _config_flags(argv)
-        args = build_parser().parse_args(argv)
-        return args.func(vars(args))
+        cfg = vars(build_parser().parse_args(argv))
+        payload, code = cfg["func"](cfg)
+        if isinstance(payload, dict):
+            payload["config"] = _config_echo(cfg, cfg["echo"])
+            payload = _canonical_json(payload)
+        _write_out(payload, cfg["out"])
+        return code
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except NoWitnessFound as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

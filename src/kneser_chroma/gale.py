@@ -16,7 +16,7 @@ from operator import mul, xor
 
 from .errors import CapacityError, NoWitnessFound
 from .graphs import SCHRIJVER, family_vertices
-from .setfam import MAX_GROUND_SET, SubsetIndex
+from .setfam import SubsetIndex, _check_domain
 
 # the most faces enumerate_faces builds (Cover's formula) and the most
 # canonical hemispheres verify_gale_property checks (2 C(n, d-1)); either
@@ -138,6 +138,7 @@ def build_embedding(n: int, s: int) -> GaleEmbedding:
     d = n - 2 * s + 1
     if d < 2:
         raise ValueError(f"d = n - 2s + 1 = {d} < 2 (need n >= 2s + 1)")
+    _check_domain(n, s)
     points = []
     for i in range(1, n + 1):
         sgn = -1 if i % 2 else 1
@@ -318,8 +319,7 @@ def verify_gale_property(emb: GaleEmbedding) -> HemispherePartition | None:
     n = emb.n
     what = f"canonical hemispheres of {n} points in dimension {emb.d}"
     _check_capacity(2 * math.comb(n, emb.d - 1), MAX_HEMISPHERES, what)
-    if n > MAX_GROUND_SET:
-        raise CapacityError(f"n={n} exceeds {MAX_GROUND_SET}")
+    _check_domain(n, emb.s)
     s, top = emb.s, n - 1
     for part in canonical_hemispheres(emb):
         plus = part.plus_mask

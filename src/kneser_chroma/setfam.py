@@ -55,7 +55,7 @@ def _check_domain(n: int, k: int) -> None:
     if k < 0 or n < 0:
         raise ValueError("n and k must be nonnegative")
     if n > MAX_GROUND_SET:
-        raise CapacityError(f"n={n} exceeds {MAX_GROUND_SET}")
+        raise CapacityError(f"n={n} exceeds {MAX_GROUND_SET}, the ground-set cap")
 
 
 def enumerate_ksubsets(n: int, k: int) -> list[KSubset]:

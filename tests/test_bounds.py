@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -406,6 +407,29 @@ class TestBisection:
         assert 0 < max(evaluated) < 10**4
         for ell in evaluated:
             assert math.comb(10**6 + ell, ell).bit_length() <= MAX_T_BITS
+
+
+class TestPastFloatRange:
+    """An n that does not convert to a float is a ValueError naming n from
+    every entry point.  Not a CapacityError: best_gap reads that one as a t
+    past MAX_T_BITS and would certify ell = 1."""
+
+    @pytest.mark.parametrize("call", [
+        lambda n: condition_rhs(n, 3, 3),
+        lambda n: condition_holds(TheoremParams(n, 3, 3, 0.5, 0.1)),
+        lambda n: ln_pA_bound(TheoremParams(n, 3, 3, 0.5, 0.1)),
+        lambda n: best_gap(n, 3, 0.5, 0.1),
+        lambda n: corollary_regime_report(n, 3, 0.5, 0.1, (7,)),
+    ])
+    @pytest.mark.parametrize("n", [2**1024, 10**400])
+    def test_value_error_names_n(self, call, n):
+        with pytest.raises(ValueError, match="^n with"):
+            call(n)
+
+    def test_largest_float_still_evaluates(self):
+        n = int(sys.float_info.max)
+        assert condition_rhs(n, 3, 3) == math.inf
+        assert not condition_holds(TheoremParams(n, 3, 3, 0.5, 0.1))
 
 
 class TestRegimeReport:

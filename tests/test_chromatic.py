@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 from functools import cache
 
@@ -148,6 +149,25 @@ class TestChromaticNumber:
         g = build_kneser(10, 2)
         assert chromatic_number(g, Budget(max_ms=0)).status == "timeout"
         assert chromatic_number(g, Budget(max_ms=10**7)) == chromatic_number(g)
+
+    @pytest.mark.parametrize("fields", [
+        {"max_ms": float("nan")}, {"max_ms": -5.0}, {"max_ms": -math.inf},
+        {"max_nodes": -1},
+    ])
+    def test_budget_refuses_nan_or_negative(self, fields):
+        # a NaN deadline never passes (SG(10,3) would run all 149,535 nodes)
+        # and a negative cap would time every search out at once
+        with pytest.raises(ValueError):
+            Budget(**fields)
+        with pytest.raises(ValueError):
+            Budget(max_nodes=10)._replace(**fields)
+
+    def test_budget_limits_kept(self):
+        g = build_kneser(10, 2)
+        assert Budget() == Budget(None, None) == (None, None)
+        assert chromatic_number(g, Budget(0)).status == "timeout"
+        assert chromatic_number(g, Budget(max_ms=math.inf)) == chromatic_number(g)
+        assert Budget(5)._replace(max_ms=0.0) == Budget(5, 0.0)
 
     def test_recursion_limit_restored(self):
         # KG(14,4) has 1,001 vertices; the search on this sample runs deeper

@@ -600,6 +600,14 @@ class TestBoundsCmd:
         assert rc == 4
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--ell", "3"], ["--sweep"]])
+    def test_past_float_range_exit_2(self, flags):
+        # n ln3 would overflow float: refused by name, with no traceback
+        rc, out, err = run_cli(["bounds", "--n", str(10**400), "--k", "3",
+                                "--p", "0.5", "--eps", "0.1", *flags])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: n with") and "Traceback" not in err
+
     def test_headline(self, tmp_path):
         out = tmp_path / "b.json"
         assert main(["bounds", "--n", "1000000", "--k", "2", "--ell", "63096",
@@ -769,6 +777,10 @@ class TestGeometryCaps:
         ["witness", "--n", "64", "--k", "16", "--ell", "15", "--seed", "1"],
         ["gale-verify", "--n", "24", "--s", "3"],
         ["gale-verify", "--n", "30", "--s", "3"],
+        # past the ground-set cap: refused before any point is built
+        *[["gale-verify", "--n", str(n), "--s", "2"] for n in (800, 10**5, 10**400)],
+        *[["witness", "--n", str(n), "--k", "2", "--ell", "2", "--seed", "1"]
+          for n in (800, 10**5, 10**400)],
     ])
     def test_exit_4_within_a_second(self, args, capsys):
         start = time.perf_counter()

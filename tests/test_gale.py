@@ -13,7 +13,7 @@ from gale_reference import (
 )
 
 from kneser_chroma import events, gale, graphs, seeds, setfam
-from kneser_chroma.errors import NoWitnessFound
+from kneser_chroma.errors import CapacityError, NoWitnessFound
 from kneser_chroma.gale import (
     MAX_FACES,
     MAX_HEMISPHERES,
@@ -150,6 +150,16 @@ class TestEmbedding:
             build_embedding(5, 3)  # d = 0
         with pytest.raises(ValueError):
             build_embedding(6, 0)
+
+    def test_ground_set_cap_after_domain_checks(self):
+        # the s and d checks still come first (exit 2), then the cap (exit 4)
+        with pytest.raises(ValueError):
+            build_embedding(10**400, 0)
+        with pytest.raises(ValueError):
+            build_embedding(800, 400)  # d = 1
+        with pytest.raises(CapacityError, match="n=65 exceeds 64"):
+            build_embedding(65, 2)
+        assert len(build_embedding(64, 2).points) == 64
 
     def test_general_position_8_2(self):
         emb = build_embedding(8, 2)
