@@ -4,8 +4,8 @@ Everything is overflow-safe for n up to 1e9: the pigeonhole count t is an
 exact big integer of at most ``MAX_T_BITS`` bits (a larger one is a
 CapacityError), and no other binomial or 3^n is ever materialized outside
 log space.  The condition is monotone in ell, so ``best_gap`` finds the
-smallest certified gap by a galloping bisection in O(log n) condition
-evaluations.
+smallest certified gap by a galloping bisection started at a float estimate
+of the answer, in a few condition evaluations.
 """
 
 from __future__ import annotations
@@ -165,17 +165,53 @@ def ln_pA_bound(params: TheoremParams) -> ChainBounds:
 BestGap = namedtuple("BestGap", "ell gap chi_lower")
 
 
+def _estimate(n: int, k: int, lhs: float, ell_max: int) -> int:
+    """Float guess at ``best_gap``'s answer, in 1..ell_max; 1 past float range.
+
+    With a = n ln3 and b = 2 + 2 ln d, lhs > a/t^2 + b/t iff t > t*, the root
+    of lhs t^2 - b t - a, and ceil(C(k+ell, k)/d) > t* iff C(k+ell, k) >
+    floor(t*) d.  This solves ln C(k+ell, k) = ln(floor(t*) d) in log space
+    (t* d overflows at (1e7, 1e6, 1e-300, 0.1)), refitting d at each step:
+    first by (ell + (k+1)/2)^k / k! >= C(k+ell, k) (AM-GM), then by Newton.
+    """
+    try:
+        a, lk, ell = n * LN3, math.lgamma(k + 1), 0.0
+        for i in range(8):
+            d = max(n - 2 * k - 2 * ell + 1, 2.0)
+            b = 2.0 * (1.0 + math.log(d))
+            root = math.sqrt(b * b + 4.0 * lhs * a)
+            ln_t = math.log(b + root) - math.log(2.0 * lhs)
+            if ln_t < 36.0:  # past 2^52, floor(t*) is t* in float
+                ln_t = math.log(math.floor(math.exp(ln_t)))
+            # the target falls by slope per unit of ell
+            target, slope = ln_t + math.log(d), 2.0 * (1.0 + 2.0 / root) / d
+            if i == 0:
+                m = math.exp((target + lk) / k)
+                step = ((k + 1) / 2 - m) / (1.0 + m * slope / k)
+            else:
+                f = math.lgamma(k + ell + 1) - math.lgamma(ell + 1) - lk - target
+                step = f / (math.log((k + ell + 0.5) / (ell + 0.5)) + slope)
+            ell = min(max(ell - step, 0.0), ell_max)
+            if i and abs(step) < 0.1:
+                break
+        return min(int(ell) + 1, ell_max)
+    except (OverflowError, ValueError):  # n or an intermediate past float range
+        return 1
+
+
 def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
     """Minimal ell >= 1 whose condition holds; None when no ell works.
 
-    The condition is monotone in ell, so a search over 1..ell_max, with
-    ell_max = (n-2k-1)//2 the last ell keeping d >= 2, finds the first ell
-    that holds in O(log n) calls of ``condition_holds``.  It gallops
-    (ell = 1, 2, 4, ..., then ell_max) until the condition holds and bisects
-    between the last two ells tried, so it never evaluates an ell beyond
-    twice the answer: the exact C(k+ell, k) costs seconds once it has a
-    million bits, and a plain bisection would compute C(k + ell_max/2, k)
-    even where ell = 2 is the answer.  Monotonicity:
+    The condition is monotone in ell (below), so the answer is the first ell
+    of 1..ell_max = (n-2k-1)//2 (the last with d >= 2) that holds.  Probing
+    e-1 and e, e from ``_estimate``, the search gallops down (e-2, e-3, e-5,
+    ...) if e-1 holds, else up (e+1, e+2, e+4, ..., ell_max), then bisects the
+    last two ells tried.  Only probes move its bracket (false below lo, true
+    at hi), so a bad estimate costs probes, about 2 log2 of its miss, never a
+    wrong ell.  A probe builds at most one C(k+ell, k), and ``derived_params``
+    refuses one past MAX_T_BITS before building it; the tests bound the probes
+    by twice the answer at large n and k.  None is probed when (1 - eps) p
+    rounds to 0, where no ell holds.  Monotonicity:
 
     - From ell to ell+1, d = n-2k-2ell+1 drops by 2 and C(k+ell, k) rises,
       so C(k+ell, k)/d rises and t = ceil(C(k+ell, k)/d) never decreases.
@@ -199,8 +235,7 @@ def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
     - Past MAX_T_BITS, where ``derived_params`` refuses to build t, the
       condition is decided without it: t > 2^65536 / d puts exp(-log t)
       below float's smallest value, so rhs evaluates to exactly 0.0 and the
-      condition to (1 - eps) p > 0 -- the value it would compute, and true
-      at every ell past the cap or false at all of them.
+      condition holds at every ell past the cap, as (1 - eps) p > 0 here.
     """
     if k < 2:
         raise ValueError(f"precondition k >= 2 violated (k={k})")
@@ -208,23 +243,29 @@ def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
         raise ValueError(f"p={p} outside (0, 1]")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps={eps} outside (0, 1)")
-    ell_max = (n - 2 * k - 1) // 2
-    if ell_max < 1:
+    ell_max, lhs = (n - 2 * k - 1) // 2, (1.0 - eps) * p
+    if ell_max < 1 or lhs == 0.0:
         return None
 
     def holds(ell: int) -> bool:
         try:
             params = TheoremParams(n=n, k=k, ell=ell, p=p, eps=eps)
         except CapacityError:  # t past MAX_T_BITS: rhs is 0.0, see above
-            return (1.0 - eps) * p > 0.0
+            return True
         return condition_holds(params)
 
-    # invariant: the condition fails below lo, and holds at hi once found
-    lo, hi = 1, 1
-    while not holds(hi):
-        if hi == ell_max:
-            return None
-        lo, hi = hi + 1, min(2 * hi, ell_max)
+    e = _estimate(n, k, lhs, ell_max)
+    if e > 1 and holds(e - 1):
+        hi, x, step = e - 1, max(e - 2, 1), 2
+        while hi > 1 and holds(x):
+            hi, x, step = x, max(e - 1 - step, 1), 2 * step
+        lo = min(x + 1, hi)
+    else:
+        lo, hi, step = e, e, 1
+        while not holds(hi):
+            if hi == ell_max:
+                return None
+            lo, hi, step = hi + 1, min(e + step, ell_max), 2 * step
     while lo < hi:
         mid = (lo + hi) // 2
         if holds(mid):

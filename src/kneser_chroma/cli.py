@@ -312,8 +312,8 @@ def _config_flags(argv: list[str]) -> list[str]:
     return flags
 
 
-def _at_least_zero(kind):
-    """An argparse type: ``kind`` of the text, refused below 0 or as NaN.
+def _at_least(kind, low):
+    """An argparse type: ``kind`` of the text, refused below ``low`` or as NaN.
 
     It keeps ``kind``'s name, so unparsable text still reads "invalid int
     value", and a refusal names the flag, from a config file too.
@@ -321,8 +321,8 @@ def _at_least_zero(kind):
 
     def parse(text: str):
         value = kind(text)
-        if not value >= 0:
-            raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be a number >= {low}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__
@@ -448,7 +448,7 @@ def _cmd_gale_verify(cfg) -> tuple[dict, int]:
 
 def _add_budget(sub: argparse.ArgumentParser) -> None:
     # what Budget refuses, refused by the flag's name; 0 is still a budget
-    nodes, ms = _at_least_zero(int), _at_least_zero(float)
+    nodes, ms = _at_least(int, 0), _at_least(float, 0)
     sub.add_argument("--budget-nodes", type=nodes, default=None, dest="budget_nodes")
     sub.add_argument("--budget-ms", type=ms, default=None, dest="budget_ms")
 
@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--eps", type=float, required=True)
     sub.add_argument("--sweep", action="store_true")
-    sub.add_argument("--ells", type=int, nargs="*", default=None)
+    sub.add_argument("--ells", type=_at_least(int, 1), nargs="*", default=None)
     _add_common(sub)
     sub.set_defaults(
         func=_cmd_bounds, echo=("n", "k", "ell", "p", "eps", "sweep", "ells")

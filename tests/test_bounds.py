@@ -3,11 +3,11 @@ import random
 import sys
 from fractions import Fraction
 
+import bounds_reference as reference
 import mpmath
 import pytest
 
 from kneser_chroma.bounds import (
-    MAX_T_BITS,
     BestGap,
     TheoremParams,
     best_gap,
@@ -361,7 +361,10 @@ class TestBisection:
 
     @pytest.mark.parametrize(
         "n,k,p,eps,ell",
-        [(10**7, 2, 0.5, 0.5, 352828), (10**9, 2, 0.5, 0.1, 9847227)],
+        [(10**7, 2, 0.5, 0.5, 352828), (10**9, 2, 0.5, 0.1, 9847227),
+         # t* d is about e^710 here, past float's range, and a probe far above
+         # the answer is costly: C(k+ell, ell) has 63,328 bits at ell = 7,434
+         (10**7, 10**6, 1e-300, 0.1, 68)],
     )
     def test_evaluations_are_logarithmic(self, evaluated, n, k, p, eps, ell):
         assert best_gap(n, k, p, eps).ell == ell
@@ -376,10 +379,10 @@ class TestBisection:
         assert linear_best_gap(10**7, 10**6, 0.5, 0.1).ell == 2
 
     def test_infeasible_at_1e9_returns_none(self, evaluated):
-        # the linear scan walks all ~5e8 ells here
+        # the linear scan walks all ~5e8 ells here; the estimate is past ell_max
         assert best_gap(10**9, 2, 1e-20, 0.5) is None
-        assert len(evaluated) == 30  # 1, 2, 4, ..., 2^28, ell_max
-        assert evaluated[-1] == (10**9 - 5) // 2
+        ell_max = (10**9 - 5) // 2
+        assert evaluated == [ell_max - 1, ell_max]
 
 
     def test_never_raises_past_the_binomial_cap(self):
@@ -401,12 +404,62 @@ class TestBisection:
         )
 
     def test_zero_lhs_never_evaluates_past_the_cap(self, evaluated):
-        # (1 - 0.5) * 5e-324 rounds to 0, so no ell holds and the gallop runs
-        # to ell_max = 3,999,999, where C(k+ell, k) has millions of bits
+        # (1 - 0.5) * 5e-324 rounds to 0, so no ell holds, up to ell_max =
+        # 3,999,999 where C(k+ell, k) has millions of bits; none is probed
         assert best_gap(10**7, 10**6, 5e-324, 0.5) is None
-        assert 0 < max(evaluated) < 10**4
-        for ell in evaluated:
-            assert math.comb(10**6 + ell, ell).bit_length() <= MAX_T_BITS
+        assert evaluated == []
+
+    def test_bounds_sweep_probes_pinned(self, evaluated):
+        # the 18 sweeps of perfbench's bounds-sweep op mix, p and eps jittered
+        # by up to 2% as there: each probes e - 1, which fails, and e
+        grid = {2: ((0.5, 0.1), (0.9, 0.05), (0.3, 0.2))}
+        grid[3], grid[5] = grid[2], grid[2][:1]
+        mix = [(n, k, p, eps) for n in (10**5, 10**6, 10**7) for k in (2, 3, 5)
+               if k != 2 or n <= 10**6 for p, eps in grid[k]]
+        assert len(mix) == 18
+        rng = random.Random(2015)
+        for _ in range(10):
+            for n, k, p, eps in mix:
+                p, eps = (x * (1.0 + 0.02 * (2.0 * rng.random() - 1.0))
+                          for x in (p, eps))
+                evaluated.clear()
+                ell = best_gap(n, k, p, eps).ell
+                assert evaluated == [ell - 1, ell], (n, k, p, eps)
+
+
+class TestAgainstReference:
+    """The same BestGap, None or exception type as the gallop from ell = 1 in
+    ``bounds_reference``, and on the small grid as the linear scan too."""
+
+    @staticmethod
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except (ValueError, CapacityError) as exc:
+            return type(exc)
+
+    def test_small_grid(self):
+        ps = (1e-300, 1e-9, 0.01, 0.3, 0.5, 0.9, 1.0)
+        cases = [(n, k, p, eps) for n in range(5, 81) for k in range(2, n)
+                 for p in ps for eps in (1e-9, 0.1, 0.5, 0.99)]
+        assert len(cases) == 86184
+        for case in cases:
+            got = self.outcome(best_gap, *case)
+            assert got == self.outcome(reference.best_gap, *case), case
+            assert got == self.outcome(linear_best_gap, *case), case
+
+    def test_wide_grid(self):
+        ns = (7, 9, 10, 11, 12, 15, 20, 30, 50, 100) + tuple(
+            10**e for e in (3, 4, 5, 6, 7, 8, 9, 12))
+        ks = (2, 3, 4, 5, 7, 10, 20, 50, 200, 1000)
+        pes = ((0.5, 0.1), (0.9, 0.05), (0.3, 0.2), (1, 0.5), (0.01, 0.01),
+               (1e-6, 0.9), (0.999, 1e-6), (1e-12, 0.5))
+        for n in ns:
+            for k in ks:
+                for p, eps in pes:
+                    got = self.outcome(best_gap, n, k, p, eps)
+                    assert got == self.outcome(reference.best_gap, n, k, p, eps), (
+                        n, k, p, eps)
 
 
 class TestPastFloatRange:

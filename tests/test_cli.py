@@ -656,6 +656,23 @@ class TestBoundsCmd:
         assert out == ""
         assert "--sweep" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["0", "-3", "3 0", "config"])
+    def test_ells_below_one_exit_2(self, tmp_path, source):
+        # --ell 0 exits 2 on the ell >= 1 precondition; an --ells entry of 0
+        # would print a regime row for ell = 0
+        args = ["bounds", "--n", "1000", "--k", "2", "--p", "0.5", "--eps", "0.1",
+                "--sweep"]
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"ells": [0]}))
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--ells", *source.split()]
+        rc, out, err = run_cli(args)
+        assert (rc, out) == (2, "")
+        assert "argument --ells: must be a number >= 1" in err
+        assert "Traceback" not in err
+
     def test_sweeps_pinned(self):
         # digest computed with the linear scan over ell that the search replaced
         grid = (

@@ -4,7 +4,6 @@ Demo 02 is not pinned: it prints a timing column.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,14 +28,9 @@ STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))
 def test_demo_stdout_pinned(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True,
-        env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
