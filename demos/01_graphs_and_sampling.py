@@ -2,7 +2,7 @@
 # Build Kneser and Schrijver graphs, sample spanning random subgraphs, and
 # show that sampling is reproducible and monotone in p under a fixed seed.
 
-from kneser_chroma import (
+from kneser_chroma.graphs import (
     build_kneser,
     build_schrijver,
     sample_subgraph,

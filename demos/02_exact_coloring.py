@@ -5,14 +5,13 @@
 
 import time
 
-from kneser_chroma import (
-    build_kneser,
-    build_schrijver,
+from kneser_chroma.chromatic import (
     chromatic_number,
     clique_lower,
     max_independent_set,
     vertex_critical,
 )
+from kneser_chroma.graphs import build_kneser, build_schrijver
 
 print("family      n  k   |V|  |E|   chi  n-2k+2  nodes    time")
 for n in range(5, 11):

@@ -3,7 +3,7 @@
 # so that EVERY open hemisphere contains a stable s-subset of [n].  All checks
 # below are exact integer arithmetic: no epsilons, no floating point.
 
-from kneser_chroma import (
+from kneser_chroma.gale import (
     GaleEmbedding,
     build_embedding,
     canonical_hemispheres,

@@ -7,8 +7,7 @@
 
 import random
 
-from kneser_chroma import WitnessSearch, build_embedding
-from kneser_chroma.gale import witness_to_json_dict
+from kneser_chroma.gale import WitnessSearch, build_embedding, witness_to_json_dict
 
 n, k, ell = 8, 2, 1
 emb = build_embedding(n, k + ell)

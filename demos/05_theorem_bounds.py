@@ -3,7 +3,7 @@
 # chain on the bad-event probability, and the smallest certified gap 2*ell.
 # Everything stays in log space; t is an exact big-integer ceiling.
 
-from kneser_chroma import (
+from kneser_chroma.bounds import (
     TheoremParams,
     best_gap,
     condition_holds,

@@ -9,9 +9,11 @@
 
 from collections import Counter
 
-from kneser_chroma import build_schrijver, chromatic_number, derived_params
+from kneser_chroma.bounds import derived_params
+from kneser_chroma.chromatic import chromatic_number
 from kneser_chroma.cli import run_random_chi
 from kneser_chroma.events import event_a_oracle
+from kneser_chroma.graphs import build_schrijver
 
 n, k, ell = 8, 2, 1
 parent_chi = chromatic_number(build_schrijver(n, k)).chi

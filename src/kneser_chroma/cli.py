@@ -44,6 +44,9 @@ EXIT_FALSIFIED = 5
 
 CSV_HEADER = "trial,seed,chi,status,elapsed_ms"
 
+# every trial's job and row is held at once (about 260 MiB per 10**6 trials)
+MAX_TRIALS = 10**6
+
 
 def _round12(x: float) -> float:
     """Floats in reports carry 12 significant digits."""
@@ -87,10 +90,10 @@ def gen_graph(
     seed: int | None = None,
     max_vertices: int = DEFAULT_VERTEX_CAP,
 ):
+    if (p is None) != (seed is None):
+        raise ValueError("--p and --seed are read only together: sampling needs both")
     graph = _build_family(family, n, k, max_vertices)
     if p is not None:
-        if seed is None:
-            raise ValueError("sampling requires a seed")
         graph = sample_subgraph(graph, p, seed)
     return graph
 
@@ -140,6 +143,8 @@ def run_random_chi(
     """One row per trial plus a summary; chi values are seed-deterministic."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise CapacityError(f"trials={trials} exceeds the cap of {MAX_TRIALS}")
     # a bad ell or budget is refused before the parent is built or any trial solved
     threshold = None if ell is None else bounds_mod.derived_params(n, k, ell)[0] + 1
     budget = Budget(max_nodes, max_ms)
@@ -438,6 +443,8 @@ def _cmd_bounds(cfg) -> tuple[dict, int]:
 
 def _cmd_gale_verify(cfg) -> tuple[dict, int]:
     s = cfg.get("s")
+    if s is not None and (cfg.get("k") is not None or cfg.get("ell") is not None):
+        raise ValueError("--s is not read with --k or --ell")
     if s is None:
         if cfg.get("k") is None or cfg.get("ell") is None:
             raise ValueError("provide --s or both --k and --ell")
@@ -512,8 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--ell", type=int, required=True)
-    sub.add_argument("--seed", type=int, default=None, help="random-coloring seed")
-    sub.add_argument("--coloring-file", default=None, dest="coloring_file")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--seed", type=int, default=None, help="random-coloring seed")
+    source.add_argument("--coloring-file", default=None, dest="coloring_file")
     _add_common(sub)
     sub.set_defaults(func=_cmd_witness, echo=("n", "k", "ell", "seed", "coloring_file"))
 

@@ -102,6 +102,16 @@ class TestGenGraph:
                             "--k", "2", "--p", "0.5"])
         assert rc == 2
 
+    def test_seed_without_p_exit_2(self):
+        # an unsampled graph would go out with the seed silently dropped
+        rc, out, err = run_cli(["gen-graph", "--family", "kneser", "--n", "5",
+                                "--k", "2", "--seed", "3"])
+        assert (rc, out) == (2, "")
+        assert "--p and --seed are read only together" in err
+        assert "Traceback" not in err
+        with pytest.raises(ValueError, match="--p and --seed are read only together"):
+            cli.gen_graph("kneser", 5, 2, seed=3)
+
     def test_stdout_pinned(self, capsys):
         # every KG/SG with n <= 12, unsampled and at p 0.3/0.9 x seeds 1-2;
         # digest computed with the json.dumps writer (tests/graph_reference.py)
@@ -373,6 +383,21 @@ class TestRandomChi:
         assert sizes == want
         assert [r[0] for r in rows] == [0, 1, 2]
 
+    @pytest.mark.parametrize("trials", [10**11, 10**400], ids=["1e11", "1e400"])
+    def test_trials_past_the_cap_exit_4_before_the_parent(
+        self, monkeypatch, capsys, trials
+    ):
+        built, solved = [], []
+        monkeypatch.setattr(cli, "_build_family", lambda *a: built.append(a))
+        monkeypatch.setattr(cli, "chromatic_number", lambda *a: solved.append(a))
+        rc = main(["random-chi", "--family", "kneser", "--n", "5", "--k", "2",
+                   "--p", "0.5", "--trials", str(trials), "--seed", "1",
+                   "--budget-nodes", "10"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (4, "")
+        assert f"exceeds the cap of {cli.MAX_TRIALS}" in err
+        assert built == [] and solved == []
+
     def test_import_leaves_out_multiprocessing(self):
         # only a pooled random-chi run needs the process pool and its imports
         code = "import sys, kneser_chroma.cli; print('multiprocessing' in sys.modules)"
@@ -559,6 +584,25 @@ class TestWitnessCmd:
                          "--coloring-file", str(cf)]) == 2, data
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: "), data
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_seed_with_coloring_file_exit_2(self, tmp_path, source):
+        # the file would color the search, and the seed be echoed unread
+        cf = tmp_path / "col.json"
+        cf.write_text(json.dumps([0] * 20))
+        args = ["witness", "--n", "8", "--k", "2", "--ell", "1",
+                "--coloring-file", str(cf)]
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": 5}))
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--seed", "5"]
+        rc, out, err = run_cli(args)
+        assert (rc, out) == (2, "")
+        message = err.splitlines()[-1]
+        assert "not allowed with argument" in message
+        assert "--seed" in message and "--coloring-file" in message
 
     def test_solver_coloring_feeds_witness(self, tmp_path):
         # an exact d-coloring of a proper subgraph still yields a witness
@@ -753,6 +797,15 @@ class TestGaleVerifyCmd:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["d"] == 4
 
+    @pytest.mark.parametrize(
+        "extra", [["--k", "3", "--ell", "2"], ["--k", "3"], ["--ell", "2"]]
+    )
+    def test_s_with_k_or_ell_exit_2(self, extra):
+        # the report would follow --s and echo a k and ell it never read
+        rc, out, err = run_cli(["gale-verify", "--n", "9", "--s", "2", *extra])
+        assert (rc, out) == (2, "")
+        assert "--s is not read with --k or --ell" in err and "Traceback" not in err
+
     @staticmethod
     def grid_reports():
         return [
@@ -943,3 +996,22 @@ class TestBudgetFlags:
         assert main(["chi", str(g), "--budget-ms", "0", "--out", str(b)]) == 0
         assert json.loads(a.read_text())["status"] == "timeout"
         assert json.loads(b.read_text())["status"] == "exact"
+
+
+class TestPackageRoot:
+    def test_root_holds_only_its_submodules(self):
+        # each public name is imported from its own module; loading the CLI
+        # loads the package's ten modules and no other
+        code = (
+            "import sys, kneser_chroma, kneser_chroma.cli; "
+            "print(sorted(n for n in vars(kneser_chroma) if not n.startswith('__'))); "
+            "print(sorted(m for m in sys.modules if m.startswith('kneser_chroma')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        names, modules = proc.stdout.splitlines()
+        submodules = ["bounds", "chromatic", "cli", "errors", "events", "gale",
+                      "graphs", "seeds", "setfam"]
+        assert names == repr(submodules)
+        assert modules == repr(["kneser_chroma"]
+                               + [f"kneser_chroma.{m}" for m in submodules])

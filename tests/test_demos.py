@@ -1,9 +1,11 @@
-"""The demos' standard output, pinned by sha256.
+"""The demos' standard output, pinned by sha256, and the README's library
+quick start, run as written.
 
-Demo 02 is not pinned: it prints a timing column.
+Demo 02 prints a timing column, so its pin masks that column first.
 """
 
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,28 @@ def test_demo_stdout_pinned(demo):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo]
+
+
+def test_demo_02_stdout_pinned_with_its_times_masked():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "02_exact_coloring.py")],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    # the 24 grid rows each carry one "0.55s"-style time; all else is exact
+    masked, times = re.subn(rb"\d+\.\d\ds", b"<time>", proc.stdout)
+    assert times == 24
+    assert hashlib.sha256(masked).hexdigest() == (
+        "5770e7c5375f55d1da8a4bfdf641e920cd000e9ac2deb36d1d610fb13a9c254f"
+    )
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
