@@ -26,7 +26,7 @@ print(f"\n{'p':>4}  distribution of chi over 200 trials"
 for p in (0.2, 0.4, 0.6, 0.8, 1.0):
     rows, summary = run_random_chi(
         family="schrijver", n=n, k=k, p=p, trials=200, master_seed=606,
-        ell=ell, workers=1,
+        ell=ell,
     )
     hist = Counter(r[2] for r in rows)
     dist = "  ".join(f"chi={c}:{hist[c]:3d}" for c in sorted(hist))

@@ -151,12 +151,14 @@ def ln_pA_bound(params: TheoremParams) -> ChainBounds:
     t2 = _safe_product(t, t)
     lnq = math.log1p(-p) if p < 1.0 else -math.inf
     tail = 0.0 if lnq == 0.0 else t2 * lnq
-    l1 = n * LN3 + 2.0 * ln_binomial(t * d, t) + tail
+    # the tail outgrows 2 ln C(td, t) <= 2t (1 + ln d): a -inf tail is l1
+    l1 = tail if tail == -math.inf else n * LN3 + 2.0 * ln_binomial(t * d, t) + tail
     if not conclusive:
         return ChainBounds(l1=l1, l2=None, l3=None, l4=None, conclusive=False)
-    inv_t, _ = _inv_powers(t)
-    tf = 1.0 / inv_t
-    l2 = n * LN3 + 2.0 * tf * (1.0 + math.log(d)) - p * t2
+    l2 = -math.inf  # past t^2 = inf, where p t^2 is inf and 1/t may round to 0
+    if t2 < math.inf:
+        tf = 1.0 / _inv_powers(t)[0]
+        l2 = n * LN3 + 2.0 * tf * (1.0 + math.log(d)) - p * t2
     l3 = -t2 * eps * p
     l4 = -eps * n * LN3
     return ChainBounds(l1=l1, l2=l2, l3=l3, l4=l4, conclusive=True)

@@ -376,12 +376,11 @@ def _decide_colorable(
 ) -> list[int] | None:
     """Coloring of the active vertices with m colors, or None if impossible.
 
-    Raises _OutOfBudget when the node budget runs out before a verdict.
+    Needs m >= 1 and at least one active vertex: ``chromatic_number`` asks
+    for m >= lower - 1 >= 1, and ``vertex_critical`` for chi - 1 >= 1 with
+    one of its two or more vertices left out.  Raises _OutOfBudget when the
+    node budget runs out before a verdict.
     """
-    if active == 0:
-        return []
-    if m <= 0:
-        return None
     n_bits = active.bit_length()
     kernel, removed = _kernelize(adj, active, m)
     colors = [-1] * n_bits

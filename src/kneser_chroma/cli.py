@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from functools import partial
 
 from . import bounds as bounds_mod
 from . import seeds
@@ -28,7 +30,6 @@ from .gale import (
     witness_to_json_dict,
 )
 from .graphs import (
-    DEFAULT_VERTEX_CAP,
     build_kneser,
     build_schrijver,
     from_json_dict,
@@ -44,7 +45,7 @@ EXIT_FALSIFIED = 5
 
 CSV_HEADER = "trial,seed,chi,status,elapsed_ms"
 
-# every trial's job and row is held at once (about 260 MiB per 10**6 trials)
+# every trial's row is held at once (about 170 MiB per 10**6 trials)
 MAX_TRIALS = 10**6
 
 
@@ -58,8 +59,21 @@ def _rounded(fields: dict) -> dict:
     return {key: _round12(v) if type(v) is float else v for key, v in fields.items()}
 
 
+def _finite_json(obj):
+    """``obj`` with each non-finite float as its repr: "inf", "-inf", "nan"."""
+    if type(obj) is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, dict):
+        return {key: _finite_json(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    """One line of strict JSON: a non-finite float goes out as a string."""
+    text = json.dumps(_finite_json(obj), separators=(",", ":"), allow_nan=False)
+    return text + "\n"
 
 
 def worker_count() -> int:
@@ -71,11 +85,11 @@ def worker_count() -> int:
         return 1
 
 
-def _build_family(family: str, n: int, k: int, max_vertices: int):
+def _build_family(family: str, n: int, k: int):
     if family == "kneser":
-        return build_kneser(n, k, max_vertices)
+        return build_kneser(n, k)
     if family == "schrijver":
-        return build_schrijver(n, k, max_vertices)
+        return build_schrijver(n, k)
     raise ValueError(f"unknown family {family!r} (expected kneser or schrijver)")
 
 
@@ -88,11 +102,10 @@ def gen_graph(
     k: int,
     p: float | None = None,
     seed: int | None = None,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
 ):
     if (p is None) != (seed is None):
         raise ValueError("--p and --seed are read only together: sampling needs both")
-    graph = _build_family(family, n, k, max_vertices)
+    graph = _build_family(family, n, k)
     if p is not None:
         graph = sample_subgraph(graph, p, seed)
     return graph
@@ -118,8 +131,7 @@ def chi_report(graph, budget: Budget | None) -> dict:
 # --- random-chi -----------------------------------------------------------
 
 
-def _random_chi_trial(args):
-    parent, p, trial, master_seed, budget = args
+def _random_chi_trial(parent, p, master_seed, budget, trial):
     seed = seeds.trial_seed(master_seed, trial)
     sampled = sample_subgraph(parent, p, seed)
     t0 = time.perf_counter()
@@ -138,7 +150,6 @@ def run_random_chi(
     ell: int | None = None,
     max_nodes: int | None = None,
     max_ms: float | None = None,
-    workers: int | None = None,
 ) -> tuple[list[tuple], dict]:
     """One row per trial plus a summary; chi values are seed-deterministic."""
     if trials < 1:
@@ -148,21 +159,19 @@ def run_random_chi(
     # a bad ell or budget is refused before the parent is built or any trial solved
     threshold = None if ell is None else bounds_mod.derived_params(n, k, ell)[0] + 1
     budget = Budget(max_nodes, max_ms)
-    parent = _build_family(family, n, k, DEFAULT_VERTEX_CAP)
-    jobs = [(parent, p, t, master_seed, budget) for t in range(trials)]
-    nworkers = workers if workers is not None else worker_count()
+    parent = _build_family(family, n, k)
+    trial = partial(_random_chi_trial, parent, p, master_seed, budget)
     # the pool forks all its workers up front: no more than the trials or the CPUs
-    nworkers = min(nworkers, trials, os.cpu_count() or 1)
+    nworkers = min(worker_count(), trials, os.cpu_count() or 1)
     if nworkers > 1:
         # imported here: it loads multiprocessing and logging, which no other
         # command needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(_random_chi_trial, jobs, chunksize=8))
+            rows = list(pool.map(trial, range(trials), chunksize=8))
     else:
-        rows = [_random_chi_trial(j) for j in jobs]
-    rows.sort(key=lambda r: r[0])
+        rows = list(map(trial, range(trials)))
 
     exact_rows = [r for r in rows if r[3] == EXACT]
     summary = {
@@ -339,14 +348,7 @@ def _config_echo(cfg: dict, keys) -> dict:
 
 
 def _cmd_gen_graph(cfg) -> tuple[str, int]:
-    graph = gen_graph(
-        cfg["family"],
-        cfg["n"],
-        cfg["k"],
-        p=cfg.get("p"),
-        seed=cfg.get("seed"),
-        max_vertices=cfg["max_vertices"],
-    )
+    graph = gen_graph(cfg["family"], cfg["n"], cfg["k"], cfg.get("p"), cfg.get("seed"))
     return to_canonical_json(graph), EXIT_OK
 
 
@@ -390,14 +392,7 @@ def _cmd_random_chi(cfg) -> tuple[str | dict, int]:
 
 
 def _cmd_event_a(cfg) -> tuple[dict, int]:
-    report = event_a_oracle(
-        n=cfg["n"],
-        k=cfg["k"],
-        ell=cfg["ell"],
-        p=cfg["p"],
-        seed=cfg["seed"],
-        max_nodes=cfg["max_nodes"],
-    )
+    report = event_a_oracle(cfg["n"], cfg["k"], cfg["ell"], cfg["p"], cfg["seed"])
     return event_a_json_dict(report), EXIT_OK
 
 
@@ -478,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--p", type=float, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP)
     _add_common(sub)
     sub.set_defaults(func=_cmd_gen_graph)
 
@@ -511,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ell", type=int, required=True)
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--max-nodes", type=int, default=10**7, dest="max_nodes")
     _add_common(sub)
     sub.set_defaults(func=_cmd_event_a, echo=("n", "k", "ell", "p", "seed"))
 

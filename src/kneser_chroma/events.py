@@ -11,9 +11,11 @@ from .gale import WitnessSearch, build_embedding, partition_to_json_dict
 from .graphs import build_schrijver, sample_subgraph
 from .setfam import iter_bits
 
-# the largest side and pigeonhole size the exhaustive search takes on
+# the largest side, pigeonhole size and node count the exhaustive search
+# takes on
 MAX_SIDE = 128
 MAX_T = 8
+MAX_NODES = 10**7
 
 
 EventAReport = namedtuple(
@@ -23,14 +25,7 @@ EventAReport = namedtuple(
 )
 
 
-def event_a_oracle(
-    n: int,
-    k: int,
-    ell: int,
-    p: float,
-    seed: int,
-    max_nodes: int = 10**7,
-) -> EventAReport:
+def event_a_oracle(n: int, k: int, ell: int, p: float, seed: int) -> EventAReport:
     """Exhaustive search for event A over the full cells of the arrangement.
 
     A holds iff some direction has families M+ and M- of stable k-subsets
@@ -67,9 +62,9 @@ def event_a_oracle(
                 return chosen, allowed
             for top in range(t - len(chosen) - 1, cap):
                 nodes += 1
-                if nodes > max_nodes:
+                if nodes > MAX_NODES:
                     raise CapacityError(
-                        f"event-A search exceeded the node cap ({max_nodes}); "
+                        f"event-A search exceeded the node cap ({MAX_NODES}); "
                         "instance too large"
                     )
                 nxt = allowed & ~adj[sp[top]]

@@ -61,9 +61,6 @@ class HemispherePartition:
             return NotImplemented
         return (self.plus_mask, self.minus_mask) == (other.plus_mask, other.minus_mask)
 
-    def __hash__(self):
-        return hash((self.plus_mask, self.minus_mask))
-
     def __repr__(self):
         return f"HemispherePartition(signs={self.signs_string()!r})"
 

@@ -24,7 +24,7 @@ from .setfam import (
     stable_count,
 )
 
-DEFAULT_VERTEX_CAP = 5000
+MAX_VERTICES = 5000
 
 KNESER = "kneser"
 SCHRIJVER = "schrijver"
@@ -64,18 +64,17 @@ def _family(family: str, n: int, k: int):
     return stable_count(n, k), enumerate_stable_ksubsets
 
 
-def family_vertices(
-    family: str, n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP
-) -> list[KSubset]:
+def family_vertices(family: str, n: int, k: int) -> list[KSubset]:
     """The family's vertices in colex order: C(n, k) k-subsets for kneser,
     (n/(n-k)) C(n-k, k) stable ones for schrijver.  That count is held to
-    ``max_vertices`` (CapacityError) before any vertex is built.
+    ``MAX_VERTICES``, read at each call, before any vertex is built
+    (CapacityError).
     """
     count, enumerate_family = _family(family, n, k)
-    if count > max_vertices:
+    if count > MAX_VERTICES:
         raise CapacityError(
             f"{family}({n}, {k}) has {count} vertices, "
-            f"over the vertex cap {max_vertices}"
+            f"over the vertex cap {MAX_VERTICES}"
         )
     return enumerate_family(n, k)
 
@@ -87,15 +86,15 @@ def _disjointness_adjacency(vertices: tuple[KSubset, ...], n: int) -> tuple[int,
     return tuple(index.within(~m) if m else 0 for m in masks)
 
 
-def build_kneser(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
+def build_kneser(n: int, k: int) -> Graph:
     """Kneser graph: all k-subsets of [n], edges between disjoint pairs."""
-    vertices = tuple(family_vertices(KNESER, n, k, max_vertices))
+    vertices = tuple(family_vertices(KNESER, n, k))
     return Graph(KNESER, n, k, vertices, _disjointness_adjacency(vertices, n))
 
 
-def build_schrijver(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
+def build_schrijver(n: int, k: int) -> Graph:
     """Schrijver graph: the Kneser graph induced on stable k-subsets."""
-    vertices = tuple(family_vertices(SCHRIJVER, n, k, max_vertices))
+    vertices = tuple(family_vertices(SCHRIJVER, n, k))
     return Graph(SCHRIJVER, n, k, vertices, _disjointness_adjacency(vertices, n))
 
 

@@ -139,21 +139,22 @@ class SubsetIndex:
         return reduce(and_, missing, self._positions)
 
 
-def _ln_factorial(x: int) -> float:
-    if x < 2**53:
-        return math.lgamma(x + 1.0)
-    # Stirling; the 1/(12x) term already puts the truncation error below 1e-200
-    xf = float(x)
-    return (xf + 0.5) * math.log(x) - xf + 0.5 * LN_2PI + 1.0 / (12.0 * xf)
-
-
 @lru_cache(maxsize=65536)
 def ln_binomial(a: int, b: int) -> float:
-    """ln C(a, b) with relative error <= 1e-9 for a <= 1e9.
+    """ln C(a, b) with relative error <= 1e-9; inf past float range.
 
     Routes through an exact binomial for tiny a, an fsum of integer logs when
-    min(b, a-b) is moderate (the accuracy-critical regime), and log-factorials
-    only when both parts are large enough to drown the cancellation error.
+    m = min(b, a-b) is moderate (the accuracy-critical regime), and else
+    Stirling's series for a!, m! and (a-m)! with the large terms gathered
+    before they are rounded, r = m/a <= 1/2:
+
+        ln C(a, m) = m ((1-r) g + ln a - ln m) - (ln(1-r) + ln m + ln 2pi)/2
+                     - 1/(12m) - r/(12(a-m)),   g = -ln(1-r)/r,
+
+    dropping terms below 1/(360 m^3).  No float(a) is taken, so any a is
+    read (math.log takes big ints), and (a-m) ln(a/(a-m)) = m (1-r) g stays
+    near m.  An m past float range gives inf: ln C(a, m) >= ln C(2m, m) >=
+    2m ln 2 - ln(2 sqrt(m)) is past it too.
     """
     if b < 0 or b > a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
@@ -166,7 +167,15 @@ def ln_binomial(a: int, b: int) -> float:
         return math.fsum(
             math.log(a - m + i) - math.log(i) for i in range(1, m + 1)
         )
-    return _ln_factorial(a) - _ln_factorial(b) - _ln_factorial(a - b)
+    try:
+        mf = float(m)
+    except OverflowError:
+        return math.inf
+    r = m / a
+    g = -math.log1p(-r) / r if r else 1.0
+    lead = mf * ((1.0 - r) * g + math.log(a) - math.log(m))
+    half = 0.5 * (math.log1p(-r) + math.log(m) + LN_2PI)
+    return lead - half - 1.0 / (12.0 * mf) - m / (12 * a * (a - m))
 
 
 def stable_count(n: int, k: int) -> int:

@@ -260,8 +260,7 @@ def test_criterion_09_random_chi_sandwich():
         per_p = {}
         for p in ps:
             rows, summary = run_random_chi(
-                family=family, n=n, k=k, p=p, trials=200, master_seed=909,
-                workers=1,
+                family=family, n=n, k=k, p=p, trials=200, master_seed=909
             )
             assert summary["timeouts"] == 0
             chis = [r[2] for r in rows]

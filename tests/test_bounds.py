@@ -409,6 +409,27 @@ class TestBisection:
         assert best_gap(10**7, 10**6, 5e-324, 0.5) is None
         assert evaluated == []
 
+    def test_probes_past_the_cap_hold(self, monkeypatch):
+        # an estimate at ell_max has the search gallop down through ells whose
+        # C(k+ell, k) is past MAX_T_BITS: each holds without building t
+        import kneser_chroma.bounds as bounds_mod
+
+        want = best_gap(10**6, 10**5, 0.5, 0.1)
+        capped = []
+        real = bounds_mod.derived_params
+
+        def counted(n, k, ell):
+            try:
+                return real(n, k, ell)
+            except CapacityError:
+                capped.append(ell)
+                raise
+
+        monkeypatch.setattr(bounds_mod, "derived_params", counted)
+        monkeypatch.setattr(bounds_mod, "_estimate", lambda n, k, lhs, top: top)
+        assert best_gap(10**6, 10**5, 0.5, 0.1) == want
+        assert want.ell == 2 and len(capped) == 23
+
     def test_bounds_sweep_probes_pinned(self, evaluated):
         # the 18 sweeps of perfbench's bounds-sweep op mix, p and eps jittered
         # by up to 2% as there: each probes e - 1, which fails, and e

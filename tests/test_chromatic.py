@@ -431,6 +431,25 @@ class TestVertexCritical:
     def test_indeterminate_on_tiny_budget(self):
         assert vertex_critical(build_schrijver(8, 2), Budget(max_nodes=1)) is None
 
+    def test_one_vertex_is_critical(self):
+        assert vertex_critical(build_kneser(3, 0)) is True
+
+    def test_budget_runs_out_in_the_per_vertex_loop(self):
+        # the per-vertex refutations count the budget afresh and spend more
+        # of it than chromatic_number did
+        g = build_schrijver(7, 2)
+        budget = Budget(max_nodes=chromatic_number(g).nodes_explored)
+        assert chromatic_number(g, budget).status == EXACT
+        assert vertex_critical(g, budget) is None
+        assert vertex_critical(g) is True
+
+    def test_empty_graph_refused(self):
+        g = build_schrijver(3, 2)
+        assert g.num_vertices == 0
+        for fn in (clique_lower, max_independent_set, vertex_critical):
+            with pytest.raises(ValueError, match="empty graph"):
+                fn(g)
+
 
 class TestSubgraphMonotonicity:
     def test_chi_never_exceeds_parent(self):

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import json
@@ -10,9 +11,10 @@ from functools import cache
 import pytest
 from test_chromatic import is_proper
 
-from kneser_chroma import bounds, cli, seeds
+from kneser_chroma import bounds, cli, events, gale, graphs, seeds
 from kneser_chroma.chromatic import Budget, chromatic_number
 from kneser_chroma.cli import CSV_HEADER, chi_report, main, run_random_chi, run_witness
+from kneser_chroma.errors import NoWitnessFound
 from kneser_chroma.events import event_a_json_dict, event_a_oracle
 from kneser_chroma.gale import GaleEmbedding
 from kneser_chroma.graphs import build_kneser, build_schrijver, sample_subgraph
@@ -30,6 +32,15 @@ def sha256_of_reports(reports):
     for rep in reports:
         h.update((json.dumps(rep, separators=(",", ":")) + "\n").encode())
     return h.hexdigest()
+
+
+def strict_json(text):
+    """json.loads that refuses the bare NaN and Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_cli(args, env_extra=None):
@@ -89,13 +100,14 @@ class TestGenGraph:
         assert rc == (0 if rep["status"] == "exact" else 3)
         assert len(rep["coloring"]) == 400
 
-    def test_zero_vertex_cap_exit_4(self):
+    def test_zero_vertex_cap_exit_4(self, monkeypatch, capsys):
         # a cap of 0 is a cap, not "use the default"
-        for cap in ("0", "1"):
-            rc, _, err = run_cli(["gen-graph", "--family", "kneser", "--n", "6",
-                                  "--k", "2", "--max-vertices", cap])
-            assert rc == 4
-            assert "cap" in err
+        for cap in (0, 1):
+            monkeypatch.setattr(graphs, "MAX_VERTICES", cap)
+            rc = main(["gen-graph", "--family", "kneser", "--n", "6", "--k", "2"])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (4, "")
+            assert f"over the vertex cap {cap}" in err
 
     def test_seed_required_with_p(self):
         rc, _, _ = run_cli(["gen-graph", "--family", "kneser", "--n", "5",
@@ -335,6 +347,25 @@ class TestRandomChi:
         chis = [int(ln.split(",")[2]) for ln in lines[2:-1]]
         assert all(c <= 6 for c in chis)  # chi(SG_8_2) = 6
 
+    def test_zero_trials_exit_2(self, capsys):
+        rc = main(["random-chi", "--family", "kneser", "--n", "5", "--k", "2",
+                   "--p", "0.5", "--trials", "0", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert "trials must be >= 1" in err
+
+    def test_no_exact_row_leaves_the_frequency_null(self, capsys):
+        # a budget of 0 nodes times every trial out: no chi is counted
+        rc = main(["random-chi", "--family", "schrijver", "--n", "8", "--k", "2",
+                   "--ell", "1", "--p", "0.9", "--trials", "3", "--seed", "1",
+                   "--budget-nodes", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[-1] == (
+            '# summary {"trials":3,"solved":0,"timeouts":3,'
+            '"chi_threshold":4,"freq_chi_ge_threshold":null}'
+        )
+
     def test_bad_ell_exits_2_before_the_parent(self):
         # KG(20, 8) is over the vertex cap, but d = -13 is refused first
         rc, out, err = run_cli(["random-chi", "--family", "kneser", "--n", "20",
@@ -493,11 +524,21 @@ class TestEventA:
                         assert not g.adj[u] >> v & 1
             assert found > 0
 
-    def test_node_cap_exit_4(self, tmp_path):
-        rc, _, err = run_cli(["event-a", "--n", "10", "--k", "2", "--ell", "1",
-                              "--p", "0.99", "--seed", "3", "--max-nodes", "5"])
-        assert rc == 4
+    def test_node_cap_exit_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(events, "MAX_NODES", 5)
+        rc = main(["event-a", "--n", "10", "--k", "2", "--ell", "1",
+                   "--p", "0.99", "--seed", "3"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (4, "")
         assert "too large" in err
+
+    def test_side_cap_exit_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(events, "MAX_SIDE", 0)
+        rc = main(["event-a", "--n", "8", "--k", "2", "--ell", "1",
+                   "--p", "0.5", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (4, "")
+        assert "instance too large for event-A oracle (sides " in err
 
     def test_t_cap_exit_4(self):
         # t = ceil(C(6, 3) / 2) = 10 is over MAX_T = 8
@@ -516,12 +557,14 @@ class TestEventA:
         assert err_a == err_w
         assert "faces of 13 points in dimension 8 exceed the cap" in err_a
 
-    def test_zero_node_cap_exit_4(self):
-        for cap in ("0", "1"):
-            rc, _, err = run_cli(["event-a", "--n", "8", "--k", "2", "--ell", "1",
-                                  "--p", "0.99", "--seed", "3", "--max-nodes", cap])
-            assert rc == 4
-            assert "node cap" in err
+    def test_zero_node_cap_exit_4(self, monkeypatch, capsys):
+        for cap in (0, 1):
+            monkeypatch.setattr(events, "MAX_NODES", cap)
+            rc = main(["event-a", "--n", "8", "--k", "2", "--ell", "1",
+                       "--p", "0.99", "--seed", "3"])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (4, "")
+            assert f"node cap ({cap})" in err
 
     def test_cli_json(self, tmp_path):
         out = tmp_path / "ea.json"
@@ -545,6 +588,22 @@ class TestWitnessCmd:
         assert sha256_of_reports(reports) == (
             "3a58a9c94c5ff7a92892ebb582e9071b8248d79ee90fb28a84a8510a11bc7e2c"
         )
+
+    def test_no_coloring_source_exit_2(self, capsys):
+        rc = main(["witness", "--n", "8", "--k", "2", "--ell", "1"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert "provide either a coloring file or a coloring seed" in err
+
+    def test_no_witness_exit_5(self, monkeypatch, capsys):
+        # a coloring with no antipodal monochromatic pair falsifies the claim
+        def no_witness(search, coloring):
+            raise NoWitnessFound("every cell searched", certified=True)
+
+        monkeypatch.setattr(gale.WitnessSearch, "find", no_witness)
+        rc = main(["witness", "--n", "8", "--k", "2", "--ell", "1", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (5, "", "falsification: every cell searched\n")
 
     def test_random_seed_witness(self, tmp_path):
         out = tmp_path / "w.json"
@@ -651,6 +710,49 @@ class TestBoundsCmd:
                                 "--p", "0.5", "--eps", "0.1", *flags])
         assert (rc, out) == (2, "")
         assert err.startswith("error: n with") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--k", "1", "k >= 2"), ("--p", "1.5", "p=1.5 outside (0, 1]"),
+         ("--p", "nan", "p=nan outside (0, 1]"), ("--eps", "0", "eps=0.0 outside (0, 1)")],
+    )
+    def test_sweep_refusals_exit_2(self, capsys, flag, value, message):
+        flags = {"--n": "1000", "--k": "2", "--p": "0.5", "--eps": "0.1"}
+        flags[flag] = value
+        rc = main(["bounds", *[w for pair in flags.items() for w in pair], "--sweep"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "n,k,ell,p,eps,sweep,want",
+        [
+            # t^2 ln(1-p) is -inf: so is l1, and l2 and l3 past t^2 = inf
+            (10**6, 1000, 10**4, 0.5, 0.1, False,
+             {"l1": "-inf", "l2": "-inf", "l3": "-inf"}),
+            (10**6, 1000, 10**4, 1.0, 0.1, False,
+             {"l1": "-inf", "l2": "-inf", "l3": "-inf"}),
+            # t d is past float range, t^2 is not
+            (10**300, 2, 10**155, 0.5, 0.1, False, {"l1": 1.09861228867e300}),
+            (10**6, 2, 63096, 1.0, 0.5, False, {"l1": "-inf"}),
+            (int(sys.float_info.max), 2, 63096, 1.0, 0.5, True,
+             {"rhs": "inf", "l1": "-inf", "regime_rhs": ["inf", "inf"]}),
+        ],
+        ids=["t2-inf", "t2-inf-p1", "td-past-float", "p1", "n-float-max"],
+    )
+    def test_non_finite_values_are_strict_json(
+        self, capsys, n, k, ell, p, eps, sweep, want
+    ):
+        rc = main(["bounds", "--n", str(n), "--k", str(k), "--ell", str(ell),
+                   "--p", str(p), "--eps", str(eps), *["--sweep"] * sweep])
+        rep = strict_json(capsys.readouterr().out)
+        assert rc == 0
+        got = {"rhs": rep["rhs"], **rep["chain"]}
+        if sweep:
+            got["regime_rhs"] = [e["rhs"] for e in rep["regime"]]
+        assert {key: got[key] for key in want} == want
+        # the library's report keeps its floats
+        assert type(cli.bounds_report(n, k, ell, p, eps)["chain"]["l1"]) is float
 
     def test_headline(self, tmp_path):
         out = tmp_path / "b.json"
@@ -796,6 +898,13 @@ class TestGaleVerifyCmd:
         assert main(["gale-verify", "--n", "9", "--s", "3",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["d"] == 4
+
+    @pytest.mark.parametrize("extra", [[], ["--k", "2"], ["--ell", "1"]])
+    def test_no_s_nor_k_and_ell_exit_2(self, capsys, extra):
+        rc = main(["gale-verify", "--n", "8", *extra])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert "provide --s or both --k and --ell" in err
 
     @pytest.mark.parametrize(
         "extra", [["--k", "3", "--ell", "2"], ["--k", "3"], ["--ell", "2"]]
@@ -1015,3 +1124,60 @@ class TestPackageRoot:
         assert names == repr(submodules)
         assert modules == repr(["kneser_chroma"]
                                + [f"kneser_chroma.{m}" for m in submodules])
+
+
+class TestFlags:
+    """Every subcommand's flags, pinned: a new knob is a reviewed edit here."""
+
+    FLAGS = {
+        "gen-graph": ["--family", "--n", "--k", "--p", "--seed", "--config", "--out"],
+        "chi": ["input", "--budget-nodes", "--budget-ms", "--config", "--out"],
+        "random-chi": ["--family", "--n", "--k", "--ell", "--p", "--trials", "--seed",
+                       "--budget-nodes", "--budget-ms", "--format", "--config",
+                       "--out"],
+        "event-a": ["--n", "--k", "--ell", "--p", "--seed", "--config", "--out"],
+        "witness": ["--n", "--k", "--ell", "--seed", "--coloring-file", "--config",
+                    "--out"],
+        "bounds": ["--n", "--k", "--ell", "--p", "--eps", "--sweep", "--ells",
+                   "--config", "--out"],
+        "gale-verify": ["--n", "--s", "--k", "--ell", "--config", "--out"],
+    }
+
+    def test_flags_pinned(self):
+        parser = cli.build_parser()
+        subs = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            name: [
+                flag
+                for action in sub._actions
+                for flag in action.option_strings or [action.dest]
+                if flag not in ("-h", "--help")
+            ]
+            for name, sub in subs.choices.items()
+        }
+        assert flags == self.FLAGS
+
+    @pytest.mark.parametrize("source", ["--max-vertices", "--max-nodes", "config"])
+    def test_removed_caps_exit_2(self, tmp_path, capsys, source):
+        if source == "--max-nodes":
+            args = ["event-a", "--n", "8", "--k", "2", "--ell", "1", "--p", "0.5",
+                    "--seed", "1", "--max-nodes", "10"]
+        else:
+            args = ["gen-graph", "--family", "kneser", "--n", "5", "--k", "2"]
+            if source == "config":
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps({"max_vertices": 10}))
+                args += ["--config", str(cfg)]
+            else:
+                args += ["--max-vertices", "10"]
+        with pytest.raises(SystemExit) as exit_:
+            main(args)
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, out) == (2, "")
+        assert "unrecognized arguments: --max-" in err
+
+    def test_worker_count_is_no_parameter(self):
+        with pytest.raises(TypeError, match="workers"):
+            run_random_chi("kneser", 5, 2, 0.5, trials=1, master_seed=1, workers=1)

@@ -156,8 +156,7 @@ class TestBuilders:
             build_kneser(65, 2)
         with pytest.raises(CapacityError):
             build_kneser(30, 15)
-        g = build_kneser(14, 2, max_vertices=math.comb(14, 2))  # explicit opt-in
-        assert g.num_vertices == 91
+        assert build_kneser(14, 2).num_vertices == math.comb(14, 2) == 91
 
     def test_adjacency_is_symmetric_irreflexive(self):
         g = build_kneser(6, 2)
@@ -184,11 +183,14 @@ class TestFamilyCap:
         )
         assert build_schrijver(40, 19) == read
 
-    def test_cap_is_the_own_count(self):
+    def test_cap_is_the_own_count(self, monkeypatch):
         # SG(30,14) has 30/16 C(16,14) = 225 vertices
-        assert build_schrijver(30, 14, max_vertices=225).num_vertices == 225
-        with pytest.raises(CapacityError, match="225 vertices, over the vertex cap"):
-            build_schrijver(30, 14, max_vertices=224)
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 225)
+        assert build_schrijver(30, 14).num_vertices == 225
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 224)
+        with pytest.raises(CapacityError, match="225 vertices, over the vertex cap 224"):
+            build_schrijver(30, 14)
+        monkeypatch.undo()
         # SG(34,3) has 4,930 vertices among C(34,3) = 5,984 3-subsets
         assert build_schrijver(34, 3).num_vertices == 4930
         with pytest.raises(CapacityError, match="cap"):

@@ -271,6 +271,23 @@ class TestBinomials:
             expected = float(mpmath.log(mpmath.binomial(a, b)))
             assert ln_binomial(a, b) == pytest.approx(expected, rel=1e-9)
 
+    def test_ln_past_float_range(self):
+        # no float(a) is taken: a past 2^1024 against a high-precision oracle
+        import mpmath
+
+        for a, b in [(2**1100 + 12345, 5 * 10**9), (10**310, 10**20),
+                     (2**1030, 2**1020), (7 * 10**400, 3 * 10**250),
+                     (2**1030, 10_001), (2**1030, 10_000)]:
+            with mpmath.workdps(40 + len(str(a))):
+                expected = float(
+                    mpmath.loggamma(a + 1) - mpmath.loggamma(b + 1)
+                    - mpmath.loggamma(a - b + 1)
+                )
+            assert ln_binomial(a, b) == pytest.approx(expected, rel=1e-9)
+        # ln C(a, m) >= ln C(2m, m) > m ln 2: past float range with m
+        assert ln_binomial(2**2000, 2**1500) == math.inf
+        assert ln_binomial(2**1030, 2**1023) == math.inf
+
     def test_ln_domain(self):
         with pytest.raises(ValueError):
             ln_binomial(10, 11)
