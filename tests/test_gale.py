@@ -314,6 +314,61 @@ def gale_grid():
     return [(n, s) for n in range(3, 17) for s in range(1, (n - 1) // 2 + 1)]
 
 
+class TestCurveSignsDigest:
+    """Everything ``gale`` derives from a curve, pinned on both sign patterns.
+
+    For n = 3..14 and every valid s, one line per canonical hemisphere and
+    per face, each as (plus, minus, normal) in stream order (the CapacityError
+    past ``MAX_FACES``), then ``verify_gale_property``'s counterexample and
+    ``WitnessSearch.find`` for k = 1..s and seeds 0-4.  The digests were taken
+    while embeddings still held a free list of points, decoded back to the
+    curve's signs and x.
+    """
+
+    @staticmethod
+    def key(part):
+        return (part.plus_mask, part.minus_mask, part.normal)
+
+    def lines(self, emb):
+        yield [self.key(p) for p in canonical_hemispheres(emb)]
+        try:
+            yield [self.key(f) for f in enumerate_faces(emb)]
+        except CapacityError as e:
+            yield str(e)
+        bad = verify_gale_property(emb)
+        yield None if bad is None else self.key(bad)
+        for k in range(1, emb.s + 1):
+            try:
+                search = WitnessSearch(emb, k)
+            except CapacityError as e:
+                yield (k, str(e))
+                continue
+            for seed in range(5):
+                coloring = [
+                    seeds.color_at(seed, i, emb.d) for i in range(search.num_stable)
+                ]
+                try:
+                    w = search.find(coloring)
+                except NoWitnessFound as e:
+                    yield (k, seed, str(e), e.certified)
+                else:
+                    yield (k, seed, self.key(w.face), *w[1:])
+
+    @pytest.mark.parametrize("curve, want", [
+        (build_embedding,
+         "c7912cc41f67bb32ab419b9239672578b6b2b59f4c614d396122430fc31a43e0"),
+        (positive_curve,
+         "db8d896dbc2d98f7b7bff1453f0f0cef72f2213673aec6cb02f5870a4906fdc4"),
+    ])
+    def test_grid_pinned(self, curve, want):
+        h = hashlib.sha256()
+        for n in range(3, 15):
+            for s in range(1, (n - 1) // 2 + 1):
+                for line in self.lines(curve(n, s)):
+                    h.update(repr(line).encode() + b"\n")
+        assert h.hexdigest() == want
+
+
 class TestAgainstIndexedVerify:
     """Counting runs on the n-cycle reports what the SubsetIndex check did."""
 
@@ -1040,7 +1095,9 @@ class TestHemisphereCountHook:
 
 class TestCapacity:
     def test_tested_instances_well_below_the_caps(self):
-        # (12, 4) is the largest enumerate_faces call of the tests; gale-verify
+        # (12, 4) is the largest enumerate_faces call of the tests apart from
+        # TestCurveSignsDigest, which reads every instance of its grid under
+        # the cap and pins the CapacityError of the rest; gale-verify
         # (16, 5) has 2 C(16, 6) = 16,016 canonical hemispheres
         assert 8 * len(enumerate_faces(build_embedding(12, 4)).faces) < MAX_FACES
         assert 4 * 16016 < MAX_HEMISPHERES
