@@ -37,8 +37,7 @@ for n in range(5, 13):
 
 # Without the alternating signs the construction fails: all points then lie
 # in one halfspace and some opposite hemisphere is nearly empty.
-pts = tuple(tuple(i**j for j in range(3)) for i in range(1, 7))
-adv = GaleEmbedding(n=6, s=2, d=3, points=pts)
+adv = GaleEmbedding(n=6, s=2, d=3, signs=(1,) * 6)
 bad = verify_gale_property(adv)
 print("\nnon-alternating moment curve (adversarial):")
 print("  counterexample partition:", bad.signs_string(),

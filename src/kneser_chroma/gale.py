@@ -25,10 +25,29 @@ MAX_FACES = 2**18
 MAX_HEMISPHERES = 2**16
 
 
-class GaleEmbedding(namedtuple("GaleEmbedding", "n s d points")):
-    """n alternating-sign moment-curve points in Z^d, d = n - 2s + 1."""
+class GaleEmbedding(namedtuple("GaleEmbedding", "n s d signs")):
+    """n moment-curve points in Z^d: point i = signs[i-1] (1, i, ..., i^(d-1)).
+
+    ``signs`` of a length other than n, or with an entry other than the int
+    1 or -1, is a ValueError, from ``_replace`` too.
+    """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __new__(cls, n, s, d, signs):
+        signs = tuple(signs)
+        if len(signs) != n or any(sg not in (1, -1) or type(sg) is not int
+                                  for sg in signs):
+            raise ValueError(f"need {n} signs, each 1 or -1, got {signs}")
+        return super().__new__(cls, n, s, d, signs)
+
+    @property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        d = self.d
+        return tuple(
+            tuple(sg * x**j for j in range(d)) for x, sg in enumerate(self.signs, 1)
+        )
 
 
 class HemispherePartition:
@@ -124,10 +143,6 @@ class Witness(namedtuple("Witness", "face color count_pos count_neg t_pos t_neg"
     __slots__ = ()
 
 
-def _mask_of(signs, value: int) -> int:
-    return sum(1 << i for i, s in enumerate(signs) if s == value)
-
-
 def build_embedding(n: int, s: int) -> GaleEmbedding:
     """Alternating moment-curve points: point i = (-1)^i (1, i, ..., i^(d-1))."""
     if s < 1:
@@ -136,25 +151,17 @@ def build_embedding(n: int, s: int) -> GaleEmbedding:
     if d < 2:
         raise ValueError(f"d = n - 2s + 1 = {d} < 2 (need n >= 2s + 1)")
     _check_domain(n, s)
-    points = []
-    for i in range(1, n + 1):
-        sgn = -1 if i % 2 else 1
-        points.append(tuple(sgn * i**j for j in range(d)))
-    return GaleEmbedding(n=n, s=s, d=d, points=tuple(points))
+    signs = tuple((-1) ** i for i in range(1, n + 1))
+    return GaleEmbedding(n=n, s=s, d=d, signs=signs)
 
 
 def general_position_check(emb: GaleEmbedding) -> bool:
-    """True iff every d of the n points are linearly independent.
+    """True: every d of the n points are linearly independent.
 
-    The points must be sigma_i (1, x_i, ..., x_i^(d-1)) with sigma_i = +-1 and
-    ascending x_i (``_curve_parameters``); any other point set raises
-    ValueError.  On such a curve the answer is True with no determinant: the
-    rows i_1 < ... < i_d form diag(sigma_i) times the Vandermonde matrix of
-    x_(i_1) < ... < x_(i_d), whose determinant
-    prod sigma_i * prod_(a < b) (x_(i_b) - x_(i_a)) is a product of nonzero
-    factors.
+    No determinant is needed: the rows i_1 < ... < i_d form diag(sigma_i)
+    times the Vandermonde matrix of i_1 < ... < i_d, whose determinant
+    prod sigma_i * prod_(a < b) (i_b - i_a) is a product of nonzero factors.
     """
-    _curve_parameters(emb)
     return True
 
 
@@ -166,32 +173,11 @@ def _times_linear(poly: list[int], a: int, b: int) -> list[int]:
     return out
 
 
-def _curve_parameters(emb: GaleEmbedding) -> tuple[list[int], list[int]]:
-    """(sigma, x) with point i = sigma_i (1, x_i, ..., x_i^(d-1)), x ascending.
-
-    Any other point set raises ValueError.
-    """
-    d, points = emb.d, emb.points
-    if d >= 2 and len(points) == emb.n and all(len(p) == d for p in points):
-        sigmas = [p[0] for p in points]
-        xs = [p[0] * p[1] for p in points]
-        curve = [tuple(sg * x**j for j in range(d)) for sg, x in zip(sigmas, xs)]
-        if (
-            set(sigmas) <= {1, -1}
-            and all(a < b for a, b in zip(xs, xs[1:]))
-            and curve == [tuple(p) for p in points]
-        ):
-            return sigmas, xs
-    raise ValueError(
-        "need points sigma_i (1, x_i, ..., x_i^(d-1)) "
-        "with sigma_i = +-1 and ascending x_i"
-    )
-
-
-def _zero_sets(curve, j: int):
+def _zero_sets(signs, j: int):
     """Each j-subset Z of the points, in ``combinations`` order, with its sides.
 
-    ``curve`` is the (sigma, x) of ``_curve_parameters``.  For each Z this
+    ``signs`` is the curve's sigma: point i (bit i) is
+    sigma_i (1, x_i, ..., x_i^(d-1)) with x_i = i + 1.  For each Z this
     yields (the x of Z, prod_{z in Z} sigma_z, off, base): ``off`` is the
     mask of the points off Z, and ``base`` the plus side of the direction
     whose polynomial is prod_{z in Z} (x - x_z).
@@ -207,15 +193,14 @@ def _zero_sets(curve, j: int):
     base = (S ^ P) & off.  Negating the direction negates every sign off Z,
     so the plus side of -f is base ^ off.
     """
-    sigmas, xs = curve
-    n = len(xs)
+    n = len(signs)
     full = (1 << n) - 1
-    up = _mask_of(sigmas, 1)
+    up = sum(1 << i for i, sg in enumerate(signs) if sg > 0)
     prefixes = [(1 << z) - 1 for z in range(n)]
     bits = [1 << z for z in range(n)]
     # parallel combinations of the same indices: one zero set Z per row
     for pre, bit, sg, zx in zip(
-        *(combinations(v, j) for v in (prefixes, bits, sigmas, xs))
+        *(combinations(v, j) for v in (prefixes, bits, signs, range(1, n + 1)))
     ):
         off = full - sum(bit)
         yield zx, math.prod(sg), off, reduce(xor, pre, up) & off
@@ -224,14 +209,13 @@ def _zero_sets(curve, j: int):
 def canonical_hemispheres(emb: GaleEmbedding):
     """Both orientations of every great sphere through d-1 of the points.
 
-    The points must be sigma_i (1, x_i, ..., x_i^(d-1)) with sigma_i = +-1 and
-    ascending x_i; any other point set raises ValueError.  A direction c with
-    polynomial f(x) = sum_j c_j x^j has <point_i, c> = sigma_i f(x_i), so the
-    sphere through the boundary set Z has the normal
-    f = s prod_{z in Z} (x - x_z), s = (-1)^(d-1) prod_{z in Z} sigma_z.  It is
-    monic up to sign, hence primitive, and it is the cofactor normal of the
-    boundary rows divided by their Vandermonde determinant, which is positive
-    for ascending x: expanding det(rows of Z, point i) along its last row gives
+    A direction c with polynomial f(x) = sum_j c_j x^j has
+    <point_i, c> = sigma_i f(x_i) (``_zero_sets``), so the sphere through the
+    boundary set Z has the normal f = s prod_{z in Z} (x - x_z),
+    s = (-1)^(d-1) prod_{z in Z} sigma_z.  It is monic up to sign, hence
+    primitive, and it is the cofactor normal of the boundary rows divided by
+    their Vandermonde determinant, which is positive for ascending x:
+    expanding det(rows of Z, point i) along its last row gives
     (-1)^(d-1) <point_i, cofactor normal> = prod sigma_z sigma_i V_Z
     prod_{z in Z} (x_i - x_z).
 
@@ -246,7 +230,7 @@ def canonical_hemispheres(emb: GaleEmbedding):
     """
     points = emb.points
     sign = 1 if emb.d % 2 else -1
-    for zx, sg, off, base in _zero_sets(_curve_parameters(emb), emb.d - 1):
+    for zx, sg, off, base in _zero_sets(emb.signs, emb.d - 1):
         s = sign * sg
         plus = base if s > 0 else base ^ off
         yield HemispherePartition(plus, off ^ plus, (points, zx, (), s))
@@ -345,12 +329,11 @@ def _face_normal(points, zeros, sums, orientation: int) -> tuple[int, ...]:
 def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     """Every realizable sign vector of the moment-curve arrangement, zeros included.
 
-    The points must be sigma_i (1, x_i, ..., x_i^(d-1)) with sigma_i = +-1 and
-    ascending x_i; any other point set raises ValueError.  A face's zero set Z
-    has j < min(d, n) points (the all-zero vector is no face), and a
-    direction with zero set Z has the polynomial f = prod_{z in Z} (x - x_z) g
-    with g != 0 and deg g <= d-1-j, so by ``_zero_sets`` its sign at a point
-    i off Z is tau_i = sign g(x_i), negated where ``base`` does not hold i.  A
+    A face's zero set Z has j < min(d, n) points (the all-zero vector is no
+    face), and a direction with zero set Z has the polynomial
+    f = prod_{z in Z} (x - x_z) g with g != 0 and deg g <= d-1-j, so by
+    ``_zero_sets`` its sign at a point i off Z is tau_i = sign g(x_i),
+    negated where ``base`` does not hold i.  A
     sign vector with zero set Z is therefore realizable iff its tau changes
     sign at most d-1-j times along the points off Z: each change of tau
     needs its own root of g; conversely g = +-prod (2x - (a+b)) over the
@@ -379,22 +362,21 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     (CapacityError) before any face is built; ``certified_exhaustive``
     compares it with the count the drained stream generated.
     """
-    curve = _curve_parameters(emb)
     n, d = emb.n, emb.d
     cover = sum(
         math.comb(n, j) * 2 * sum(math.comb(n - j - 1, i) for i in range(d - j))
         for j in range(min(d, n))
     )
     _check_capacity(cover, MAX_FACES, f"faces of {n} points in dimension {d}")
-    return FaceSet(_face_stream(emb.points, d, curve), cover)
+    return FaceSet(_face_stream(emb.points, d, emb.signs), cover)
 
 
-def _face_stream(points, d: int, curve):
+def _face_stream(points, d: int, signs):
     """The faces of ``enumerate_faces``, one at a time, in face order."""
-    xs = curve[1]
-    for j in range(min(d, len(xs))):
-        for zx, _, off, base in _zero_sets(curve, j):
-            rest = [i for i in range(len(xs)) if off >> i & 1]
+    n = len(signs)
+    for j in range(min(d, n)):
+        for zx, _, off, base in _zero_sets(signs, j):
+            rest = [i for i in range(n) if off >> i & 1]
             # depth-first over rest: a node (r, v, b, cuts) has fixed tau at
             # rest[:r], v at rest[r-1], b changes left, and a change just
             # below rest[c] for each c in cuts; the sign at a point is tau
@@ -414,7 +396,8 @@ def _face_stream(points, d: int, curve):
                 for c in cuts:
                     plus ^= (1 << rest[c]) - 1
                 plus &= off
-                sums = tuple(xs[rest[c - 1]] + xs[rest[c]] for c in cuts)
+                # point rest[c] has x = rest[c] + 1
+                sums = tuple(rest[c - 1] + rest[c] + 2 for c in cuts)
                 yield HemispherePartition(plus, off ^ plus, (points, zx, sums, v))
 
 

@@ -936,8 +936,7 @@ class TestGaleVerifyCmd:
         # every report carries a counterexample with its normal
         def positive_curve(n, s):
             d = n - 2 * s + 1
-            points = tuple(tuple(x**j for j in range(d)) for x in range(1, n + 1))
-            return GaleEmbedding(n=n, s=s, d=d, points=points)
+            return GaleEmbedding(n=n, s=s, d=d, signs=(1,) * n)
 
         monkeypatch.setattr(cli, "build_embedding", positive_curve)
         reports = self.grid_reports()

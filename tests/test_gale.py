@@ -94,10 +94,9 @@ def cofactor_hemispheres(emb):
     return out
 
 
-def moment_curve(sigmas, xs, d):
-    """GaleEmbedding of the points sigma_i (1, x_i, ..., x_i^(d-1))."""
-    points = tuple(tuple(sg * x**j for j in range(d)) for sg, x in zip(sigmas, xs))
-    return GaleEmbedding(n=len(points), s=1, d=d, points=points)
+def moment_curve(sigmas, d):
+    """GaleEmbedding of the points sigma_i (1, i, ..., i^(d-1)), i = 1..n."""
+    return GaleEmbedding(n=len(sigmas), s=1, d=d, signs=sigmas)
 
 
 class EagerWitnessSearch:
@@ -169,15 +168,20 @@ class TestEmbedding:
     def test_general_position_10_4(self):
         assert general_position_check(build_embedding(10, 4))
 
-    def test_duplicate_point_fails(self):
-        # a repeated point is off every moment curve: the check refuses it
-        base = build_embedding(6, 2)
-        pts = list(base.points)
-        pts[3] = pts[0]
-        emb = GaleEmbedding(n=6, s=2, d=3, points=tuple(pts))
-        assert not general_position_bareiss(emb)
+    def test_record_refuses_bad_signs(self):
+        # an embedding is its curve's signs, so no other point set is built
+        emb = build_embedding(6, 2)
+        assert emb.signs == (-1, 1, -1, 1, -1, 1)
+        for signs in [(1,) * 5, (1,) * 7, (1, 1, 2, 1, 1, 1), (1, 1, 0, 1, 1, 1),
+                      (1.0,) * 6, (True,) * 6]:
+            with pytest.raises(ValueError):
+                GaleEmbedding(n=6, s=2, d=3, signs=signs)
+            with pytest.raises(ValueError):
+                emb._replace(signs=signs)
         with pytest.raises(ValueError):
-            general_position_check(emb)
+            emb._replace(n=7)
+        assert emb._replace(signs=[1] * 6).points == positive_curve(6, 2).points
+        assert GaleEmbedding._make(emb) == emb
 
     def test_det_matches_bruteforce(self):
         rng = random.Random(7)
@@ -191,7 +195,7 @@ class TestEmbedding:
 
 class TestCanonicalHemispheres:
     def test_count_planar(self):
-        emb = moment_curve((1, 1, -1, 1), (1, 2, 3, 5), 2)
+        emb = moment_curve((1, 1, -1, 1), 2)
         parts = list(canonical_hemispheres(emb))
         assert len(parts) == 8  # 2 * C(4,1)
 
@@ -225,22 +229,6 @@ class TestCanonicalHemispheres:
                 dot = sum(a * b for a, b in zip(emb.points[i], part.normal))
                 assert (dot == 0) == bool(part.zero_mask >> i & 1)
 
-    def test_rejects_points_off_a_moment_curve(self):
-        for sigmas, xs, d in [
-            ((1, 1, 1, 1), (1, 2, 2, 3), 3),  # repeated x
-            ((1, 1, 1, 1), (3, 2, 1, 0), 3),  # descending x
-            ((1, 2, 1, 1), (1, 2, 3, 4), 3),  # sign 2
-        ]:
-            with pytest.raises(ValueError):
-                list(canonical_hemispheres(moment_curve(sigmas, xs, d)))
-        planar = ((1, 1), (1, 2), (-1, 3), (2, -1))
-        with pytest.raises(ValueError):
-            list(canonical_hemispheres(GaleEmbedding(n=4, s=1, d=2, points=planar)))
-        points = build_embedding(7, 2).points[:6] + ((-1, -7, -49, -344),)
-        bent = GaleEmbedding(n=7, s=2, d=4, points=points)
-        with pytest.raises(ValueError):
-            list(canonical_hemispheres(bent))
-
 
 class TestAgainstCofactorNormals:
     """The sign-change normals equal the primitive cofactor normals."""
@@ -254,7 +242,7 @@ class TestAgainstCofactorNormals:
 
     def test_non_alternating_curve(self):
         # demo 03's counterexample embedding
-        emb = moment_curve([1] * 6, range(1, 7), 3)
+        emb = moment_curve([1] * 6, 3)
         got = [(p.normal, p.signs) for p in canonical_hemispheres(emb)]
         assert got == cofactor_hemispheres(emb)
 
@@ -263,8 +251,7 @@ class TestAgainstCofactorNormals:
         for _ in range(300):
             d = rng.randint(2, 6)
             n = rng.randint(d - 1, 10)
-            xs = sorted(rng.sample(range(-12, 13), n))
-            emb = moment_curve([rng.choice((1, -1)) for _ in xs], xs, d)
+            emb = moment_curve([rng.choice((1, -1)) for _ in range(n)], d)
             got = [(p.normal, p.signs) for p in canonical_hemispheres(emb)]
             assert got == cofactor_hemispheres(emb), emb
 
@@ -280,8 +267,7 @@ class TestGaleProperty:
 
     def test_adversarial_counterexample(self):
         # no sign alternation: all points in the x1 > 0 halfspace
-        pts = tuple(tuple(i**j for j in range(3)) for i in range(1, 7))
-        adv = GaleEmbedding(n=6, s=2, d=3, points=pts)
+        adv = GaleEmbedding(n=6, s=2, d=3, signs=(1,) * 6)
         assert general_position_check(adv)
         bad = verify_gale_property(adv)
         assert bad is not None
@@ -307,7 +293,7 @@ class TestGaleProperty:
 def positive_curve(n, s):
     """The all-positive curve (1, x, ..., x^(d-1)), x = 1..n: no alternation."""
     d = n - 2 * s + 1
-    return moment_curve([1] * n, range(1, n + 1), d)._replace(s=s)
+    return moment_curve([1] * n, d)._replace(s=s)
 
 
 def gale_grid():
@@ -395,8 +381,7 @@ class TestAgainstIndexedVerify:
         for _ in range(400):
             d = rng.randint(2, 6)
             n = rng.randint(d - 1, 13)
-            xs = sorted(rng.sample(range(-15, 16), n))
-            emb = moment_curve([rng.choice((1, -1)) for _ in xs], xs, d)
+            emb = moment_curve([rng.choice((1, -1)) for _ in range(n)], d)
             emb = emb._replace(s=rng.randint(1, max(1, n // 2)))
             found.add(self.same(emb) is None)
         assert found == {True, False}
@@ -488,30 +473,18 @@ class TestFaces:
             )
             assert len(enumerate_faces(emb).faces) == expected
 
-    def test_rejects_other_point_sets(self):
-        # the sign-change rule holds only on a curve sigma_i (1, x_i, ...)
-        planar = ((1, 1), (1, 2), (-1, 3), (2, -1))
-        with pytest.raises(ValueError):
-            enumerate_faces(GaleEmbedding(n=4, s=1, d=2, points=planar))
-        points = build_embedding(7, 2).points[:6] + ((-1, -7, -49, -344),)
-        with pytest.raises(ValueError):
-            enumerate_faces(GaleEmbedding(n=7, s=2, d=4, points=points))
-
     def test_other_moment_curves(self):
-        # the all-positive curve, and random sigma and x (zero and negative
-        # x included): exhaustive, checked normals, distinct signs in face
-        # order, and level d-1 is the canonical hemispheres
-        curves = [([1] * n, range(1, n + 1), d)
-                  for n in range(4, 11) for d in range(2, min(n, 6))]
+        # the all-positive curve, and random sigma: exhaustive, checked
+        # normals, distinct signs in face order, and level d-1 is the
+        # canonical hemispheres
+        curves = [([1] * n, d) for n in range(4, 11) for d in range(2, min(n, 6))]
         rng = random.Random(29)
         for _ in range(40):
             d = rng.randint(2, 5)
-            xs = sorted(rng.sample(range(-9, 10), rng.randint(d, 9)))
-            curves.append(([rng.choice((1, -1)) for _ in xs], xs, d))
-        assert any(0 in xs for _, xs, _ in curves)
-        assert any(xs[0] < 0 for _, xs, _ in curves)
-        for sigmas, xs, d in curves:
-            emb = moment_curve(sigmas, xs, d)
+            sigmas = [rng.choice((1, -1)) for _ in range(rng.randint(d, 9))]
+            curves.append((sigmas, d))
+        for sigmas, d in curves:
+            emb = moment_curve(sigmas, d)
             fs = enumerate_faces(emb)
             assert fs.certified_exhaustive, emb
             keys = []
@@ -527,16 +500,16 @@ class TestFaces:
     def test_fewer_points_than_dimensions(self):
         # with n < d every nonzero sign vector is a face: 3^n - 1 of them
         rng = random.Random(31)
-        curves = [([1, 1, 1], [1, 2, 3], 4)]
+        curves = [([1, 1, 1], 4)]
         for _ in range(30):
             d = rng.randint(2, 6)
-            xs = sorted(rng.sample(range(-9, 10), rng.randint(1, d - 1)))
-            curves.append(([rng.choice((1, -1)) for _ in xs], xs, d))
-        for sigmas, xs, d in curves:
-            emb = moment_curve(sigmas, xs, d)
+            sigmas = [rng.choice((1, -1)) for _ in range(rng.randint(1, d - 1))]
+            curves.append((sigmas, d))
+        for sigmas, d in curves:
+            emb = moment_curve(sigmas, d)
             fs = enumerate_faces(emb)
             assert fs.certified_exhaustive, emb
-            assert fs.cover == len(fs.faces) == 3 ** len(xs) - 1
+            assert fs.cover == len(fs.faces) == 3 ** len(sigmas) - 1
             assert len({f.signs for f in fs.faces}) == len(fs.faces)
             for f in fs.faces:
                 assert signs_of(emb.points, f.normal) == f.signs
@@ -921,36 +894,11 @@ class TestGeneralPosition:
     def test_curve_path_matches_bareiss(self):
         embs = [build_embedding(n, s) for n in range(5, 15)
                 for s in range(1, (n - 1) // 2 + 1)]
-        embs += [moment_curve((1, -1, -1, 1, 1, -1), (-3, -1, 0, 2, 5, 6), 4)]
+        embs += [moment_curve((1, -1, -1, 1, 1, -1), 4)]
         for emb in embs:
             assert general_position_bareiss(emb), (emb.n, emb.s)
             assert general_position_check(emb)
         assert not hasattr(gale, "det_exact")
-
-    def test_other_point_sets_raise(self):
-        rng = random.Random(3)
-        seen = set()
-        for _ in range(200):
-            d = rng.randint(2, 4)
-            n = rng.randint(d, 7)
-            points = tuple(
-                tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)
-            )
-            emb = GaleEmbedding(n=n, s=1, d=d, points=points)
-            want = all(
-                brute_det([points[i] for i in idx]) != 0
-                for idx in combinations(range(n), d)
-            )
-            assert general_position_bareiss(emb) == want, points
-            seen.add(want)
-            try:
-                gale._curve_parameters(emb)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    general_position_check(emb)
-            else:
-                assert general_position_check(emb) and want, points
-        assert seen == {True, False}
 
 
 def patch_hemispheres(monkeypatch, each):
@@ -1003,7 +951,7 @@ def spy_normals(monkeypatch):
 
 def adversarial_curve():
     # demo 03's embedding: no sign alternation, so the Gale property fails
-    return moment_curve([1] * 6, range(1, 7), 3)
+    return moment_curve([1] * 6, 3)
 
 
 class TestLazyHemisphereNormals:

@@ -36,9 +36,8 @@ RECORDS = {
         "nodes_explored=1)",
     ),
     "GaleEmbedding": (
-        ["n", "s", "d", "points"],
-        "GaleEmbedding(n=5, s=2, d=2, "
-        "points=((-1, -1), (1, 2), (-1, -3), (1, 4), (-1, -5)))",
+        ["n", "s", "d", "signs"],
+        "GaleEmbedding(n=5, s=2, d=2, signs=(-1, 1, -1, 1, -1))",
     ),
     "Witness": (
         ["face", "color", "count_pos", "count_neg", "t_pos", "t_neg"],
