@@ -72,23 +72,13 @@ def derived_params(n: int, k: int, ell: int) -> tuple[int, int]:
     return d, t
 
 
-def _inv_powers(t: int) -> tuple[float, float]:
-    """(1/t, 1/t^2) for an exact big integer t, without float overflow."""
-    try:
-        tf = float(t)
-        return 1.0 / tf, 1.0 / (tf * tf)
-    except OverflowError:
-        lt = math.log(t)
-        return math.exp(-lt), math.exp(-2.0 * lt)
-
-
 def _rhs(n: int, d: int, t: int) -> float:
-    inv_t, inv_t2 = _inv_powers(t)
+    inv_t = 1 / t  # int division, correctly rounded for any t
     try:
         n_ln3 = n * LN3
     except OverflowError:  # not a CapacityError: best_gap reads that as t past the cap
         raise ValueError(f"n with {n.bit_length()} bits is past float range") from None
-    return n_ln3 * inv_t2 + 2.0 * (1.0 + math.log(d)) * inv_t
+    return n_ln3 * inv_t * inv_t + 2.0 * (1.0 + math.log(d)) * inv_t
 
 
 def condition_rhs(n: int, k: int, ell: int) -> float:
@@ -108,6 +98,39 @@ def _safe_product(t1: int, t2: int) -> float:
         return math.inf
 
 
+def _ln_ln_binomial(b: float, t: int, d: int) -> float:
+    """ln b, b = ln C(t d, t); past float range, ln t H(d), H(d) = ln d +
+    (d-1) ln(d/(d-1)): Stirling's leading term, off by O(ln(t d)) there."""
+    x = 1 / (d - 1)
+    h = math.log(d) + (math.log1p(x) / x if x else 1.0)
+    return math.log(b) if b < math.inf else math.log(t) + math.log(h)
+
+
+def _plus_tail(total: float, logs, t1: int, t2: int, p: float) -> float:
+    """total + t1 t2 ln(1-p) for 0 <= p < 1, ``logs`` the logs of total's terms.
+
+    t1 t2 goes through logs only past float range.  There an inf - inf is
+    summed from the logs, rounded to about 1e-16 of the largest, top, so a
+    sum within 1e-14 top of 0 is NaN: floats cannot tell its sign.
+    """
+    lnq = math.log1p(-p)
+    try:
+        return total + float(t1 * t2) * lnq if lnq else total
+    except OverflowError:
+        neg = math.log(t1 * t2) + math.log(-lnq)
+    r = -1.0
+    try:
+        if total < math.inf:
+            return total - math.exp(neg)
+        top = max(*logs, neg)
+        r = sum(math.exp(x - top) for x in logs) - math.exp(neg - top)
+        if abs(r) <= 1e-14 * top:
+            return math.nan
+        return math.copysign(math.exp(top + math.log(abs(r))), r)
+    except OverflowError:
+        return math.copysign(math.inf, r)
+
+
 def ln_g(t1: int, t2: int, d: int, p: float) -> float:
     """ln of C(t1 d, t1) C(t2 d, t2) (1-p)^(t1 t2); -inf at p = 1."""
     if t1 < 1 or t2 < 1:
@@ -116,9 +139,11 @@ def ln_g(t1: int, t2: int, d: int, p: float) -> float:
         raise ValueError(f"d={d} must be >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    lnq = math.log1p(-p) if p < 1.0 else -math.inf
-    tail = 0.0 if lnq == 0.0 else _safe_product(t1, t2) * lnq
-    return ln_binomial(t1 * d, t1) + ln_binomial(t2 * d, t2) + tail
+    if p == 1.0:
+        return -math.inf
+    b1, b2 = ln_binomial(t1 * d, t1), ln_binomial(t2 * d, t2)
+    logs = [_ln_ln_binomial(b1, t1, d), _ln_ln_binomial(b2, t2, d)]
+    return _plus_tail(b1 + b2, logs, t1, t2, p)
 
 
 def g_is_decreasing(d: int, t: int, p: float) -> bool:
@@ -127,8 +152,7 @@ def g_is_decreasing(d: int, t: int, p: float) -> bool:
         raise ValueError("t must be >= 1")
     if d < 2:
         raise ValueError(f"d={d} must be >= 2")
-    inv_t, _ = _inv_powers(t)
-    return p > (1.0 + math.log(d)) * inv_t
+    return p > (1.0 + math.log(d)) * (1 / t)
 
 
 class ChainBounds(namedtuple("ChainBounds", "l1 l2 l3 l4 conclusive")):
@@ -149,15 +173,16 @@ def ln_pA_bound(params: TheoremParams) -> ChainBounds:
     d, t = params.dt
     conclusive = condition_holds(params)  # first: it refuses an n past float range
     t2 = _safe_product(t, t)
-    lnq = math.log1p(-p) if p < 1.0 else -math.inf
-    tail = 0.0 if lnq == 0.0 else t2 * lnq
-    # the tail outgrows 2 ln C(td, t) <= 2t (1 + ln d): a -inf tail is l1
-    l1 = tail if tail == -math.inf else n * LN3 + 2.0 * ln_binomial(t * d, t) + tail
+    l1 = -math.inf  # (1-p)^(t^2) is 0 at p = 1
+    if p < 1.0:
+        b = ln_binomial(t * d, t)
+        logs = [math.log(n) + math.log(LN3), math.log(2.0) + _ln_ln_binomial(b, t, d)]
+        l1 = _plus_tail(n * LN3 + 2.0 * b, logs, t, t, p)
     if not conclusive:
         return ChainBounds(l1=l1, l2=None, l3=None, l4=None, conclusive=False)
-    l2 = -math.inf  # past t^2 = inf, where p t^2 is inf and 1/t may round to 0
+    l2 = -math.inf  # past t^2 = inf, where p t^2 is inf
     if t2 < math.inf:
-        tf = 1.0 / _inv_powers(t)[0]
+        tf = float(t)
         l2 = n * LN3 + 2.0 * tf * (1.0 + math.log(d)) - p * t2
     l3 = -t2 * eps * p
     l4 = -eps * n * LN3
@@ -222,22 +247,15 @@ def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
       never increases, and ``lhs > rhs`` is false on a prefix of the ells
       and true on the rest.
     - The float evaluation keeps this order: it is a chain of rounded
-      operations each monotone in its arguments -- float(t), 1/x, x*x, a
-      product of nonnegative values, a sum and log -- so the computed rhs
-      never increases either, and the search returns exactly the ell a
-      linear scan upward would.
-    - Past float's range (t >~ 1.8e308) ``_inv_powers`` takes exp(-log t).
-      From ell to ell+1, t grows by a factor of at least 1 + k/(ell+1) (the
-      ceiling adds a relative 1e-308 at most), so log t rises by at least
-      ln2 min(k, ell+1)/(ell+1).  The computed log t is off by a few ulps,
-      about 2^-50 log t, and log t <= ln C(k+ell, k) <= min(k, ell)(1+ln n):
-      under 1e-4 of that rise for n <= 1e9.  So the computed log t still
-      rises and exp(-x) keeps the order; the same margin covers the step
-      at which ``_inv_powers`` switches from 1/float(t) to exp(-log t).
+      operations each monotone in its arguments -- 1/t (of the exact
+      integer t, correctly rounded at any size), products of nonnegative
+      values, a sum and log -- so the computed rhs never increases either,
+      and the search returns exactly the ell a linear scan upward would.
     - Past MAX_T_BITS, where ``derived_params`` refuses to build t, the
-      condition is decided without it: t > 2^65536 / d puts exp(-log t)
-      below float's smallest value, so rhs evaluates to exactly 0.0 and the
-      condition holds at every ell past the cap, as (1 - eps) p > 0 here.
+      condition is decided without it: t > 2^65536 / d puts 1/t below
+      float's smallest value, so 1/t rounds to 0.0, rhs evaluates to exactly
+      0.0, and the condition holds at every ell past the cap, as
+      (1 - eps) p > 0 here.
     """
     if k < 2:
         raise ValueError(f"precondition k >= 2 violated (k={k})")

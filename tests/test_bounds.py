@@ -34,6 +34,17 @@ def mp_rhs(n, k, ell):
     )
 
 
+def mp_ln_g(t1, t2, d, p):
+    """ln g through loggamma, at 500 digits: the loggamma terms of t = 1e400
+    agree in their first 400 digits."""
+    def ln_binomial(t):
+        return (mpmath.loggamma(t * d + 1) - mpmath.loggamma(t + 1)
+                - mpmath.loggamma(t * (d - 1) + 1))
+    with mpmath.workdps(500):
+        tail = t1 * t2 * mpmath.log1p(-mpmath.mpf(p))
+        return ln_binomial(t1) + ln_binomial(t2) + tail
+
+
 def exact_g(t1, t2, d, p_frac):
     """Exact rational g for probabilities given as Fractions."""
     return (
@@ -331,8 +342,8 @@ class TestBisection:
         assert all(b <= a for a, b in zip(rhs, rhs[1:]))
 
     def test_overflow_branch_is_in_the_checked_range(self):
-        # at k=200, n=1e4 t passes float's range, so _inv_powers switches to
-        # exp(-log t) inside the ell range checked above
+        # at k=200, n=1e4 t passes float's range inside the ell range checked
+        # above, where 1/t is still the correctly rounded quotient
         fits = []
         for ell in range(1, (10**4 - 401) // 2 + 1):
             _, t = derived_params(10**4, 200, ell)
@@ -481,6 +492,49 @@ class TestAgainstReference:
                     got = self.outcome(best_gap, n, k, p, eps)
                     assert got == self.outcome(reference.best_gap, n, k, p, eps), (
                         n, k, p, eps)
+
+
+class TestPastTSquared:
+    """t^2 and t1 t2 past float range, against mpmath."""
+
+    def test_condition_keeps_its_n_term(self):
+        # t = 5e159: n ln3 / t^2 = 4.4e-20 is far above lhs = 9e-151; a
+        # 1/t^2 that rounded to 0 dropped it and read the condition true
+        n, k, ell, p, eps = 10**300, 2, 10**230, 1e-150, 0.1
+        params = TheoremParams(n, k, ell, p, eps)
+        d, t = params.dt
+        assert 10**159 < t < 10**160
+        assert condition_rhs(n, k, ell) == pytest.approx(mp_rhs(n, k, ell), rel=1e-12)
+        assert condition_rhs(n, k, ell) > 4e-20
+        assert not condition_holds(params)
+        ch = ln_pA_bound(params)
+        assert not ch.conclusive
+        # t^2 ln(1-p) = -2.5e169 is finite; l1 is about n ln3 = 1.1e300
+        want = n * mpmath.log(3) + mp_ln_g(t, t, d, p)
+        assert ch.l1 == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("t1, t2, d, p", [
+        (10**200, 10**200, 2, 1e-300),  # t1 t2 past range, tail finite
+        (10**400, 10**400, 2, 0.5),     # both binomials inf, the tail wins
+        (10**400, 10**400, 2, 1e-300),
+        (10**400, 1, 2, 0.5),           # the binomial of t1 wins
+        (10**400, 3, 2, 0.5),
+        (10**170, 10**170, 7, 0.5),
+    ], ids=["1e200-1e200-2-1e-300", "1e400-1e400-2-0.5", "1e400-1e400-2-1e-300",
+            "1e400-1-2-0.5", "1e400-3-2-0.5", "1e170-1e170-7-0.5"])
+    def test_ln_g_against_mpmath(self, t1, t2, d, p):
+        want = mp_ln_g(t1, t2, d, p)
+        got = ln_g(t1, t2, d, p)
+        if abs(want) > sys.float_info.max:
+            assert got == math.copysign(math.inf, want)
+        else:
+            assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_ln_g_too_close_to_call_is_nan(self):
+        # 2t ln 2 - 2t ln 2 leaves about -459, under the logs' rounding at
+        # t = 1e400; floats cannot tell its sign
+        assert -470 < mp_ln_g(10**400, 2, 2, 0.5) < -450
+        assert math.isnan(ln_g(10**400, 2, 2, 0.5))
 
 
 class TestPastFloatRange:
