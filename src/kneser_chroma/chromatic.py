@@ -501,11 +501,14 @@ def _recursion_room(nv: int):
 
 def chromatic_number(graph: Graph, budget: Budget | None = None) -> ColoringResult:
     """Exact chi(G) with a proper coloring; bracketing bounds on timeout."""
-    nv = graph.num_vertices
-    if nv == 0:
+    if graph.num_vertices == 0:
         raise ValueError("empty graph")
+    return _chromatic(graph, _Counter(budget))
+
+
+def _chromatic(graph: Graph, counter: _Counter) -> ColoringResult:
+    nv = graph.num_vertices
     active = (1 << nv) - 1
-    counter = _Counter(budget)
     clique, best, lower, upper = [0], [0] * nv, 1, 1
     status = EXACT
 
@@ -539,20 +542,21 @@ def chromatic_number(graph: Graph, budget: Budget | None = None) -> ColoringResu
 def vertex_critical(graph: Graph, budget: Budget | None = None) -> bool | None:
     """True iff removing any single vertex lowers the chromatic number.
 
-    Returns None (indeterminate) if the budget runs out before a verdict.
+    Returns None (indeterminate) if the budget runs out before a verdict.  The
+    chi solve and the per-vertex refutations spend one budget.
     """
     nv = graph.num_vertices
     if nv == 0:
         raise ValueError("empty graph")
     if nv == 1:
         return True
-    res = chromatic_number(graph, budget)
+    counter = _Counter(budget)
+    res = _chromatic(graph, counter)
     if res.status != EXACT:
         return None
     chi = res.chi
     if chi == 1:
         return False
-    counter = _Counter(budget)
     with _recursion_room(nv):
         for v in range(nv):
             try:

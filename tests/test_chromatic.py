@@ -435,13 +435,21 @@ class TestVertexCritical:
         assert vertex_critical(build_kneser(3, 0)) is True
 
     def test_budget_runs_out_in_the_per_vertex_loop(self):
-        # the per-vertex refutations count the budget afresh and spend more
-        # of it than chromatic_number did
+        # the per-vertex refutations spend more nodes than chromatic_number
         g = build_schrijver(7, 2)
         budget = Budget(max_nodes=chromatic_number(g).nodes_explored)
         assert chromatic_number(g, budget).status == EXACT
         assert vertex_critical(g, budget) is None
         assert vertex_critical(g) is True
+
+    def test_one_budget_for_the_solve_and_the_loop(self):
+        # SG(7, 2): 41 nodes to solve chi, 268 to refute each vertex; a
+        # budget of 300 covers either part, not both
+        g = build_schrijver(7, 2)
+        assert chromatic_number(g).nodes_explored == 41
+        assert vertex_critical(g, Budget(max_nodes=300)) is None
+        assert vertex_critical(g, Budget(max_nodes=308)) is None
+        assert vertex_critical(g, Budget(max_nodes=309)) is True
 
     def test_empty_graph_refused(self):
         g = build_schrijver(3, 2)
