@@ -272,7 +272,6 @@ def bounds_report(
 
 def gale_verify_report(n: int, s: int) -> dict:
     emb = build_embedding(n, s)
-    # True or a ValueError: the embedding is a moment curve
     general_position = general_position_check(emb)
     counterexample = verify_gale_property(emb)
     return {
@@ -343,8 +342,10 @@ def _at_least(kind, low):
     return parse
 
 
-def _config_echo(cfg: dict, keys) -> dict:
-    return {key: cfg.get(key) for key in keys if cfg.get(key) is not None}
+def _config_echo(cfg: dict) -> dict:
+    """The command's parsed flags that are set, in declared order."""
+    skip = ("command", "func", "config", "out", "format")
+    return {key: v for key, v in cfg.items() if key not in skip and v is not None}
 
 
 def _cmd_gen_graph(cfg) -> tuple[str, int]:
@@ -374,7 +375,7 @@ def _cmd_random_chi(cfg) -> tuple[str | dict, int]:
         max_nodes=cfg.get("budget_nodes"),
         max_ms=cfg.get("budget_ms"),
     )
-    config = _config_echo(cfg, cfg["echo"])
+    config = _config_echo(cfg)
     emit_elapsed = cfg.get("budget_ms") is not None
     if cfg.get("format") != "json":
         return random_chi_csv(rows, summary, config, emit_elapsed), EXIT_OK
@@ -480,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("input", help="graph JSON file")
     _add_budget(sub)
     _add_common(sub)
-    sub.set_defaults(func=_cmd_chi, echo=("input", "budget_nodes", "budget_ms"))
+    sub.set_defaults(func=_cmd_chi)
 
     sub = subs.add_parser("random-chi", help="chi of sampled subgraphs, CSV rows")
     sub.add_argument("--family", required=True, choices=("kneser", "schrijver"))
@@ -493,11 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(sub)
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     _add_common(sub)
-    sub.set_defaults(
-        func=_cmd_random_chi,
-        echo=("family", "n", "k", "ell", "p", "trials", "seed", "budget_nodes",
-              "budget_ms"),
-    )
+    sub.set_defaults(func=_cmd_random_chi)
 
     sub = subs.add_parser("event-a", help="exhaustive event-A oracle on one sample")
     sub.add_argument("--n", type=int, required=True)
@@ -506,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--seed", type=int, required=True)
     _add_common(sub)
-    sub.set_defaults(func=_cmd_event_a, echo=("n", "k", "ell", "p", "seed"))
+    sub.set_defaults(func=_cmd_event_a)
 
     sub = subs.add_parser("witness", help="antipodal monochromatic witness search")
     sub.add_argument("--n", type=int, required=True)
@@ -516,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--seed", type=int, default=None, help="random-coloring seed")
     source.add_argument("--coloring-file", default=None, dest="coloring_file")
     _add_common(sub)
-    sub.set_defaults(func=_cmd_witness, echo=("n", "k", "ell", "seed", "coloring_file"))
+    sub.set_defaults(func=_cmd_witness)
 
     sub = subs.add_parser("bounds", help="condition, chain, and gap optimizer")
     sub.add_argument("--n", type=int, required=True)
@@ -527,9 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sweep", action="store_true")
     sub.add_argument("--ells", type=_at_least(int, 1), nargs="*", default=None)
     _add_common(sub)
-    sub.set_defaults(
-        func=_cmd_bounds, echo=("n", "k", "ell", "p", "eps", "sweep", "ells")
-    )
+    sub.set_defaults(func=_cmd_bounds)
 
     sub = subs.add_parser("gale-verify", help="hemisphere property of the embedding")
     sub.add_argument("--n", type=int, required=True)
@@ -537,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--ell", type=int, default=None)
     _add_common(sub)
-    sub.set_defaults(func=_cmd_gale_verify, echo=("n", "s", "k", "ell"))
+    sub.set_defaults(func=_cmd_gale_verify)
 
     return parser
 
@@ -550,7 +545,7 @@ def main(argv=None) -> int:
         cfg = vars(build_parser().parse_args(argv))
         payload, code = cfg["func"](cfg)
         if isinstance(payload, dict):
-            payload["config"] = _config_echo(cfg, cfg["echo"])
+            payload["config"] = _config_echo(cfg)
             payload = _canonical_json(payload)
         _write_out(payload, cfg["out"])
         return code
