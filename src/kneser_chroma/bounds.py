@@ -91,19 +91,13 @@ def condition_holds(params: TheoremParams) -> bool:
     return (1.0 - params.eps) * params.p > _rhs(params.n, *params.dt)
 
 
-def _safe_product(t1: int, t2: int) -> float:
-    try:
-        return float(t1 * t2)
-    except OverflowError:
-        return math.inf
-
-
 def _ln_ln_binomial(b: float, t: int, d: int) -> float:
     """ln b, b = ln C(t d, t); past float range, ln t H(d), H(d) = ln d +
     (d-1) ln(d/(d-1)): Stirling's leading term, off by O(ln(t d)) there."""
+    if b < math.inf:
+        return math.log(b)
     x = 1 / (d - 1)
-    h = math.log(d) + (math.log1p(x) / x if x else 1.0)
-    return math.log(b) if b < math.inf else math.log(t) + math.log(h)
+    return math.log(t) + math.log(math.log(d) + (math.log1p(x) / x if x else 1.0))
 
 
 def _plus_tail(total: float, logs, t1: int, t2: int, p: float) -> float:
@@ -118,7 +112,7 @@ def _plus_tail(total: float, logs, t1: int, t2: int, p: float) -> float:
         return total + float(t1 * t2) * lnq if lnq else total
     except OverflowError:
         neg = math.log(t1 * t2) + math.log(-lnq)
-    r = -1.0
+    r = -1.0  # the sign of total - exp(neg) where exp(neg) overflows
     try:
         if total < math.inf:
             return total - math.exp(neg)
@@ -172,7 +166,6 @@ def ln_pA_bound(params: TheoremParams) -> ChainBounds:
     n, p, eps = params.n, params.p, params.eps
     d, t = params.dt
     conclusive = condition_holds(params)  # first: it refuses an n past float range
-    t2 = _safe_product(t, t)
     l1 = -math.inf  # (1-p)^(t^2) is 0 at p = 1
     if p < 1.0:
         b = ln_binomial(t * d, t)
@@ -180,10 +173,11 @@ def ln_pA_bound(params: TheoremParams) -> ChainBounds:
         l1 = _plus_tail(n * LN3 + 2.0 * b, logs, t, t, p)
     if not conclusive:
         return ChainBounds(l1=l1, l2=None, l3=None, l4=None, conclusive=False)
-    l2 = -math.inf  # past t^2 = inf, where p t^2 is inf
-    if t2 < math.inf:
-        tf = float(t)
-        l2 = n * LN3 + 2.0 * tf * (1.0 + math.log(d)) - p * t2
+    try:
+        t2 = float(t * t)
+        l2 = n * LN3 + 2.0 * float(t) * (1.0 + math.log(d)) - p * t2
+    except OverflowError:  # past t^2 = inf, where p t^2 is inf
+        t2, l2 = math.inf, -math.inf
     l3 = -t2 * eps * p
     l4 = -eps * n * LN3
     return ChainBounds(l1=l1, l2=l2, l3=l3, l4=l4, conclusive=True)

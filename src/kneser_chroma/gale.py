@@ -44,10 +44,8 @@ class GaleEmbedding(namedtuple("GaleEmbedding", "n s d signs")):
 
     @property
     def points(self) -> tuple[tuple[int, ...], ...]:
-        d = self.d
-        return tuple(
-            tuple(sg * x**j for j in range(d)) for x, sg in enumerate(self.signs, 1)
-        )
+        return tuple(tuple(sg * x**j for j in range(self.d))
+                     for x, sg in enumerate(self.signs, 1))
 
 
 class HemispherePartition:
@@ -151,8 +149,7 @@ def build_embedding(n: int, s: int) -> GaleEmbedding:
     if d < 2:
         raise ValueError(f"d = n - 2s + 1 = {d} < 2 (need n >= 2s + 1)")
     _check_domain(n, s)
-    signs = tuple((-1) ** i for i in range(1, n + 1))
-    return GaleEmbedding(n=n, s=s, d=d, signs=signs)
+    return GaleEmbedding(n, s, d, tuple((-1) ** i for i in range(1, n + 1)))
 
 
 def general_position_check(emb: GaleEmbedding) -> bool:
