@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from gale_reference import (
@@ -183,6 +184,21 @@ class TestEmbedding:
         assert emb._replace(signs=[1] * 6).points == positive_curve(6, 2).points
         assert GaleEmbedding._make(emb) == emb
 
+    def test_duplicate_point_fails(self):
+        # a repeated point needs a repeated x or a sign other than +-1; the
+        # x are 1..n, and a sign of 0 or 2 is refused before a point is built
+        emb = build_embedding(6, 2)
+        assert len(set(emb.points)) == emb.n
+        assert general_position_bareiss(emb)
+        pts = list(emb.points)
+        pts[3] = pts[0]
+        assert not general_position_bareiss(SimpleNamespace(n=6, d=3, points=pts))
+        for signs in [(-1, 1, -1, 0, -1, 1), (-1, 1, -1, 2, -1, 1)]:
+            with pytest.raises(ValueError):
+                GaleEmbedding(n=6, s=2, d=3, signs=signs)
+            with pytest.raises(ValueError):
+                general_position_check(emb._replace(signs=signs))
+
     def test_det_matches_bruteforce(self):
         rng = random.Random(7)
         for size in (1, 2, 3, 4, 5):
@@ -229,6 +245,17 @@ class TestCanonicalHemispheres:
                 dot = sum(a * b for a, b in zip(emb.points[i], part.normal))
                 assert (dot == 0) == bool(part.zero_mask >> i & 1)
 
+    def test_rejects_points_off_a_moment_curve(self):
+        # with x = 1..n only a bad sign or a wrong count leaves the curve:
+        # both are refused before a hemisphere is generated
+        for sigmas, d in [((1, 2, 1, 1), 3), ((1, 0, 1, 1), 3), ((1, -1, 1.0, 1), 3)]:
+            with pytest.raises(ValueError):
+                list(canonical_hemispheres(moment_curve(sigmas, d)))
+        emb = build_embedding(7, 2)
+        with pytest.raises(ValueError):
+            list(canonical_hemispheres(emb._replace(signs=emb.signs[:6] + (-2,))))
+        with pytest.raises(ValueError):
+            list(canonical_hemispheres(emb._replace(n=8)))
 
 class TestAgainstCofactorNormals:
     """The sign-change normals equal the primitive cofactor normals."""
@@ -472,6 +499,17 @@ class TestFaces:
                 for z in range(emb.d)
             )
             assert len(enumerate_faces(emb).faces) == expected
+
+    def test_rejects_other_point_sets(self):
+        # the sign-change rule holds only on a curve sigma_i (1, i, ...);
+        # signs that leave it are refused before a face is built
+        with pytest.raises(ValueError):
+            enumerate_faces(moment_curve((1, 1, -1, 2), 2))
+        emb = build_embedding(7, 2)
+        for bad in [{"signs": emb.signs[:6]}, {"signs": emb.signs[:6] + (0,)},
+                    {"n": 6}]:
+            with pytest.raises(ValueError):
+                enumerate_faces(emb._replace(**bad))
 
     def test_other_moment_curves(self):
         # the all-positive curve, and random sigma: exhaustive, checked
@@ -900,6 +938,25 @@ class TestGeneralPosition:
             assert general_position_check(emb)
         assert not hasattr(gale, "det_exact")
 
+    def test_other_point_sets_raise(self):
+        # random sign vectors: all +-1 is a curve in general position, as
+        # the Bareiss reference confirms; any other entry raises ValueError
+        rng = random.Random(3)
+        seen = set()
+        for _ in range(200):
+            d = rng.randint(2, 4)
+            n = rng.randint(d, 7)
+            signs = tuple(rng.choice((1, -1, 1, -1, 0, 2, -2)) for _ in range(n))
+            want = set(signs) <= {1, -1}
+            seen.add(want)
+            if want:
+                emb = GaleEmbedding(n=n, s=1, d=d, signs=signs)
+                assert general_position_bareiss(emb), signs
+                assert general_position_check(emb)
+            else:
+                with pytest.raises(ValueError):
+                    general_position_check(GaleEmbedding(n=n, s=1, d=d, signs=signs))
+        assert seen == {True, False}
 
 def patch_hemispheres(monkeypatch, each):
     """Wrap ``canonical_hemispheres`` so that ``each`` sees every partition it
