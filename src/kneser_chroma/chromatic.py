@@ -377,8 +377,8 @@ def _decide_colorable(
     """Coloring of the active vertices with m colors, or None if impossible.
 
     Needs m >= 1 and at least one active vertex: ``chromatic_number`` asks
-    for m >= lower - 1 >= 1, and ``vertex_critical`` for chi - 1 >= 1 with
-    one of its two or more vertices left out.  Raises _OutOfBudget when the
+    for m >= lower >= 2, and ``vertex_critical`` for chi - 1 >= 1 with one
+    of its two or more vertices left out.  Raises _OutOfBudget when the
     node budget runs out before a verdict.
     """
     n_bits = active.bit_length()
@@ -517,16 +517,17 @@ def _chromatic(graph: Graph, counter: _Counter) -> ColoringResult:
             clique = _clique(graph.adj, active, counter)
             lower = max(2, len(clique))
             best, upper = _dsatur_greedy(graph.adj, active)
-            # refute one color fewer until that fails or reaches lower - 1
-            for m in range(upper - 1, lower - 2, -1):
+            # try one color fewer than the best coloring until that fails or
+            # the clique bound is met
+            while upper > lower:
                 try:
-                    attempt = _decide_colorable(graph.adj, m, active, counter)
+                    attempt = _decide_colorable(graph.adj, upper - 1, active, counter)
                 except _OutOfBudget:
                     status = TIMEOUT
                     break
                 if attempt is None:
                     break
-                best, upper = attempt, m
+                best, upper = attempt, max(attempt) + 1
 
     return ColoringResult(
         chi=upper,

@@ -200,12 +200,30 @@ class TestChi:
     def test_reports_pinned(self):
         # the whole report, nodes and colorings included; digest computed
         # with the bucketed, uncolored-degree DSATUR search and its TabuCol
-        # rescue (7 timeouts before the rescue)
+        # rescue (7 timeouts before the rescue), deciding no m below the
+        # clique bound
         reports = [rep for _, rep in chi_grid()]
         assert sum(r["status"] == "timeout" for r in reports) == 4
         assert sha256_of_reports(reports) == (
-            "8b40ee74d4d2a4d2988ec4d8d669302a1223e5c3b0d5893e85206d1eeb1d3d2a"
+            "ab4410a4dd3eec38e732f4b430b9f1fe2cdec6b2be41fc02c5ca8eafb041614a"
         )
+
+    def test_brackets_are_open_and_upper_is_the_colors_used(self):
+        for _, rep in chi_grid():
+            assert rep["upper"] == max(rep["coloring"]) + 1
+            if rep["status"] == "timeout":
+                assert rep["lower"] < rep["upper"]
+
+    def test_no_refutation_below_the_clique(self, tmp_path):
+        # deciding m = clique - 1 would spend the last of the 4 nodes and
+        # report a timeout with lower = upper = 3
+        g = tmp_path / "g.json"
+        assert main(["gen-graph", "--family", "kneser", "--n", "6", "--k", "2",
+                     "--p", "0.4", "--seed", "1", "--out", str(g)]) == 0
+        out = tmp_path / "chi.json"
+        assert main(["chi", str(g), "--budget-nodes", "4", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert (rep["status"], rep["chi"], rep["lower"]) == ("exact", 3, 3)
 
     def test_colorings_proper(self):
         for g, rep in chi_grid():

@@ -293,6 +293,39 @@ class TestBinomials:
             ln_binomial(10, 11)
 
 
+class TestLnBinomialSeams:
+    def test_against_mpmath_across_the_branch_seam(self):
+        import mpmath
+
+        for m in (1, 2, 63, 64, 65, 66, 100, 9999, 10000, 10001):
+            for a in (2 * m, 2 * m + 1, 3 * m, 10**6, 10**9, 2**200):
+                with mpmath.workdps(40 + len(str(a))):
+                    expected = float(
+                        mpmath.loggamma(a + 1) - mpmath.loggamma(m + 1)
+                        - mpmath.loggamma(a - m + 1)
+                    )
+                for b in (m, a - m):
+                    assert ln_binomial(a, b) == pytest.approx(expected, rel=1e-13)
+
+    def test_no_module_holds_a_cache(self):
+        # no state lasts from one call to the next; a cache is a reviewed edit
+        import importlib
+        import pkgutil
+
+        import kneser_chroma
+
+        cached = []
+        for info in pkgutil.iter_modules(kneser_chroma.__path__):
+            module = importlib.import_module(f"kneser_chroma.{info.name}")
+            for name, value in vars(module).items():
+                inner = vars(value).items() if isinstance(value, type) else ()
+                members = [(f"{name}.{k}", v) for k, v in inner]
+                for where, obj in [(name, value), *members]:
+                    if hasattr(obj, "cache_info"):
+                        cached.append(f"{info.name}.{where}")
+        assert cached == []
+
+
 @st.composite
 def family_and_grounds(draw):
     n = draw(st.integers(0, 12))
