@@ -219,7 +219,8 @@ def max_independent_set(graph: Graph) -> IndependentSetResult:
     full = (1 << m) - 1
     comp = tuple(~graph.adj[u] & full & ~(1 << u) for u in range(m))
     counter = _Counter(None)
-    best = _max_clique_exact(comp, full, counter)
+    with _recursion_room(m):
+        best = _max_clique_exact(comp, full, counter)
     return IndependentSetResult(len(best), tuple(sorted(best)), EXACT, counter.nodes)
 
 

@@ -31,24 +31,6 @@ class KSubset(namedtuple("KSubset", "mask n k rank")):
         return "{" + ",".join(map(str, self.elements())) + "}"
 
 
-def _colex_masks(n: int, k: int):
-    """All k-subsets of positions 0..n-1 in colex order, as masks.
-
-    Colex order on k-subsets is the numeric order of their masks, and
-    Gosper's step (HAKMEM 175) goes from one mask to the next larger one
-    with the same number of bits.
-    """
-    if k == 0:
-        yield 0
-        return
-    mask, end = (1 << k) - 1, 1 << n
-    while mask < end:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((ripple ^ mask) >> 2) // low
-
-
 def _check_domain(n: int, k: int) -> None:
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
@@ -58,36 +40,48 @@ def _check_domain(n: int, k: int) -> None:
         raise CapacityError(f"n={n} exceeds {MAX_GROUND_SET}, the ground-set cap")
 
 
+def _colex_walk(n: int, k: int, gap: int) -> tuple[list[int], list[int]]:
+    """The k-sets of positions 0..n-1 spaced at least ``gap`` apart, in colex
+    order, as masks and their colex ranks among all k-subsets.
+
+    Level i holds such i-sets in colex order.  Those topped by position p
+    are the first C(p - (gap-1)(i-1), i-1) sets of level i-1 (the ones whose
+    top is at most p - gap), each with bit p set and C(p, i) added to its
+    colex rank.  A level stops short of the positions its larger elements
+    still need, so p runs over gap (i-1) <= p < n - gap (k-i).  With gap 1,
+    level i is all C(n-k+i, i) i-subsets of its positions, and each level
+    is at most k/n of the next, so at most min(k, n/(n-k)) sets are built
+    per set returned.  With gap 2 the work per set is O(k^2) at worst
+    (n = 2k) and a small constant when n is well above 2k; it never walks
+    all C(n, k) masks.
+    """
+    masks, ranks = [0], [0]
+    for i in range(1, k + 1):
+        level_masks, level_ranks = [], []
+        for p in range(gap * (i - 1), n - gap * (k - i)):
+            below = math.comb(p - (gap - 1) * (i - 1), i - 1)
+            bit, step = 1 << p, math.comb(p, i)
+            level_masks += [m | bit for m in masks[:below]]
+            level_ranks += [r + step for r in ranks[:below]]
+        masks, ranks = level_masks, level_ranks
+    return masks, ranks
+
+
 def enumerate_ksubsets(n: int, k: int) -> list[KSubset]:
     """All k-subsets of [n] in colex order; list position equals rank."""
     _check_domain(n, k)
-    return [KSubset(m, n, k, r) for r, m in enumerate(_colex_masks(n, k))]
+    return [KSubset(m, n, k, r) for m, r in zip(*_colex_walk(n, k, 1))]
 
 
 def enumerate_stable_ksubsets(n: int, k: int) -> list[KSubset]:
     """Stable k-subsets of [n] in colex order, each with its rank among all
-    k-subsets, built directly rather than filtered from all C(n, k).
+    k-subsets: the walk with elements 2 apart, then the wrap filter.
 
     Stable means no two cyclically consecutive elements; a singleton or the
-    empty set is stable, even on the 1-cycle.  Level i holds the i-sets of
-    positions with no two consecutive, in colex order.  Those topped by
-    position p are the first C(p-i+1, i-1) sets of level i-1 (the ones
-    whose top is at most p-2), each with bit p set and C(p, i) added to its
-    colex rank.  A level stops short of the positions its larger elements
-    still need, so the work per stable set is O(k^2) at worst (n = 2k) and
-    a small constant when n is well above 2k; it never walks all C(n, k)
-    masks.
+    empty set is stable, even on the 1-cycle.
     """
     _check_domain(n, k)
-    masks, ranks = [0], [0]
-    for i in range(1, k + 1):
-        level_masks, level_ranks = [], []
-        for p in range(2 * i - 2, n - 2 * (k - i)):
-            below, bit, step = math.comb(p - i + 1, i - 1), 1 << p, math.comb(p, i)
-            level_masks += [m | bit for m in masks[:below]]
-            level_ranks += [r + step for r in ranks[:below]]
-        masks, ranks = level_masks, level_ranks
-    pairs = zip(masks, ranks)
+    pairs = zip(*_colex_walk(n, k, 2))
     if k > 1:
         # the cycle also makes positions n-1 and 0 consecutive
         ends = 1 | 1 << (n - 1)

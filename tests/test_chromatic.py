@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -179,6 +180,19 @@ class TestChromaticNumber:
         assert is_proper(g, res.coloring)
         assert vertex_critical(g, Budget(max_nodes=3000)) is None
         assert sys.getrecursionlimit() == before
+
+    def test_alpha_search_gets_recursion_room(self):
+        # KG(9,3)'s complement search runs deeper than 25 frames past the
+        # caller; chi on the same graph already gets its room
+        g = build_kneser(9, 3)
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 25)
+        try:
+            assert chromatic_number(g).chi == 5
+            res = max_independent_set(g)
+        finally:
+            sys.setrecursionlimit(before)
+        assert (res.size, res.status, res.nodes_explored) == (28, "exact", 391)
 
 
 def criterion_01_grid():

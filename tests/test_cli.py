@@ -3,6 +3,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from kneser_chroma.errors import NoWitnessFound
 from kneser_chroma.events import event_a_json_dict, event_a_oracle
 from kneser_chroma.gale import GaleEmbedding
 from kneser_chroma.graphs import build_kneser, build_schrijver, sample_subgraph
+from kneser_chroma.setfam import enumerate_stable_ksubsets
 
 PETERSEN_JSON = (
     '{"family":"kneser","n":5,"k":2,"p":null,"seed":null,"rng_id":null,'
@@ -631,8 +633,6 @@ class TestWitnessCmd:
         assert rep["counts"]["pos"] >= rep["counts"]["t_pos"]
 
     def test_coloring_file_constant(self, tmp_path):
-        from kneser_chroma.setfam import enumerate_stable_ksubsets
-
         num = len(enumerate_stable_ksubsets(8, 2))
         cf = tmp_path / "col.json"
         cf.write_text(json.dumps({"num_colors": 3, "colors": [0] * num}))
@@ -642,8 +642,6 @@ class TestWitnessCmd:
         assert json.loads(out.read_text())["color"] == 0
 
     def test_wrong_color_count_exit_2(self, tmp_path):
-        from kneser_chroma.setfam import enumerate_stable_ksubsets
-
         num = len(enumerate_stable_ksubsets(8, 2))
         cf = tmp_path / "col.json"
         cf.write_text(json.dumps({"num_colors": 2, "colors": [0] * num}))
@@ -706,6 +704,34 @@ class TestWitnessCmd:
                      "--coloring-file", str(cfile), "--out", str(wfile)]) == 0
         rep = json.loads(wfile.read_text())
         assert rep["counts"]["pos"] >= rep["counts"]["t_pos"]
+
+    @pytest.mark.parametrize("n, k, ell", [(7, 2, 1), (8, 2, 1), (10, 2, 2),
+                                           (11, 3, 1)])
+    def test_coloring_file_accepted_in_every_shape(self, tmp_path, capsys,
+                                                    n, k, ell):
+        # random valid colorings, written as a bare list, as {"colors": ...}
+        # and as chi output; one path, so the config echo is the same too
+        d, _ = bounds.derived_params(n, k, ell)
+        num = len(enumerate_stable_ksubsets(n, k))
+        rng = random.Random(f"{n},{k},{ell}")
+        cf = tmp_path / "col.json"
+        args = ["witness", "--n", str(n), "--k", str(k), "--ell", str(ell),
+                "--coloring-file", str(cf)]
+        for _ in range(5):
+            colors = [rng.randrange(d) for _ in range(num)]
+            outs = []
+            for data in (colors, {"colors": colors},
+                         {"coloring": colors, "num_colors": d}):
+                cf.write_text(json.dumps(data))
+                assert main(args) == 0, data
+                out, err = capsys.readouterr()
+                assert err == ""
+                outs.append(out)
+            assert outs[0] == outs[1] == outs[2]
+            rep = strict_json(outs[0])
+            assert rep.pop("config") == {"n": n, "k": k, "ell": ell,
+                                         "coloring_file": str(cf)}
+            assert rep == run_witness(n, k, ell, coloring=colors)
 
 
 class TestBoundsCmd:

@@ -216,13 +216,15 @@ class TestStableEnumeration:
                 assert ranks == sorted(ranks)
 
     def test_matches_stable_filter_exhaustive(self):
-        # the direct build against the filter it replaced: masks, ranks, order
+        # both families against itertools: colex order is numeric mask order,
+        # ranks come from rank_mask and stability from mask_is_stable
         for n in range(0, 17):
             for k in range(0, n + 1):
-                want = [
-                    s for s in enumerate_ksubsets(n, k) if mask_is_stable(s.mask, n)
-                ]
-                assert enumerate_stable_ksubsets(n, k) == want
+                masks = sorted(mask_of(c) for c in combinations(range(1, n + 1), k))
+                want = [KSubset(m, n, k, rank_mask(m)) for m in masks]
+                assert enumerate_ksubsets(n, k) == want
+                stable = [s for s in want if mask_is_stable(s.mask, n)]
+                assert enumerate_stable_ksubsets(n, k) == stable
 
     def test_cost_follows_the_output_not_c_n_k(self):
         # C(64,32) is about 1.8e18 masks; a filter over them would never end
