@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import math
+import random
 import sys
 from functools import cache
 
@@ -11,10 +12,13 @@ import pytest
 from kneser_chroma import chromatic, seeds
 from kneser_chroma.chromatic import (
     EXACT,
+    PROBE_EDGES,
+    PROBE_MOVES,
     TABU_AFTER,
     TABU_MOVES,
     Budget,
     _dsatur_greedy,
+    _max_clique_exact,
     chromatic_number,
     clique_lower,
     max_independent_set,
@@ -278,12 +282,13 @@ class TestAgainstReference:
             if ref.status == EXACT and new.status != EXACT:
                 turned_timeout.append(i)
         assert len(cases) == 1400
-        assert timeouts == {"new": 12, "reference": 72}
-        assert turned_exact == 64
-        # a different search order loses some instances the old one solved
-        # within the budget: 4 of the 1,000 coupled SG(10,3) samples (5 before
-        # the TabuCol rescue), none of the 400 smaller graphs
-        assert len(turned_timeout) == 4 and min(turned_timeout) >= 400
+        # 12 timeouts before the clique cap and the contraction probes
+        assert timeouts == {"new": 4, "reference": 72}
+        assert turned_exact == 69
+        # a different search order loses an instance the old one solved within
+        # the budget: 1 of the 1,000 coupled SG(10,3) samples (5 before the
+        # TabuCol rescue, 4 before the probes), none of the 400 smaller graphs
+        assert len(turned_timeout) == 1 and min(turned_timeout) >= 400
 
     def test_coupled_rows_exact_before_the_rescue_pinned(self):
         # chi/status/lower/upper of the coupled rows exact before the TabuCol
@@ -301,12 +306,14 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize(
         "master_seed,trial,rescued",
-        [(1, 343, False), (1, 386, False), (1, 412, True), (1, 474, False),
-         (1, 499, False), (7, 5, True)],
+        [(1, 343, True), (1, 386, False), (1, 412, True), (1, 474, True),
+         (1, 499, True), (7, 5, True)],
     )
     def test_rows_lost_to_the_dynamic_key(self, master_seed, trial, rescued):
         # coupled SG(10,3) samples at p = 0.97 that the reference solves within
-        # 5,000 nodes (chi 5) and the bucketed search alone did not
+        # 5,000 nodes (chi 5) and the bucketed search alone did not; the
+        # TabuCol pass rescues 412 and (7, 5), the contraction probes 343, 474
+        # and 499
         parent = build_schrijver(10, 3)
         g = sample_subgraph(parent, 0.97, seeds.trial_seed(master_seed, trial))
         res = chromatic_number(g, Budget(max_nodes=5000))
@@ -326,9 +333,9 @@ class TestAgainstReference:
     @pytest.mark.parametrize(
         "build,n,k,nodes",
         [
-            (build_schrijver, 10, 3, 149_535),  # reference: 1,120,301
+            (build_schrijver, 10, 3, 149_494),  # uncapped 149,535, reference 1,120,301
             (build_kneser, 10, 3, 67_411),  # reference: 225,581
-            (build_kneser, 10, 2, 29_793),  # reference: 36,839
+            (build_kneser, 10, 2, 29_619),  # uncapped 29,793, reference 36,839
         ],
     )
     def test_parent_node_counts_pinned(self, build, n, k, nodes):
@@ -342,11 +349,13 @@ class TestTabuRescue:
         searches = []  # [counter, nodes at the start, (nodes, m, found) per pass]
         decide, tabu = chromatic._decide_colorable, chromatic._tabu_coloring
 
-        def spy_decide(adj, m, active, counter):
+        def spy_decide(adj, m, active, counter, *sample):
             searches.append([counter, counter.nodes, []])
-            return decide(adj, m, active, counter)
+            return decide(adj, m, active, counter, *sample)
 
         def spy_tabu(adj, kernel, m, moves):
+            if moves == PROBE_MOVES:  # a contraction probe, not the kernel pass
+                return tabu(adj, kernel, m, moves)
             counter, start, passes = searches[-1]
             assert moves == TABU_MOVES
             found = tabu(adj, kernel, m, moves)
@@ -367,6 +376,102 @@ class TestTabuRescue:
         passes = [p for _, _, p in searches if p]
         assert all(len(p) == 1 and p[0][0] == TABU_AFTER for p in passes)
         assert {found for p in passes for _, _, found in p} == {False, True}
+
+
+def bench_samples(seed):
+    """The 600 samples of one random-chi-sg bench pass at ``seed``: 300
+    master seeds, each sampled at p = 0.9 and 0.97 with trial index 0."""
+    rng = random.Random(f"random-chi-sg/{seed}")
+    parent = build_schrijver(10, 3)
+    return [
+        sample_subgraph(parent, p, seeds.trial_seed(master, 0))
+        for master in [rng.getrandbits(62) for _ in range(300)]
+        for p in (0.9, 0.97)
+    ]
+
+
+class TestCliqueCap:
+    def test_capped_search_returns_the_uncapped_clique(self):
+        # a clique's members are pairwise disjoint k-sets of [n], so n // k
+        # bounds it, and the search only replaces its best by a larger one
+        graphs = criterion_01_grid() + [g for g, _ in pin_grid()] + bench_samples(7)
+        nodes = {"capped": 0, "uncapped": 0}
+        for g in graphs:
+            active = (1 << g.num_vertices) - 1
+            capped, uncapped = chromatic._Counter(None), chromatic._Counter(None)
+            want = _max_clique_exact(g.adj, active, uncapped)
+            assert len(want) <= g.n // g.k
+            assert _max_clique_exact(g.adj, active, capped, g.n // g.k) == want
+            nodes["capped"] += capped.nodes
+            nodes["uncapped"] += uncapped.nodes
+        assert len(graphs) == 24 + 1400 + 600
+        assert nodes["capped"] < nodes["uncapped"]
+
+
+def spy_probes(monkeypatch):
+    """Per decide(m) search: [m, probe passes, probe result or None if the
+    probes never ran], with every coloring the probes return checked on G."""
+    searches = []
+    decide, tabu = chromatic._decide_colorable, chromatic._tabu_coloring
+    probes = chromatic._contraction_probes
+
+    def spy_decide(adj, m, active, counter, *sample):
+        searches.append([m, 0, None])
+        return decide(adj, m, active, counter, *sample)
+
+    def spy_tabu(adj, kernel, m, moves):
+        searches[-1][1] += moves == PROBE_MOVES
+        return tabu(adj, kernel, m, moves)
+
+    def spy_contraction_probes(adj, kernel, m, sample):
+        found = probes(adj, kernel, m, sample)
+        if found is not None:  # a proper m-coloring of G's kernel
+            for v in iter_bits(kernel):
+                assert 0 <= found[v] < m
+                assert all(found[u] != found[v] for u in iter_bits(adj[v] & kernel))
+        searches[-1][2] = found is not None
+        return found
+
+    monkeypatch.setattr(chromatic, "_decide_colorable", spy_decide)
+    monkeypatch.setattr(chromatic, "_tabu_coloring", spy_tabu)
+    monkeypatch.setattr(chromatic, "_contraction_probes", spy_contraction_probes)
+    return searches
+
+
+class TestContractionProbes:
+    def test_probes_only_at_n_minus_2k_plus_1_and_within_the_limit(self, monkeypatch):
+        searches = spy_probes(monkeypatch)
+        parent = build_schrijver(10, 3)
+        for trial in range(40):
+            g = sample_subgraph(parent, 0.97, seeds.trial_seed(1, trial))
+            res = chromatic_number(g, Budget(max_nodes=5000))
+            assert is_proper(g, res.coloring)
+        probed = [(m, n, found) for m, n, found in searches if found is not None]
+        assert all(n == 0 for _, n, found in searches if found is None)
+        assert {m for m, _, _ in probed} == {10 - 2 * 3 + 1}
+        assert all(1 <= n <= PROBE_EDGES for _, n, _ in probed)
+        # one search finds its coloring at the first probe, one misses on all 9
+        assert sorted(probed) == [(5, 1, True), (5, 9, False)]
+
+    def test_no_probe_past_the_limit(self, monkeypatch):
+        # the two searches that probed above each hold more than 8 dropped edges
+        monkeypatch.setattr(chromatic, "PROBE_EDGES", 8)
+        searches = spy_probes(monkeypatch)
+        parent = build_schrijver(10, 3)
+        for trial in range(40):
+            g = sample_subgraph(parent, 0.97, seeds.trial_seed(1, trial))
+            chromatic_number(g, Budget(max_nodes=5000))
+        probed = [(m, n, found) for m, n, found in searches if found is not None]
+        assert probed == [(5, 0, False), (5, 0, False)]
+
+    def test_sample_missing_many_edges_gets_no_probe(self, monkeypatch):
+        # KG(14,4) at p = 0.5 drops about half of its 105,105 edges; the
+        # search reaches m = 7 = n-2k+1, and its probes stop at counting
+        searches = spy_probes(monkeypatch)
+        g = sample_subgraph(build_kneser(14, 4), 0.5, 1)
+        chromatic_number(g, Budget(max_nodes=3000))
+        assert [s for s in searches if s[2] is not None] == [[7, 0, False]]
+        assert sum(n for _, n, _ in searches) == 0
 
 
 class TestBoundsHelpers:
@@ -457,13 +562,13 @@ class TestVertexCritical:
         assert vertex_critical(g) is True
 
     def test_one_budget_for_the_solve_and_the_loop(self):
-        # SG(7, 2): 41 nodes to solve chi, 268 to refute each vertex; a
+        # SG(7, 2): 34 nodes to solve chi, 268 to refute each vertex; a
         # budget of 300 covers either part, not both
         g = build_schrijver(7, 2)
-        assert chromatic_number(g).nodes_explored == 41
+        assert chromatic_number(g).nodes_explored == 34
         assert vertex_critical(g, Budget(max_nodes=300)) is None
-        assert vertex_critical(g, Budget(max_nodes=308)) is None
-        assert vertex_critical(g, Budget(max_nodes=309)) is True
+        assert vertex_critical(g, Budget(max_nodes=301)) is None
+        assert vertex_critical(g, Budget(max_nodes=302)) is True
 
     def test_empty_graph_refused(self):
         g = build_schrijver(3, 2)

@@ -203,11 +203,12 @@ class TestChi:
         # the whole report, nodes and colorings included; digest computed
         # with the bucketed, uncolored-degree DSATUR search and its TabuCol
         # rescue (7 timeouts before the rescue), deciding no m below the
-        # clique bound
+        # clique bound, with the ⌊n/k⌋ clique cap and the contraction probes
+        # (4 timeouts before them)
         reports = [rep for _, rep in chi_grid()]
-        assert sum(r["status"] == "timeout" for r in reports) == 4
+        assert sum(r["status"] == "timeout" for r in reports) == 2
         assert sha256_of_reports(reports) == (
-            "ab4410a4dd3eec38e732f4b430b9f1fe2cdec6b2be41fc02c5ca8eafb041614a"
+            "0e50e565f1522854779d02f9a212c66acd5d4900c757e37b3255ad0890e52d1d"
         )
 
     def test_brackets_are_open_and_upper_is_the_colors_used(self):

@@ -50,7 +50,7 @@ def test_demo_02_stdout_pinned_with_its_times_masked():
     masked, times = re.subn(rb"\d+\.\d\ds", b"<time>", proc.stdout)
     assert times == 24
     assert hashlib.sha256(masked).hexdigest() == (
-        "5770e7c5375f55d1da8a4bfdf641e920cd000e9ac2deb36d1d610fb13a9c254f"
+        "16f7848badf7dc65b78e448b35592322a1a29f3ac5096737d060267fd3eff4ae"
     )
 
 
