@@ -3,7 +3,7 @@
 Points are integer vectors, never normalized, and there is no floating
 point anywhere in this module: every sign comes from a sign-change rule
 proven in its docstring, and every normal is re-checked against its signs
-by exact integer inner products when it is read.
+by exact integer Horner evaluation when it is read.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import combinations
-from operator import mul, xor
+from operator import xor
 
 from .errors import CapacityError, NoWitnessFound
 from .graphs import SCHRIJVER, family_vertices
@@ -54,9 +54,10 @@ class HemispherePartition:
     Built from the plus and minus masks and a recipe (points, the x of the
     zero set, a+b for each sign change, orientation); the signs are derived
     on first read.  The partition builds its primitive normal from the
-    recipe (``_face_normal``), and checks it against its signs by exact dot
-    products, when ``normal`` is first read.  Partitions are equal iff their
-    plus and minus masks are, so comparing them builds no normal.
+    recipe (``_face_normal``), and checks it against its masks by Horner's
+    rule in exact integers, when ``normal`` is first read.  Partitions are
+    equal iff their plus and minus masks are, so comparing them builds no
+    normal.
     """
 
     def __init__(self, plus_mask: int, minus_mask: int, recipe):
@@ -67,10 +68,21 @@ class HemispherePartition:
     @cached_property
     def normal(self) -> tuple[int, ...]:
         normal = _face_normal(*self._recipe)
-        for p, want in zip(self._recipe[0], self.signs):
-            v = sum(map(mul, p, normal))
-            if (v > 0) - (v < 0) != want:
-                raise RuntimeError(f"normal {normal} does not realize {self.signs}")
+        high = normal[::-1]
+        plus = minus = 0
+        # point i (from 1) is sigma_i (1, i, ..., i^(d-1)), so its inner
+        # product with the normal is sigma_i f(i), f by Horner's rule
+        for x, p in enumerate(self._recipe[0], 1):
+            v = 0
+            for c in high:
+                v = v * x + c
+            v *= p[0]
+            if v > 0:
+                plus |= 1 << (x - 1)
+            elif v < 0:
+                minus |= 1 << (x - 1)
+        if (plus, minus) != (self.plus_mask, self.minus_mask):
+            raise RuntimeError(f"normal {normal} does not realize {self.signs}")
         return normal
 
     def __eq__(self, other):
@@ -219,8 +231,8 @@ def canonical_hemispheres(emb: GaleEmbedding):
     The sides come from ``_zero_sets`` without a dot product: the plus side
     is its ``base`` when s > 0 and ``base ^ off`` otherwise, and the reversed
     orientation swaps the masks.  Each partition builds f from Z and s, and
-    re-checks it against its sides by exact dot products, when its
-    ``normal`` is first read.
+    re-checks it against its sides by Horner's rule, when its ``normal`` is
+    first read.
 
     Emitted in a fixed order: boundary subsets ascending lexicographically,
     positive orientation first.
@@ -339,8 +351,8 @@ def enumerate_faces(emb: GaleEmbedding) -> FaceSet:
     That f, made primitive, is each face's normal: by Gauss's lemma it is the
     product of the primitive factors, 2x - (a+b) halved when a+b is even.
     Only the signs are built here.  A face builds its normal from Z and its
-    changes when ``normal`` is first read, and checks it then by exact dot
-    products; ``WitnessSearch`` reads it before it uses the face.  Faces come
+    changes when ``normal`` is first read, and checks it then by Horner's
+    rule; ``WitnessSearch`` reads it before it uses the face.  Faces come
     in (|Z|, Z, signs) order: zero count ascending (full cells first), zero
     sets in ``combinations`` order, sign tuples ascending.  ``WitnessSearch.find``
     reports the first witness in this order.

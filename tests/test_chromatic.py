@@ -150,7 +150,7 @@ class TestChromaticNumber:
         assert is_proper(build_kneser(7, 2), res.coloring)
 
     def test_time_budget(self):
-        # the deadline is read every 1,024 nodes; KG(10,2) takes 29,793
+        # the deadline is read every 1,024 nodes; KG(10,2) takes 32,019
         g = build_kneser(10, 2)
         assert chromatic_number(g, Budget(max_ms=0)).status == "timeout"
         assert chromatic_number(g, Budget(max_ms=10**7)) == chromatic_number(g)
@@ -160,7 +160,7 @@ class TestChromaticNumber:
         {"max_nodes": -1},
     ])
     def test_budget_refuses_nan_or_negative(self, fields):
-        # a NaN deadline never passes (SG(10,3) would run all 149,535 nodes)
+        # a NaN deadline never passes (SG(10,3) would run all 153,365 nodes)
         # and a negative cap would time every search out at once
         with pytest.raises(ValueError):
             Budget(**fields)
@@ -333,10 +333,12 @@ class TestAgainstReference:
     @pytest.mark.parametrize(
         "build,n,k,nodes",
         [
-            (build_schrijver, 10, 3, 149_494),  # uncapped 149,535, reference 1,120,301
-            (build_kneser, 10, 3, 67_411),  # reference: 225,581
-            (build_kneser, 10, 2, 29_619),  # uncapped 29,793, reference 36,839
+            # forced vertices picked by degree: 149,494; reference 1,120,301
+            (build_schrijver, 10, 3, 153_365),
+            (build_kneser, 10, 3, 69_362),  # by degree 67,411; reference 225,581
+            (build_kneser, 10, 2, 32_019),  # by degree 29,619; reference 36,839
         ],
+        ids=["build_schrijver-10-3", "build_kneser-10-3", "build_kneser-10-2"],
     )
     def test_parent_node_counts_pinned(self, build, n, k, nodes):
         res = chromatic_number(build(n, k))
@@ -474,6 +476,57 @@ class TestContractionProbes:
         assert sum(n for _, n, _ in searches) == 0
 
 
+def spy_nodes(monkeypatch):
+    """(vertex, color) of every search node, read off the DFS frame."""
+    nodes = []
+    spend = chromatic._Counter.spend
+
+    def spy_spend(counter):
+        frame = sys._getframe(1)
+        nodes.append((frame.f_locals["v"], frame.f_locals["c"]))
+        spend(counter)
+
+    monkeypatch.setattr(chromatic._Counter, "spend", spy_spend)
+    return nodes
+
+
+class TestForcedVertices:
+    def test_forced_pair_fails_without_a_node(self, monkeypatch):
+        # C5 at m = 2: the clique colors 0 and 1, and vertices 2 and 4 are
+        # forced; 2 takes color 0 at one node, after which 3 and 4 are
+        # adjacent and both forced to color 1, which fails at no node
+        nodes = spy_nodes(monkeypatch)
+        c5 = tuple(1 << (v + 1) % 5 | 1 << (v - 1) % 5 for v in range(5))
+        counter = chromatic._Counter(None)
+        assert chromatic._decide_colorable(c5, 2, 0b11111, counter) is None
+        assert nodes == [(2, 0)] and counter.nodes == 1
+
+    @pytest.mark.parametrize("build", [build_schrijver, build_kneser], ids=["C5", "Petersen"])
+    def test_odd_cycles_refute_two_colors_in_one_node(self, build):
+        # SG(5,2) is C5 and KG(5,2) the Petersen graph; each took 2 nodes with
+        # forced vertices picked by degree
+        g = build(5, 2)
+        counter = chromatic._Counter(None)
+        full = (1 << g.num_vertices) - 1
+        assert chromatic._decide_colorable(g.adj, 2, full, counter) is None
+        assert counter.nodes == 1
+        res = chromatic_number(g)
+        assert (res.chi, res.status, res.nodes_explored) == (3, EXACT, 1)
+
+    def test_bench_rows_pinned(self):
+        # chi/status/lower/upper of seed 7's 600 random-chi-sg solves; digest
+        # computed with forced vertices picked by degree
+        h = hashlib.sha256()
+        for g in bench_samples(7):
+            res = chromatic_number(g, Budget(max_nodes=5000))
+            row = {"chi": res.chi, "status": res.status, "lower": res.lower,
+                   "upper": res.upper}
+            h.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
+        assert h.hexdigest() == (
+            "e28135f4f7c68e3a0d2c3bcc51c39b2e058927ea43377349e3e5a43e7e001fc9"
+        )
+
+
 class TestBoundsHelpers:
     def test_clique_kneser_6_2(self):
         assert clique_lower(build_kneser(6, 2)) >= 3
@@ -562,13 +615,13 @@ class TestVertexCritical:
         assert vertex_critical(g) is True
 
     def test_one_budget_for_the_solve_and_the_loop(self):
-        # SG(7, 2): 34 nodes to solve chi, 268 to refute each vertex; a
-        # budget of 300 covers either part, not both
+        # SG(7, 2): 28 nodes to solve chi, 248 to refute each vertex; a
+        # budget of 275 covers either part, not both
         g = build_schrijver(7, 2)
-        assert chromatic_number(g).nodes_explored == 34
-        assert vertex_critical(g, Budget(max_nodes=300)) is None
-        assert vertex_critical(g, Budget(max_nodes=301)) is None
-        assert vertex_critical(g, Budget(max_nodes=302)) is True
+        assert chromatic_number(g).nodes_explored == 28
+        assert vertex_critical(g, Budget(max_nodes=248)) is None
+        assert vertex_critical(g, Budget(max_nodes=275)) is None
+        assert vertex_critical(g, Budget(max_nodes=276)) is True
 
     def test_empty_graph_refused(self):
         g = build_schrijver(3, 2)

@@ -204,11 +204,11 @@ class TestChi:
         # with the bucketed, uncolored-degree DSATUR search and its TabuCol
         # rescue (7 timeouts before the rescue), deciding no m below the
         # clique bound, with the ⌊n/k⌋ clique cap and the contraction probes
-        # (4 timeouts before them)
+        # (4 timeouts before them), and forced vertices picked by index
         reports = [rep for _, rep in chi_grid()]
         assert sum(r["status"] == "timeout" for r in reports) == 2
         assert sha256_of_reports(reports) == (
-            "0e50e565f1522854779d02f9a212c66acd5d4900c757e37b3255ad0890e52d1d"
+            "a910f45740d9b24e27a70d76b4f3f6b337408a229259bf3ea7da1f9dcde702ff"
         )
 
     def test_brackets_are_open_and_upper_is_the_colors_used(self):
@@ -258,7 +258,8 @@ class TestChi:
         g = tmp_path / "g.json"
         g.write_text(PETERSEN_JSON)
         out = tmp_path / "chi.json"
-        rc = main(["chi", str(g), "--budget-nodes", "1", "--out", str(out)])
+        # Petersen solves in one node, so only a budget of 0 times out
+        rc = main(["chi", str(g), "--budget-nodes", "0", "--out", str(out)])
         assert rc == 3
         rep = json.loads(out.read_text())
         assert rep["status"] == "timeout"

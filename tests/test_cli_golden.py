@@ -28,7 +28,7 @@ CASES = {
     ),
     "chi-exact": (
         ["chi", "g.json"],
-        0, "fe4f0be4c506886a2697a61eaf18daf77e99b3ed5e1493344dbc3d4c8caca0df",
+        0, "a1d3c203d3b9c07d05aa953d6f382fa65422de4addea59296383a14076e7445b",
     ),
     "chi-budget-exit-3": (
         ["chi", "g.json", "--budget-nodes", "1"],

@@ -50,7 +50,7 @@ def test_demo_02_stdout_pinned_with_its_times_masked():
     masked, times = re.subn(rb"\d+\.\d\ds", b"<time>", proc.stdout)
     assert times == 24
     assert hashlib.sha256(masked).hexdigest() == (
-        "16f7848badf7dc65b78e448b35592322a1a29f3ac5096737d060267fd3eff4ae"
+        "c9c426c344b7e500d79a791c72047ee2961f1345dd892a250a859a4f4e8432af"
     )
 
 

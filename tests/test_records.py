@@ -28,7 +28,7 @@ RECORDS = {
     "ColoringResult": (
         ["chi", "coloring", "clique", "nodes_explored", "status", "lower", "upper"],
         "ColoringResult(chi=3, coloring=(0, 0, 1, 1, 2), clique=(0, 2), "
-        "nodes_explored=2, status='exact', lower=3, upper=3)",
+        "nodes_explored=1, status='exact', lower=3, upper=3)",
     ),
     "IndependentSetResult": (
         ["size", "vertices", "status", "nodes_explored"],
