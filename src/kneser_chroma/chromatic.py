@@ -23,13 +23,18 @@ counts of failing chains move, and with them the node at which the TabuCol
 rescue and the budget fire.  On coupled SG(10,3) samples 89% of the picks
 that refute m = 4 are forced.
 
+Both exact searches, the coloring DFS and the clique branch-and-bound, are
+loops over an explicit list of frames, one per vertex on the current path,
+so neither recurses nor touches the interpreter's recursion limit.
+
 Near p = 1 the search's long calls are mostly *finds*: the chi-coloring
 exists, greedy misses it, and the DFS wanders before it lands on one.  So
-once one decide(m) search has spent TABU_AFTER nodes, it runs a single
-TabuCol pass (Hertz and de Werra 1987, tenure of Galinier and Hao 1999) of
-at most TABU_MOVES moves on its kernel.  A coloring it finds is checked edge
-by edge and ends the call; a failed pass returns into the DFS where it
-stopped, so the DFS visits the same nodes in the same order as without it.
+at the node TABU_AFTER past the start of one decide(m) search, the loop
+runs a single TabuCol pass (Hertz and de Werra 1987, tenure of Galinier and
+Hao 1999) of at most TABU_MOVES moves on its kernel.  A coloring it finds
+is checked edge by edge and ends the loop; after a failed pass the loop
+resumes where it stopped, so the DFS visits the same nodes in the same
+order as without it.
 Moves are not search nodes and are not charged to ``Budget.max_nodes``: a
 pass can only end a search early, so every later search starts with at
 least the budget it had without the pass, a row exact without it stays
@@ -61,10 +66,8 @@ three seeds against 632-675 for DSATUR alone, and 48 edges changed nothing.
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import namedtuple
-from contextlib import contextmanager
 from itertools import islice
 
 from .graphs import Graph, _disjointness_adjacency
@@ -100,25 +103,18 @@ class _OutOfBudget(Exception):
     pass
 
 
-class _Colored(Exception):
-    """Carries a checked coloring out of the search that it cuts short."""
-
-    def __init__(self, colors: list[int]):
-        self.colors = colors
-
-
 _NEVER = 1 << 62
 
 
 class _Counter:
-    """Search nodes against the budget.
+    """Search nodes against the node budget and the deadline.
 
     ``spend`` compares the count with one limit: the first count at which
-    something is due, that is the node budget, a deadline check every 1024
-    nodes, or an armed rescue.  ``_due`` sorts out which.
+    something is due, that is the node budget or a deadline check every
+    1024 nodes.
     """
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "rescue", "rescue_at", "limit")
+    __slots__ = ("nodes", "max_nodes", "deadline", "limit")
 
     def __init__(self, budget: Budget | None):
         self.nodes = 0
@@ -126,24 +122,15 @@ class _Counter:
         self.deadline = None
         if budget and budget.max_ms is not None:
             self.deadline = time.monotonic() + budget.max_ms / 1000.0
-        self.disarm()
+        self._relimit()
 
     def spend(self) -> None:
         self.nodes += 1
         if self.nodes > self.limit:
             self._due()
 
-    def arm(self, rescue, after: int) -> None:
-        """Call ``rescue()`` once, when ``after`` more nodes have been spent."""
-        self.rescue, self.rescue_at = rescue, self.nodes + after - 1
-        self._relimit()
-
-    def disarm(self) -> None:
-        self.rescue = self.rescue_at = None
-        self._relimit()
-
     def _relimit(self) -> None:
-        due = [x for x in (self.max_nodes, self.rescue_at) if x is not None]
+        due = [] if self.max_nodes is None else [self.max_nodes]
         if self.deadline is not None:
             due.append(self.nodes | 1023)  # the next multiple of 1024, less one
         self.limit = min(due, default=_NEVER)
@@ -154,10 +141,6 @@ class _Counter:
         if self.deadline is not None and self.nodes % 1024 == 0:
             if time.monotonic() > self.deadline:
                 raise _OutOfBudget
-        if self.rescue_at is not None and self.nodes > self.rescue_at:
-            rescue = self.rescue
-            self.disarm()
-            rescue()
         self._relimit()
 
 
@@ -185,40 +168,42 @@ def _max_clique_exact(
 ) -> list[int]:
     """Branch-and-bound maximum clique with a greedy-coloring bound, up to ``cap``."""
     best = _greedy_clique(adj, active)
-    stack: list[int] = []
-
-    def expand(p: int) -> None:
-        nonlocal best
-        # color candidates greedily; vertices are tried in reverse color order
-        seq: list[tuple[int, int]] = []
-        rem = p
-        c = 0
-        while rem:
-            c += 1
-            cand = rem
-            while cand:
-                low = cand & -cand
-                v = low.bit_length() - 1
-                seq.append((v, c))
-                cand &= ~adj[v] & ~low
-                rem ^= low
-        cur = p
-        for v, c in reversed(seq):
-            if len(stack) + c <= len(best) or len(best) >= cap:
-                return
+    stack: list[int] = []  # the clique so far, one vertex per frame below the top
+    frames: list[list] = []  # [candidates untried, their (vertex, color) sequence]
+    p = active
+    while True:
+        if p:
+            # color candidates greedily; vertices are tried in reverse color order
+            seq: list[tuple[int, int]] = []
+            rem = p
+            c = 0
+            while rem:
+                c += 1
+                cand = rem
+                while cand:
+                    low = cand & -cand
+                    v = low.bit_length() - 1
+                    seq.append((v, c))
+                    cand &= ~adj[v] & ~low
+                    rem ^= low
+            frames.append([p, seq])
+        elif not frames:
+            return sorted(best)
+        cur, seq = frame = frames[-1]
+        if seq and len(best) < cap and len(stack) + seq[-1][1] > len(best):
+            v = seq.pop()[0]
             counter.spend()
-            stack.append(v)
-            nxt = cur & adj[v]
-            if nxt:
-                expand(nxt)
-            elif len(stack) > len(best):
-                best = stack[:]
-            stack.pop()
-            cur &= ~(1 << v)
-
-    if active:
-        expand(active)
-    return sorted(best)
+            frame[0] = cur = cur ^ 1 << v  # adj[v] lacks v: the child is unchanged
+            p = cur & adj[v]
+            if p:
+                stack.append(v)
+            elif len(stack) >= len(best):
+                best = stack + [v]
+        else:
+            frames.pop()
+            if stack:
+                stack.pop()
+            p = 0
 
 
 def _clique(
@@ -254,8 +239,7 @@ def max_independent_set(graph: Graph) -> IndependentSetResult:
     full = (1 << m) - 1
     comp = tuple(~graph.adj[u] & full & ~(1 << u) for u in range(m))
     counter = _Counter(None)
-    with _recursion_room(m):
-        best = _max_clique_exact(comp, full, counter)
+    best = _max_clique_exact(comp, full, counter)
     return IndependentSetResult(len(best), tuple(sorted(best)), EXACT, counter.nodes)
 
 
@@ -466,7 +450,7 @@ def _decide_colorable(
             colors[v] = i
             uncolored ^= 1 << v
             near[i] = adj[v] & kernel
-        used0 = len(clique)
+        used = len(clique)
         # bucket[s]: uncolored kernel vertices with saturation s (s <= m); the
         # clique's colors are distinct, so saturation counts clique neighbours
         bucket = [0] * (m + 1)
@@ -474,21 +458,18 @@ def _decide_colorable(
             bucket[(adj[u] & (kernel ^ uncolored)).bit_count()] |= 1 << u
 
         spend = counter.spend
-
-        def rescue() -> None:
-            found = _tabu_coloring(adj, kernel, m, TABU_MOVES)
-            if found is None and sample is not None:
-                found = _contraction_probes(adj, kernel, m, sample)
-            if found is not None:
-                raise _Colored(found + [-1] * (n_bits - len(found)))
-
-        def dfs(uncolored: int, used: int) -> bool:
-            if uncolored == 0:
-                return True
+        rescue_at = counter.nodes + TABU_AFTER
+        # a frame per colored vertex above the current one: the vertex, its bit
+        # and bucket, the vertices after it and its neighbours among them, the
+        # colors used before it, its color, the vertices that color saturated
+        # and its color limit
+        frames: list[tuple[int, ...]] = []
+        while uncolored:
             sat = m
             while not bucket[sat]:
                 sat -= 1
             cand = bucket[sat]
+            conflict = 0
             if sat == m - 1:
                 # forced: lowest index; a forced neighbour with its color fails
                 vbit = cand & -cand
@@ -496,8 +477,7 @@ def _decide_colorable(
                 c = 0
                 while near[c] & vbit:
                     c += 1
-                if adj[v] & cand & ~near[c]:
-                    return False
+                conflict = adj[v] & cand & ~near[c]
             else:
                 # DSATUR pick: saturation desc, uncolored degree desc, lowest index
                 best_v = -1
@@ -511,13 +491,47 @@ def _decide_colorable(
                         best_v, best_deg = v, deg
                 v = best_v
                 vbit = 1 << v
-            bucket[sat] ^= vbit
-            rest = uncolored ^ vbit
-            nbrs = adj[v] & rest
-            for c in range(used + 1 if used < m else m):
-                if near[c] & vbit:
+            if conflict:  # back into the parent's next color, at no node
+                if not frames:
+                    return None
+                v, vbit, sat, rest, nbrs, used, c, touched, top = frames.pop()
+            else:
+                bucket[sat] ^= vbit
+                rest = uncolored ^ vbit
+                nbrs = adj[v] & rest
+                top = used + 1 if used < m else m
+                c = -1
+            # try v's next color; backtrack into the parent once v has none
+            while True:
+                if c >= 0:
+                    colors[v] = -1
+                    near[c] ^= touched
+                    s = 1
+                    while touched:
+                        down = touched & bucket[s]
+                        if down:
+                            bucket[s] ^= down
+                            bucket[s - 1] |= down
+                            touched ^= down
+                        s += 1
+                c += 1
+                while c < top and near[c] & vbit:
+                    c += 1
+                if c == top:
+                    bucket[sat] |= vbit
+                    if not frames:
+                        return None
+                    v, vbit, sat, rest, nbrs, used, c, touched, top = frames.pop()
                     continue
                 spend()
+                if counter.nodes == rescue_at:
+                    found = _tabu_coloring(adj, kernel, m, TABU_MOVES)
+                    if found is None and sample is not None:
+                        found = _contraction_probes(adj, kernel, m, sample)
+                    if found is not None:
+                        colors = found + [-1] * (n_bits - len(found))
+                        uncolored = 0
+                        break
                 colors[v] = c
                 touched = nbrs & ~near[c]
                 near[c] |= touched
@@ -531,29 +545,11 @@ def _decide_colorable(
                         moving ^= up
                     s -= 1
                 # a neighbour left with no color fails the subtree at no node
-                if not bucket[m] and dfs(rest, used if c < used else c + 1):
-                    return True
-                colors[v] = -1
-                near[c] ^= touched
-                s = 1
-                while touched:
-                    down = touched & bucket[s]
-                    if down:
-                        bucket[s] ^= down
-                        bucket[s - 1] |= down
-                        touched ^= down
-                    s += 1
-            bucket[sat] |= vbit
-            return False
-
-        counter.arm(rescue, TABU_AFTER)
-        try:
-            if uncolored and not dfs(uncolored, used0):
-                return None
-        except _Colored as done:
-            colors = done.colors
-        finally:
-            counter.disarm()
+                if not bucket[m]:
+                    frames.append((v, vbit, sat, rest, nbrs, used, c, touched, top))
+                    uncolored = rest
+                    used = used if c < used else c + 1
+                    break
 
     # reinsert kernel-stripped vertices; a free color always exists for them
     seen = kernel
@@ -570,17 +566,6 @@ def _decide_colorable(
     return colors
 
 
-@contextmanager
-def _recursion_room(nv: int):
-    """Room for a search one frame deep per vertex; the old limit comes back."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * nv + 1000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def chromatic_number(graph: Graph, budget: Budget | None = None) -> ColoringResult:
     """Exact chi(G) with a proper coloring; bracketing bounds on timeout."""
     if graph.num_vertices == 0:
@@ -595,24 +580,23 @@ def _chromatic(graph: Graph, counter: _Counter) -> ColoringResult:
     status = EXACT
 
     if graph.num_edges:
-        with _recursion_room(nv):
-            # a clique's members are pairwise disjoint k-sets of [n]
-            clique = _clique(graph.adj, active, counter, graph.n // graph.k)
-            lower = max(2, len(clique))
-            best, upper = _dsatur_greedy(graph.adj, active)
-            # try one color fewer than the best coloring until that fails or
-            # the clique bound is met
-            while upper > lower:
-                try:
-                    m = upper - 1
-                    sample = graph if m == graph.n - 2 * graph.k + 1 else None
-                    attempt = _decide_colorable(graph.adj, m, active, counter, sample)
-                except _OutOfBudget:
-                    status = TIMEOUT
-                    break
-                if attempt is None:
-                    break
-                best, upper = attempt, max(attempt) + 1
+        # a clique's members are pairwise disjoint k-sets of [n]
+        clique = _clique(graph.adj, active, counter, graph.n // graph.k)
+        lower = max(2, len(clique))
+        best, upper = _dsatur_greedy(graph.adj, active)
+        # try one color fewer than the best coloring until that fails or the
+        # clique bound is met
+        while upper > lower:
+            try:
+                m = upper - 1
+                sample = graph if m == graph.n - 2 * graph.k + 1 else None
+                attempt = _decide_colorable(graph.adj, m, active, counter, sample)
+            except _OutOfBudget:
+                status = TIMEOUT
+                break
+            if attempt is None:
+                break
+            best, upper = attempt, max(attempt) + 1
 
     return ColoringResult(
         chi=upper,
@@ -643,14 +627,13 @@ def vertex_critical(graph: Graph, budget: Budget | None = None) -> bool | None:
     chi = res.chi
     if chi == 1:
         return False
-    with _recursion_room(nv):
-        for v in range(nv):
-            try:
-                attempt = _decide_colorable(
-                    graph.adj, chi - 1, ((1 << nv) - 1) ^ (1 << v), counter
-                )
-            except _OutOfBudget:
-                return None
-            if attempt is None:
-                return False
+    for v in range(nv):
+        try:
+            attempt = _decide_colorable(
+                graph.adj, chi - 1, ((1 << nv) - 1) ^ (1 << v), counter
+            )
+        except _OutOfBudget:
+            return None
+        if attempt is None:
+            return False
     return True

@@ -123,7 +123,7 @@ def chi_report(graph, budget: Budget | None) -> dict:
         "lower": res.lower,
         "upper": res.upper,
         "num_colors": res.chi,
-        "coloring": list(res.coloring) if res.coloring is not None else None,
+        "coloring": list(res.coloring),
         "clique": list(res.clique),
     }
 

@@ -175,8 +175,8 @@ class TestChromaticNumber:
         assert Budget(5)._replace(max_ms=0.0) == Budget(5, 0.0)
 
     def test_recursion_limit_restored(self):
-        # KG(14,4) has 1,001 vertices; the search on this sample runs deeper
-        # than Python's default limit of 1,000 frames
+        # KG(14,4) has 1,001 vertices; the searches on this sample leave the
+        # process-wide recursion limit as they found it
         g = sample_subgraph(build_kneser(14, 4), 0.5, 1)
         before = sys.getrecursionlimit()
         res = chromatic_number(g, Budget(max_nodes=3000))
@@ -186,8 +186,8 @@ class TestChromaticNumber:
         assert sys.getrecursionlimit() == before
 
     def test_alpha_search_gets_recursion_room(self):
-        # KG(9,3)'s complement search runs deeper than 25 frames past the
-        # caller; chi on the same graph already gets its room
+        # pins that chi and alpha of KG(9,3) leave the limit alone: with it 25
+        # frames past the caller both run, neither raising it nor recursing
         g = build_kneser(9, 3)
         before = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 25)
@@ -197,6 +197,29 @@ class TestChromaticNumber:
         finally:
             sys.setrecursionlimit(before)
         assert (res.size, res.status, res.nodes_explored) == (28, "exact", 391)
+
+    def test_searches_leave_the_recursion_limit_alone(self, monkeypatch):
+        # KG(14,6) has 3,003 vertices, each colored on an explicit stack; with
+        # the limit 50 frames past the caller no search recurses or raises it
+        # (the limit is set here: chromatic_reference raises it for the session)
+        calls = []
+        set_limit = sys.setrecursionlimit
+        monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+        before = sys.getrecursionlimit()
+        set_limit(len(inspect.stack()) + 50)
+        try:
+            res = chromatic_number(build_kneser(14, 6), Budget(max_nodes=20000))
+            sample = sample_subgraph(build_kneser(14, 4), 0.5, 1)
+            critical = vertex_critical(sample, Budget(max_nodes=3000))
+            alpha = max_independent_set(build_kneser(9, 3))
+        finally:
+            set_limit(before)
+        assert calls == []
+        assert (res.status, res.lower, res.upper, res.nodes_explored) == (
+            "timeout", 2, 4, 20001
+        )
+        assert critical is None
+        assert alpha.size == 28
 
 
 def criterion_01_grid():
