@@ -23,6 +23,13 @@ MAX_T_BITS = 2**16
 MAX_T_LN = MAX_T_BITS * math.log(2.0)
 
 
+def _check_rates(p: float, eps: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p={p} outside (0, 1]")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps={eps} outside (0, 1)")
+
+
 class TheoremParams(namedtuple("TheoremParams", "n k ell p eps dt")):
     """Finite parameter tuple (n, k, ell, p, eps), validated on construction.
 
@@ -36,10 +43,7 @@ class TheoremParams(namedtuple("TheoremParams", "n k ell p eps dt")):
 
     def __new__(cls, n, k, ell, p, eps):
         dt = derived_params(n, k, ell)
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"p={p} outside (0, 1]")
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps={eps} outside (0, 1)")
+        _check_rates(p, eps)
         return super().__new__(cls, n, k, ell, p, eps, dt)
 
     @classmethod
@@ -253,10 +257,7 @@ def best_gap(n: int, k: int, p: float, eps: float) -> BestGap | None:
     """
     if k < 2:
         raise ValueError(f"precondition k >= 2 violated (k={k})")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p={p} outside (0, 1]")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps={eps} outside (0, 1)")
+    _check_rates(p, eps)
     ell_max, lhs = (n - 2 * k - 1) // 2, (1.0 - eps) * p
     if ell_max < 1 or lhs == 0.0:
         return None
@@ -301,12 +302,13 @@ def corollary_regime_report(
 
     Each ell whose condition holds certifies the chromatic gap <= 2*ell at
     these concrete parameters (the fixed-ell corollary conclusions; ell = 2
-    and ell = 1 are the two headline gap-4 / gap-2 regimes).
+    and ell = 1 are the two headline gap-4 / gap-2 regimes).  p and eps are
+    refused outside (0, 1] and (0, 1), NaN included, before any ell.
     """
+    _check_rates(p, eps)
     ells = sorted({1, 2} | set(extra_ells))
     lhs = (1.0 - eps) * p
     entries = []
-    certified = []
     for ell in ells:
         try:
             d, t = derived_params(n, k, ell)
@@ -315,11 +317,9 @@ def corollary_regime_report(
         else:
             rhs = _rhs(n, d, t)
         holds = rhs is not None and lhs > rhs
-        conclusion = None
-        if holds:
-            conclusion = f"chi >= n-2k+2 - {2 * ell} (gap <= {2 * ell})"
-            certified.append(conclusion)
+        conclusion = f"chi >= n-2k+2 - {2 * ell} (gap <= {2 * ell})" if holds else None
         entries.append(
             RegimeEntry(ell=ell, d=d, t=t, rhs=rhs, holds=holds, conclusion=conclusion)
         )
-    return RegimeReport(entries=tuple(entries), certified=tuple(certified))
+    certified = tuple(e.conclusion for e in entries if e.holds)
+    return RegimeReport(entries=tuple(entries), certified=certified)

@@ -109,39 +109,30 @@ _NEVER = 1 << 62
 class _Counter:
     """Search nodes against the node budget and the deadline.
 
-    ``spend`` compares the count with one limit: the first count at which
-    something is due, that is the node budget or a deadline check every
-    1024 nodes.
+    ``spend`` compares the count with one limit: the node budget or, with a
+    deadline, the next multiple of 1024 less one if that comes first, so the
+    clock is read only at those multiples.  Without a deadline the limit is
+    the budget, and passing it raises before the clock would be read.
     """
 
     __slots__ = ("nodes", "max_nodes", "deadline", "limit")
 
     def __init__(self, budget: Budget | None):
+        budget = budget or Budget()
         self.nodes = 0
-        self.max_nodes = budget.max_nodes if budget else None
+        self.max_nodes = _NEVER if budget.max_nodes is None else budget.max_nodes
         self.deadline = None
-        if budget and budget.max_ms is not None:
+        self.limit = self.max_nodes
+        if budget.max_ms is not None:
             self.deadline = time.monotonic() + budget.max_ms / 1000.0
-        self._relimit()
+            self.limit = min(self.max_nodes, 1023)
 
     def spend(self) -> None:
         self.nodes += 1
         if self.nodes > self.limit:
-            self._due()
-
-    def _relimit(self) -> None:
-        due = [] if self.max_nodes is None else [self.max_nodes]
-        if self.deadline is not None:
-            due.append(self.nodes | 1023)  # the next multiple of 1024, less one
-        self.limit = min(due, default=_NEVER)
-
-    def _due(self) -> None:
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _OutOfBudget
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
+            if self.nodes > self.max_nodes or time.monotonic() > self.deadline:
                 raise _OutOfBudget
-        self._relimit()
+            self.limit = min(self.max_nodes, self.nodes + 1023)
 
 
 ColoringResult = namedtuple(
@@ -232,7 +223,11 @@ IndependentSetResult = namedtuple(
 
 
 def max_independent_set(graph: Graph) -> IndependentSetResult:
-    """Exact alpha(G): a maximum clique of the complement."""
+    """Exact alpha(G): a maximum clique of the complement.
+
+    It takes no budget and runs to the end, which grows fast with the graph:
+    on KG(10,4), 210 vertices, it ran past 60 s on a 2-vCPU VM.
+    """
     m = graph.num_vertices
     if m == 0:
         raise ValueError("empty graph")
@@ -240,7 +235,7 @@ def max_independent_set(graph: Graph) -> IndependentSetResult:
     comp = tuple(~graph.adj[u] & full & ~(1 << u) for u in range(m))
     counter = _Counter(None)
     best = _max_clique_exact(comp, full, counter)
-    return IndependentSetResult(len(best), tuple(sorted(best)), EXACT, counter.nodes)
+    return IndependentSetResult(len(best), tuple(best), EXACT, counter.nodes)
 
 
 def _dsatur_greedy(adj: tuple[int, ...], active: int) -> tuple[list[int], int]:
@@ -249,9 +244,8 @@ def _dsatur_greedy(adj: tuple[int, ...], active: int) -> tuple[list[int], int]:
     Picks by (saturation desc, static degree desc, lowest index), scanning
     only the top saturation bucket.
     """
-    n_bits = active.bit_length()
-    colors = [-1] * n_bits
-    degs = [(adj[v] & active).bit_count() for v in range(n_bits)]
+    colors = [-1] * len(adj)
+    degs = [(row & active).bit_count() for row in adj]
     near: list[int] = []  # near[c]: vertices with a neighbour colored c
     bucket = [active]  # bucket[s]: uncolored vertices with saturation s
     uncolored = active
@@ -301,7 +295,7 @@ def _kernelize(adj: tuple[int, ...], active: int, m: int) -> tuple[int, list[int
 def _tabu_coloring(
     adj: tuple[int, ...], kernel: int, m: int, moves: int
 ) -> list[int] | None:
-    """TabuCol: a proper m-coloring of the kernel, or None after ``moves``.
+    """TabuCol: a proper m-coloring of the kernel (-1 off it), or None after ``moves``.
 
     Starts from greedy DSATUR with each color >= m moved, in index order, to
     its least-conflict color.  A move recolors a conflicting vertex to the
@@ -411,7 +405,6 @@ def _contraction_probes(
         colors = _tabu_coloring(merged, kernel ^ vbit, m, PROBE_MOVES)
         if colors is None:
             continue
-        colors += [-1] * (kernel.bit_length() - len(colors))
         colors[v] = colors[u]
         if all(colors[w] != colors[x] for w in iter_bits(kernel)
                for x in iter_bits(adj[w] & kernel)):
@@ -435,9 +428,8 @@ def _decide_colorable(
     graph as ``sample`` at m = n-2k+1, where a failed TabuCol pass goes on
     to the contraction probes.
     """
-    n_bits = active.bit_length()
     kernel, removed = _kernelize(adj, active, m)
-    colors = [-1] * n_bits
+    colors = [-1] * len(adj)
 
     if kernel:
         clique = _greedy_clique(adj, kernel)
@@ -529,7 +521,7 @@ def _decide_colorable(
                     if found is None and sample is not None:
                         found = _contraction_probes(adj, kernel, m, sample)
                     if found is not None:
-                        colors = found + [-1] * (n_bits - len(found))
+                        colors = found
                         uncolored = 0
                         break
                 colors[v] = c
@@ -567,7 +559,12 @@ def _decide_colorable(
 
 
 def chromatic_number(graph: Graph, budget: Budget | None = None) -> ColoringResult:
-    """Exact chi(G) with a proper coloring; bracketing bounds on timeout."""
+    """Exact chi(G) with a proper coloring; bracketing bounds on timeout.
+
+    Without a ``budget`` the search runs until chi is certified: on the
+    KG(14,4) sample at p = 0.5 and seed 1 that took over two minutes on a
+    2-vCPU VM, where ``Budget(max_nodes=3000)`` stops in under a second.
+    """
     if graph.num_vertices == 0:
         raise ValueError("empty graph")
     return _chromatic(graph, _Counter(budget))
@@ -613,7 +610,8 @@ def vertex_critical(graph: Graph, budget: Budget | None = None) -> bool | None:
     """True iff removing any single vertex lowers the chromatic number.
 
     Returns None (indeterminate) if the budget runs out before a verdict.  The
-    chi solve and the per-vertex refutations spend one budget.
+    chi solve and the per-vertex refutations spend one budget; without one
+    the call runs to a verdict, as long as ``chromatic_number``'s can.
     """
     nv = graph.num_vertices
     if nv == 0:

@@ -579,6 +579,25 @@ class TestRegimeReport:
         rep = corollary_regime_report(13, 2, 0.3, 0.5)
         assert rep.certified == ()
 
+    @pytest.mark.parametrize("p,eps,message", [
+        (2.0, 0.25, "p=2.0 outside (0, 1]"),
+        (0.0, 0.25, "p=0.0 outside (0, 1]"),
+        (math.nan, 0.25, "p=nan outside (0, 1]"),
+        (0.5, 1.0, "eps=1.0 outside (0, 1)"),
+        (0.5, 0.0, "eps=0.0 outside (0, 1)"),
+        (0.5, math.nan, "eps=nan outside (0, 1)"),
+    ])
+    def test_rates_refused_as_best_gap_and_params_do(self, p, eps, message):
+        # p = 2.0 once certified gap <= 79802 at ell = 39901
+        for call in (
+            lambda: corollary_regime_report(10**6, 2, p, eps, (39901,)),
+            lambda: best_gap(10**6, 2, p, eps),
+            lambda: TheoremParams(n=10**6, k=2, ell=1, p=p, eps=eps),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
     def test_invalid_ell_reported_not_raised(self):
         rep = corollary_regime_report(10, 2, 0.5, 0.5, extra_ells=[40])
         by_ell = {e.ell: e for e in rep.entries}

@@ -170,7 +170,17 @@ class TestChromaticNumber:
     def test_budget_limits_kept(self):
         g = build_kneser(10, 2)
         assert Budget() == Budget(None, None) == (None, None)
-        assert chromatic_number(g, Budget(0)).status == "timeout"
+        # the node at which each budget fires; a deadline is read every 1,024
+        # nodes, so at 1,024 it comes before a node budget of 1,500
+        for budget, nodes in [
+            (Budget(0), 1), (Budget(1024), 1025), (Budget(2047), 2048),
+            (Budget(max_ms=0), 1024), (Budget(1023, 0.0), 1024),
+            (Budget(1500, 0.0), 1024),
+        ]:
+            res = chromatic_number(g, budget)
+            assert (res.status, res.nodes_explored, res.lower, res.upper) == (
+                "timeout", nodes, 5, 8
+            ), budget
         assert chromatic_number(g, Budget(max_ms=math.inf)) == chromatic_number(g)
         assert Budget(5)._replace(max_ms=0.0) == Budget(5, 0.0)
 
@@ -616,6 +626,9 @@ class TestVertexCritical:
 
     def test_kneser_not_critical(self):
         assert vertex_critical(build_kneser(6, 2)) is False
+        # KG(4,2) is a perfect matching: less a vertex, the greedy clique of
+        # its kernel, an edge, refutes one color before any node
+        assert vertex_critical(build_kneser(4, 2)) is False
 
     def test_edgeless_not_critical(self):
         assert vertex_critical(build_kneser(3, 2)) is False
