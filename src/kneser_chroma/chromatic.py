@@ -25,7 +25,10 @@ that refute m = 4 are forced.
 
 Both exact searches, the coloring DFS and the clique branch-and-bound, are
 loops over an explicit list of frames, one per vertex on the current path,
-so neither recurses nor touches the interpreter's recursion limit.
+so neither recurses nor touches the interpreter's recursion limit.  A
+coloring frame keeps a copy of the buckets taken once its vertex left its
+own, and near[c] before its color c: trying the next color, or backtracking
+out of a child, restores the two, not replaying each move down the buckets.
 
 Near p = 1 the search's long calls are mostly *finds*: the chi-coloring
 exists, greedy misses it, and the DFS wanders before it lands on one.  So
@@ -453,9 +456,9 @@ def _decide_colorable(
         rescue_at = counter.nodes + TABU_AFTER
         # a frame per colored vertex above the current one: the vertex, its bit
         # and bucket, the vertices after it and its neighbours among them, the
-        # colors used before it, its color, the vertices that color saturated
-        # and its color limit
-        frames: list[tuple[int, ...]] = []
+        # colors used before it, its color and near[c] before it, its color
+        # limit and the buckets once it left its own
+        frames: list[tuple] = []
         while uncolored:
             sat = m
             while not bucket[sat]:
@@ -486,34 +489,27 @@ def _decide_colorable(
             if conflict:  # back into the parent's next color, at no node
                 if not frames:
                     return None
-                v, vbit, sat, rest, nbrs, used, c, touched, top = frames.pop()
+                v, vbit, sat, rest, nbrs, used, c, old, top, snap = frames.pop()
             else:
                 bucket[sat] ^= vbit
+                snap = bucket[:]
                 rest = uncolored ^ vbit
                 nbrs = adj[v] & rest
                 top = used + 1 if used < m else m
                 c = -1
-            # try v's next color; backtrack into the parent once v has none
+            # try v's next color; backtrack into the parent once v has none,
+            # whose snapshot restores the buckets v's own left
             while True:
                 if c >= 0:
-                    colors[v] = -1
-                    near[c] ^= touched
-                    s = 1
-                    while touched:
-                        down = touched & bucket[s]
-                        if down:
-                            bucket[s] ^= down
-                            bucket[s - 1] |= down
-                            touched ^= down
-                        s += 1
+                    near[c] = old
+                    bucket[:] = snap
                 c += 1
                 while c < top and near[c] & vbit:
                     c += 1
                 if c == top:
-                    bucket[sat] |= vbit
                     if not frames:
                         return None
-                    v, vbit, sat, rest, nbrs, used, c, touched, top = frames.pop()
+                    v, vbit, sat, rest, nbrs, used, c, old, top, snap = frames.pop()
                     continue
                 spend()
                 if counter.nodes == rescue_at:
@@ -525,9 +521,9 @@ def _decide_colorable(
                         uncolored = 0
                         break
                 colors[v] = c
-                touched = nbrs & ~near[c]
-                near[c] |= touched
-                moving = touched  # each one gains color c: up one bucket
+                old = near[c]
+                near[c] = old | nbrs
+                moving = nbrs & ~old  # each one gains color c: up one bucket
                 s = sat
                 while moving:
                     up = moving & bucket[s]
@@ -538,7 +534,7 @@ def _decide_colorable(
                     s -= 1
                 # a neighbour left with no color fails the subtree at no node
                 if not bucket[m]:
-                    frames.append((v, vbit, sat, rest, nbrs, used, c, touched, top))
+                    frames.append((v, vbit, sat, rest, nbrs, used, c, old, top, snap))
                     uncolored = rest
                     used = used if c < used else c + 1
                     break
