@@ -2,13 +2,16 @@
 
 The solver wraps a DSATUR-ordered branch-and-bound m-colorability decision:
 greedy DSATUR gives the upper bound, a clique the lower one, and the answer
-is certified by exhausting the (chi-1)-color search tree.  All tie-breaks
-are fixed, so results are deterministic under node budgets: the search picks
-a forced vertex, one with a single color left, by lowest index, and any
-other by saturation desc, then uncolored degree desc, then lowest index
-(Brelaz 1979); the greedy upper bound by saturation, then static degree,
-then index.  Both keep the uncolored vertices in per-saturation bitset
-buckets and scan only the top one.
+is certified by exhausting the (chi-1)-color search tree.  Each decide(m)
+search first colors the solve's clique, its members inside the kernel, as
+Brelaz's exact DSATUR starts (1979); a greedy clique of the kernel had 2
+members, not 3, in 841 of the 1,797 decide(4) calls of three bench seeds.  All
+tie-breaks are fixed, so results are deterministic under node budgets: the
+search picks a forced vertex, one with a single color left, by lowest index,
+and any other by saturation desc, then uncolored degree desc, then lowest
+index; the greedy upper bound by saturation, then static degree, then index.
+Both keep the uncolored vertices in per-saturation bitset buckets and scan
+only the top one.
 
 With m colors the forced vertices are bucket[m-1].  (1) While it is
 non-empty it is the top bucket (a vertex with no color left fails the chain
@@ -26,9 +29,8 @@ that refute m = 4 are forced.
 Both exact searches, the coloring DFS and the clique branch-and-bound, are
 loops over an explicit list of frames, one per vertex on the current path,
 so neither recurses nor touches the interpreter's recursion limit.  A
-coloring frame keeps a copy of the buckets taken once its vertex left its
-own, and near[c] before its color c: trying the next color, or backtracking
-out of a child, restores the two, not replaying each move down the buckets.
+coloring frame keeps the buckets as its vertex left them and near[c] before
+its color c, and undoes the color by restoring the two.
 
 Near p = 1 the search's long calls are mostly *finds*: the chi-coloring
 exists, greedy misses it, and the DFS wanders before it lands on one.  So
@@ -64,7 +66,8 @@ A sample that dropped more than PROBE_EDGES edges gets no probe: SG(10,3)
 at p = 0.97 drops 4-25 of its 425, KG(14,4) at p = 0.5 about 52,000, whose
 probes took 90 s.  On coupled SG(10,3) samples 33 of 36 probing calls hit;
 50 moves a probe, a quarter of a pass, left 593-625 nodes per bench op on
-three seeds against 632-675 for DSATUR alone, and 48 edges changed nothing.
+three seeds against 632-675 for DSATUR alone, and 48 edges changed nothing;
+the clique seed then took them to 553-574.
 """
 
 from __future__ import annotations
@@ -420,22 +423,24 @@ def _decide_colorable(
     m: int,
     active: int,
     counter: _Counter,
+    clique: tuple[int, ...],
     sample: Graph | None = None,
 ) -> list[int] | None:
     """Coloring of the active vertices with m colors, or None if impossible.
 
     Needs m >= 1 and at least one active vertex: ``chromatic_number`` asks
     for m >= lower >= 2, and ``vertex_critical`` for chi - 1 >= 1 with one
-    of its two or more vertices left out.  Raises _OutOfBudget when the
-    node budget runs out before a verdict.  ``chromatic_number`` passes the
-    graph as ``sample`` at m = n-2k+1, where a failed TabuCol pass goes on
-    to the contraction probes.
+    of its two or more vertices left out, and both their solve's clique,
+    whose members inside the kernel take the first colors.  Raises
+    _OutOfBudget when the node budget runs out before a verdict.
+    ``chromatic_number`` passes the graph as ``sample`` at m = n-2k+1, where
+    a failed TabuCol pass goes on to the contraction probes.
     """
     kernel, removed = _kernelize(adj, active, m)
     colors = [-1] * len(adj)
 
     if kernel:
-        clique = _greedy_clique(adj, kernel)
+        clique = [v for v in clique if kernel >> v & 1]
         if len(clique) > m:
             return None
         # near[c]: kernel vertices with a neighbour colored c
@@ -454,10 +459,9 @@ def _decide_colorable(
 
         spend = counter.spend
         rescue_at = counter.nodes + TABU_AFTER
-        # a frame per colored vertex above the current one: the vertex, its bit
-        # and bucket, the vertices after it and its neighbours among them, the
-        # colors used before it, its color and near[c] before it, its color
-        # limit and the buckets once it left its own
+        # a frame per colored vertex above the current one: the vertex, its bit and
+        # bucket, the vertices after it and its neighbours among them, the colors
+        # used before it, its color, near[c] before it, its limit and the buckets
         frames: list[tuple] = []
         while uncolored:
             sat = m
@@ -475,8 +479,7 @@ def _decide_colorable(
                 conflict = adj[v] & cand & ~near[c]
             else:
                 # DSATUR pick: saturation desc, uncolored degree desc, lowest index
-                best_v = -1
-                best_deg = -1
+                best_v, best_deg = -1, -1
                 while cand:
                     low = cand & -cand
                     v = low.bit_length() - 1
@@ -486,10 +489,8 @@ def _decide_colorable(
                         best_v, best_deg = v, deg
                 v = best_v
                 vbit = 1 << v
-            if conflict:  # back into the parent's next color, at no node
-                if not frames:
-                    return None
-                v, vbit, sat, rest, nbrs, used, c, old, top, snap = frames.pop()
+            if conflict:  # v has no color to try: back into the parent, at no node
+                c, top = -1, 0
             else:
                 bucket[sat] ^= vbit
                 snap = bucket[:]
@@ -497,8 +498,7 @@ def _decide_colorable(
                 nbrs = adj[v] & rest
                 top = used + 1 if used < m else m
                 c = -1
-            # try v's next color; backtrack into the parent once v has none,
-            # whose snapshot restores the buckets v's own left
+            # try v's next color; once v has none, the parent's snapshot undoes it
             while True:
                 if c >= 0:
                     near[c] = old
@@ -583,13 +583,13 @@ def _chromatic(graph: Graph, counter: _Counter) -> ColoringResult:
             try:
                 m = upper - 1
                 sample = graph if m == graph.n - 2 * graph.k + 1 else None
-                attempt = _decide_colorable(graph.adj, m, active, counter, sample)
+                found = _decide_colorable(graph.adj, m, active, counter, clique, sample)
             except _OutOfBudget:
                 status = TIMEOUT
                 break
-            if attempt is None:
+            if found is None:
                 break
-            best, upper = attempt, max(attempt) + 1
+            best, upper = found, max(found) + 1
 
     return ColoringResult(
         chi=upper,
@@ -624,7 +624,7 @@ def vertex_critical(graph: Graph, budget: Budget | None = None) -> bool | None:
     for v in range(nv):
         try:
             attempt = _decide_colorable(
-                graph.adj, chi - 1, ((1 << nv) - 1) ^ (1 << v), counter
+                graph.adj, chi - 1, ((1 << nv) - 1) ^ (1 << v), counter, res.clique
             )
         except _OutOfBudget:
             return None

@@ -366,8 +366,9 @@ class TestAgainstReference:
     @pytest.mark.parametrize(
         "build,n,k,nodes",
         [
+            # 153,365 with each search seeded by a greedy clique of its kernel;
             # forced vertices picked by degree: 149,494; reference 1,120,301
-            (build_schrijver, 10, 3, 153_365),
+            (build_schrijver, 10, 3, 141_879),
             (build_kneser, 10, 3, 69_362),  # by degree 67,411; reference 225,581
             (build_kneser, 10, 2, 32_019),  # by degree 29,619; reference 36,839
         ],
@@ -473,28 +474,33 @@ def spy_probes(monkeypatch):
     return searches
 
 
+def probe_samples():
+    """Coupled SG(10,3) samples at p = 0.97, master seed 1, trials 0-49: two
+    of their searches probe, trial 8's and trial 48's."""
+    parent = build_schrijver(10, 3)
+    return [sample_subgraph(parent, 0.97, seeds.trial_seed(1, trial)) for trial in range(50)]
+
+
 class TestContractionProbes:
     def test_probes_only_at_n_minus_2k_plus_1_and_within_the_limit(self, monkeypatch):
         searches = spy_probes(monkeypatch)
-        parent = build_schrijver(10, 3)
-        for trial in range(40):
-            g = sample_subgraph(parent, 0.97, seeds.trial_seed(1, trial))
+        for g in probe_samples():
             res = chromatic_number(g, Budget(max_nodes=5000))
             assert is_proper(g, res.coloring)
         probed = [(m, n, found) for m, n, found in searches if found is not None]
         assert all(n == 0 for _, n, found in searches if found is None)
         assert {m for m, _, _ in probed} == {10 - 2 * 3 + 1}
         assert all(1 <= n <= PROBE_EDGES for _, n, _ in probed)
-        # one search finds its coloring at the first probe, one misses on all 9
-        assert sorted(probed) == [(5, 1, True), (5, 9, False)]
+        # one search finds its coloring at the fourth probe, one misses on all 9
+        # (in trials 0-39 only the miss is left once the searches are seeded
+        # with the solve's clique)
+        assert sorted(probed) == [(5, 4, True), (5, 9, False)]
 
     def test_no_probe_past_the_limit(self, monkeypatch):
-        # the two searches that probed above each hold more than 8 dropped edges
-        monkeypatch.setattr(chromatic, "PROBE_EDGES", 8)
+        # the two searches that probed above each hold more than 3 dropped edges
+        monkeypatch.setattr(chromatic, "PROBE_EDGES", 3)
         searches = spy_probes(monkeypatch)
-        parent = build_schrijver(10, 3)
-        for trial in range(40):
-            g = sample_subgraph(parent, 0.97, seeds.trial_seed(1, trial))
+        for g in probe_samples():
             chromatic_number(g, Budget(max_nodes=5000))
         probed = [(m, n, found) for m, n, found in searches if found is not None]
         assert probed == [(5, 0, False), (5, 0, False)]
@@ -531,7 +537,7 @@ class TestForcedVertices:
         nodes = spy_nodes(monkeypatch)
         c5 = tuple(1 << (v + 1) % 5 | 1 << (v - 1) % 5 for v in range(5))
         counter = chromatic._Counter(None)
-        assert chromatic._decide_colorable(c5, 2, 0b11111, counter) is None
+        assert chromatic._decide_colorable(c5, 2, 0b11111, counter, (0, 1)) is None
         assert nodes == [(2, 0)] and counter.nodes == 1
 
     @pytest.mark.parametrize("build", [build_schrijver, build_kneser], ids=["C5", "Petersen"])
@@ -539,12 +545,12 @@ class TestForcedVertices:
         # SG(5,2) is C5 and KG(5,2) the Petersen graph; each took 2 nodes with
         # forced vertices picked by degree
         g = build(5, 2)
-        counter = chromatic._Counter(None)
-        full = (1 << g.num_vertices) - 1
-        assert chromatic._decide_colorable(g.adj, 2, full, counter) is None
-        assert counter.nodes == 1
         res = chromatic_number(g)
         assert (res.chi, res.status, res.nodes_explored) == (3, EXACT, 1)
+        counter = chromatic._Counter(None)
+        full = (1 << g.num_vertices) - 1
+        assert chromatic._decide_colorable(g.adj, 2, full, counter, res.clique) is None
+        assert counter.nodes == 1
 
     def test_bench_rows_pinned(self):
         # chi/status/lower/upper of seed 7's 600 random-chi-sg solves; digest
@@ -557,6 +563,48 @@ class TestForcedVertices:
             h.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
         assert h.hexdigest() == (
             "e28135f4f7c68e3a0d2c3bcc51c39b2e058927ea43377349e3e5a43e7e001fc9"
+        )
+
+
+class TestSeededSearch:
+    def test_every_search_is_seeded_with_the_solves_clique(self, monkeypatch):
+        # chromatic_number hands its exact clique to each decide(m) call, and
+        # decide builds no clique of its own
+        calls = []  # (graph's adjacency, seed clique) per decide(m) call
+        inside = []
+        decide, greedy = chromatic._decide_colorable, chromatic._greedy_clique
+
+        def spy_decide(adj, m, active, counter, clique, *sample):
+            calls.append((adj, clique))
+            inside.append(True)
+            try:
+                return decide(adj, m, active, counter, clique, *sample)
+            finally:
+                inside.pop()
+
+        def spy_greedy(adj, active):
+            assert not inside, "decide(m) built a clique of its own"
+            return greedy(adj, active)
+
+        monkeypatch.setattr(chromatic, "_decide_colorable", spy_decide)
+        monkeypatch.setattr(chromatic, "_greedy_clique", spy_greedy)
+        searched = 0
+        for g in bench_samples(7):
+            del calls[:]
+            res = chromatic_number(g, Budget(max_nodes=5000))
+            assert all(adj is g.adj and tuple(clique) == res.clique for adj, clique in calls)
+            searched += bool(calls)
+        assert searched == 600
+
+    def test_full_results_pinned(self):
+        # every field of seed 7's 600 random-chi-sg solves, nodes and colorings
+        # included; digest computed once the searches were seeded with the
+        # solve's clique
+        h = hashlib.sha256()
+        for g in bench_samples(7):
+            h.update((repr(tuple(chromatic_number(g, Budget(max_nodes=5000)))) + "\n").encode())
+        assert h.hexdigest() == (
+            "eb84b559a4070a9aad6edef9e67348f6390b49ee7fc09bd93270e11d6e2e60e8"
         )
 
 
@@ -626,8 +674,8 @@ class TestVertexCritical:
 
     def test_kneser_not_critical(self):
         assert vertex_critical(build_kneser(6, 2)) is False
-        # KG(4,2) is a perfect matching: less a vertex, the greedy clique of
-        # its kernel, an edge, refutes one color before any node
+        # KG(4,2) is a perfect matching: less a vertex, two edges are left,
+        # and one color fails on either
         assert vertex_critical(build_kneser(4, 2)) is False
 
     def test_edgeless_not_critical(self):
@@ -651,13 +699,14 @@ class TestVertexCritical:
         assert vertex_critical(g) is True
 
     def test_one_budget_for_the_solve_and_the_loop(self):
-        # SG(7, 2): 28 nodes to solve chi, 248 to refute each vertex; a
-        # budget of 275 covers either part, not both
+        # SG(7, 2): 28 nodes to solve chi, 178 to refute each vertex (248
+        # with each refutation seeded by a greedy clique of its kernel); a
+        # budget of 205 covers either part, not both
         g = build_schrijver(7, 2)
         assert chromatic_number(g).nodes_explored == 28
-        assert vertex_critical(g, Budget(max_nodes=248)) is None
-        assert vertex_critical(g, Budget(max_nodes=275)) is None
-        assert vertex_critical(g, Budget(max_nodes=276)) is True
+        assert vertex_critical(g, Budget(max_nodes=178)) is None
+        assert vertex_critical(g, Budget(max_nodes=205)) is None
+        assert vertex_critical(g, Budget(max_nodes=206)) is True
 
     def test_empty_graph_refused(self):
         g = build_schrijver(3, 2)

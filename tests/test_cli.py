@@ -204,11 +204,12 @@ class TestChi:
         # with the bucketed, uncolored-degree DSATUR search and its TabuCol
         # rescue (7 timeouts before the rescue), deciding no m below the
         # clique bound, with the ⌊n/k⌋ clique cap and the contraction probes
-        # (4 timeouts before them), and forced vertices picked by index
+        # (4 timeouts before them), forced vertices picked by index, and
+        # each decide(m) search seeded with the solve's clique
         reports = [rep for _, rep in chi_grid()]
         assert sum(r["status"] == "timeout" for r in reports) == 2
         assert sha256_of_reports(reports) == (
-            "a910f45740d9b24e27a70d76b4f3f6b337408a229259bf3ea7da1f9dcde702ff"
+            "dc672180acdad1c92a652117be69edc0f7a9a0cb95147f21282663fec6204725"
         )
 
     def test_brackets_are_open_and_upper_is_the_colors_used(self):

@@ -28,7 +28,7 @@ CASES = {
     ),
     "chi-exact": (
         ["chi", "g.json"],
-        0, "a1d3c203d3b9c07d05aa953d6f382fa65422de4addea59296383a14076e7445b",
+        0, "20a02a116536150b189d36038b2f586854ef4362dfb142008fd599ce8c5731dc",
     ),
     "chi-budget-exit-3": (
         ["chi", "g.json", "--budget-nodes", "1"],
@@ -54,7 +54,7 @@ CASES = {
     "witness-coloring-file": (
         ["witness", "--n", "8", "--k", "2", "--ell", "1", "--coloring-file",
          "c.json"],
-        0, "313dd1883e4d88ff56c71d193ca8dde99727cc311887abe74f2a4ed1a7bda5bc",
+        0, "c4ca63b78f719025c2402a653276bb995934293f6aca893363cbe3be704c9d3d",
     ),
     "bounds-ell": (
         ["bounds", "--n", "1000000", "--k", "2", "--ell", "63096", "--p", "0.5",
