@@ -107,19 +107,23 @@ def _ln_ln_binomial(b: float, t: int, d: int) -> float:
 def _plus_tail(total: float, logs, t1: int, t2: int, p: float) -> float:
     """total + t1 t2 ln(1-p) for 0 <= p < 1, ``logs`` the logs of total's terms.
 
-    t1 t2 goes through logs only past float range.  There an inf - inf is
-    summed from the logs, rounded to about 1e-16 of the largest, top, so a
-    sum within 1e-14 top of 0 is NaN: floats cannot tell its sign.
+    The sum over its larger term carries about 1e-16 top of rounding, top that
+    term's log: ln C(a, m) is rounded to 1e-16 ln a of its size, and past float
+    range t1 t2 goes through logs, where an inf - inf is summed.  So a sum
+    within 1e-14 top of 0, once that reaches 1e-9, is NaN: its sign is unknown.
     """
     lnq = math.log1p(-p)
-    try:
-        return total + float(t1 * t2) * lnq if lnq else total
-    except OverflowError:
-        neg = math.log(t1 * t2) + math.log(-lnq)
     r = -1.0  # the sign of total - exp(neg) where exp(neg) overflows
     try:
-        if total < math.inf:
-            return total - math.exp(neg)
+        try:
+            tail = float(t1 * t2) * -lnq if lnq else 0.0
+        except OverflowError:
+            neg = math.log(t1 * t2) + math.log(-lnq)
+            tail = math.exp(neg) if total < math.inf else math.inf
+        if tail < math.inf:
+            top = max(total, tail)
+            s, cut = total - tail, 1e-14 * math.log(top) * top
+            return math.nan if abs(s) <= cut and 1e-9 <= cut < math.inf else s
         top = max(*logs, neg)
         r = sum(math.exp(x - top) for x in logs) - math.exp(neg - top)
         if abs(r) <= 1e-14 * top:

@@ -536,6 +536,21 @@ class TestPastTSquared:
         assert -470 < mp_ln_g(10**400, 2, 2, 0.5) < -450
         assert math.isnan(ln_g(10**400, 2, 2, 0.5))
 
+    def test_ln_g_cancelling_in_float_range_is_nan_or_right(self):
+        # the same 2t ln 2 - 2t ln 2 at t = 10^e with both terms finite; the
+        # parent gave +368.0 at e = 17 and +3.57e285 at e = 300 (mpmath -18.4
+        # and -344.2), and at e = 308 it took total - exp(neg)
+        kept = []
+        for e in range(10, 309):
+            got = ln_g(10**e, 2, 2, 0.5)
+            if math.isnan(got):
+                continue
+            want = mp_ln_g(10**e, 2, 2, 0.5)
+            top = float(2 * 10**e * mpmath.log(2))  # the tail, the larger term
+            assert abs(got - float(want)) <= 1e-14 * top and (got < 0) == (want < 0), e
+            kept.append(e)
+        assert kept == [10, 11, 12, 13]
+
 
 class TestPastFloatRange:
     """An n that does not convert to a float is a ValueError naming n from
