@@ -3,15 +3,14 @@
 The solver wraps a DSATUR-ordered branch-and-bound m-colorability decision:
 greedy DSATUR gives the upper bound, a clique the lower one, and the answer
 is certified by exhausting the (chi-1)-color search tree.  Each decide(m)
-search first colors the solve's clique, its members inside the kernel, as
-Brelaz's exact DSATUR starts (1979); a greedy clique of the kernel had 2
-members, not 3, in 841 of the 1,797 decide(4) calls of three bench seeds.  All
-tie-breaks are fixed, so results are deterministic under node budgets: the
-search picks a forced vertex, one with a single color left, by lowest index,
-and any other by saturation desc, then uncolored degree desc, then lowest
-index; the greedy upper bound by saturation, then static degree, then index.
-Both keep the uncolored vertices in per-saturation bitset buckets and scan
-only the top one.
+search first colors the solve's clique inside its kernel, as Brelaz's exact
+DSATUR does (1979): a greedy clique of the kernel had 2 members, not 3, in
+841 of 1,797 bench decide(4) calls.  All tie-breaks are fixed, so results
+are deterministic under node budgets: the search picks a forced vertex, one
+with a single color left, by lowest index, and any other by saturation desc,
+then uncolored degree desc, then lowest index; the greedy upper bound by
+saturation, then static degree, then index.  Both keep the uncolored
+vertices in per-saturation bitset buckets and scan only the top one.
 
 With m colors the forced vertices are bucket[m-1].  (1) While it is
 non-empty it is the top bucket (a vertex with no color left fails the chain
@@ -430,9 +429,8 @@ def _decide_colorable(
 
     Needs m >= 1 and at least one active vertex: ``chromatic_number`` asks
     for m >= lower >= 2, and ``vertex_critical`` for chi - 1 >= 1 with one
-    of its two or more vertices left out, and both their solve's clique,
-    whose members inside the kernel take the first colors.  Raises
-    _OutOfBudget when the node budget runs out before a verdict.
+    of its two or more vertices left out; both pass their solve's clique.
+    Raises _OutOfBudget when the node budget runs out before a verdict.
     ``chromatic_number`` passes the graph as ``sample`` at m = n-2k+1, where
     a failed TabuCol pass goes on to the contraction probes.
     """
@@ -459,9 +457,10 @@ def _decide_colorable(
 
         spend = counter.spend
         rescue_at = counter.nodes + TABU_AFTER
-        # a frame per colored vertex above the current one: the vertex, its bit and
-        # bucket, the vertices after it and its neighbours among them, the colors
-        # used before it, its color, near[c] before it, its limit and the buckets
+        # a frame per colored vertex above the current one: the vertex, its bit
+        # and bucket, the vertices after it and its neighbours among them, the
+        # colors used before it, its color and near[c] before it, its color
+        # limit and the buckets as it left its own
         frames: list[tuple] = []
         while uncolored:
             sat = m
@@ -479,7 +478,8 @@ def _decide_colorable(
                 conflict = adj[v] & cand & ~near[c]
             else:
                 # DSATUR pick: saturation desc, uncolored degree desc, lowest index
-                best_v, best_deg = -1, -1
+                best_v = -1
+                best_deg = -1
                 while cand:
                     low = cand & -cand
                     v = low.bit_length() - 1
@@ -489,7 +489,7 @@ def _decide_colorable(
                         best_v, best_deg = v, deg
                 v = best_v
                 vbit = 1 << v
-            if conflict:  # v has no color to try: back into the parent, at no node
+            if conflict:  # try no color: back into the parent's next one, at no node
                 c, top = -1, 0
             else:
                 bucket[sat] ^= vbit
