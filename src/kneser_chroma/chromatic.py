@@ -7,23 +7,23 @@ search first colors the solve's clique inside its kernel, as Brelaz's exact
 DSATUR does (1979): a greedy clique of the kernel had 2 members, not 3, in
 841 of 1,797 bench decide(4) calls.  All tie-breaks are fixed, so results
 are deterministic under node budgets: the search picks a forced vertex, one
-with a single color left, by lowest index, and any other by saturation desc,
-then uncolored degree desc, then lowest index; the greedy upper bound by
-saturation, then static degree, then index.  Both keep the uncolored
-vertices in per-saturation bitset buckets and scan only the top one.
+with a single color left, by lowest index, and any other by Sewell's rule
+below; the greedy upper bound by saturation, then static degree, then
+index.  Both keep the uncolored vertices in per-saturation bitset buckets
+and scan only the top one.
 
 With m colors the forced vertices are bucket[m-1].  (1) While it is
 non-empty it is the top bucket (a vertex with no color left fails the chain
-first), so the degree pick too colors every forced vertex before it
-branches.  (2) A color not yet used lies in no near[c], so a forced
-vertex's color always passes the used + 1 rule.  (3) Coloring forced
-vertices is unit propagation, which reaches the same fixed point, or a
-conflict, in any order.  So the index pick keeps the branch points, every
-verdict and the first coloring found, and a forced neighbour left with the
-same one color fails the chain before it spends a node.  (4) Only the node
-counts of failing chains move, and with them the node at which the TabuCol
-rescue and the budget fire.  On coupled SG(10,3) samples 89% of the picks
-that refute m = 4 are forced.
+first), so any pick too colors every forced vertex before it branches.
+(2) A color not yet used lies in no near[c], so a forced vertex's color
+always passes the used + 1 rule.  (3) Coloring forced vertices is unit
+propagation, which reaches the same fixed point, or a conflict, in any
+order.  So the index pick keeps the branch points, every verdict and the
+first coloring found, and a forced neighbour left with the same one color
+fails the chain before it spends a node.  (4) Only the node counts of
+failing chains move, and with them the node at which the probes and the
+budget fire.  On coupled SG(10,3) samples 89% of the picks that refute
+m = 4 are forced.
 
 Both exact searches, the coloring DFS and the clique branch-and-bound, are
 loops over an explicit list of frames, one per vertex on the current path,
@@ -31,24 +31,20 @@ so neither recurses nor touches the interpreter's recursion limit.  A
 coloring frame keeps the buckets as its vertex left them and near[c] before
 its color c, and undoes the color by restoring the two.
 
-Near p = 1 the search's long calls are mostly *finds*: the chi-coloring
-exists, greedy misses it, and the DFS wanders before it lands on one.  So
-at the node TABU_AFTER past the start of one decide(m) search, the loop
-runs a single TabuCol pass (Hertz and de Werra 1987, tenure of Galinier and
-Hao 1999) of at most TABU_MOVES moves on its kernel.  A coloring it finds
-is checked edge by edge and ends the loop; after a failed pass the loop
-resumes where it stopped, so the DFS visits the same nodes in the same
-order as without it.
-Moves are not search nodes and are not charged to ``Budget.max_nodes``: a
-pass can only end a search early, so every later search starts with at
-least the budget it had without the pass, a row exact without it stays
-exact with the same chi, and a timeout can only turn exact.  The two
-constants bound the cost.  On coupled SG(10,3) samples at p = 0.9/0.97, 95%
-of the decide(m) calls end within 500 nodes and never pay for a pass.  A
-move costs about two nodes' time, so a pass costs at most about 400 nodes';
-200 moves find about two thirds of the colorings that the calls it fires
-in look for.  The same pass run before every search was a net loss: it
-burns its moves where greedy is already tight.
+Sewell's rule (1996, "An improved algorithm for exact graph colouring")
+takes, from the top saturation bucket, the vertex with the most pairs
+(u, c): u an uncolored neighbour, c < top a color free for both; then the
+lowest index.  A bucket of one is taken unscored.  The score is summed
+color-major over one bitset of uncolored vertices free for c per color: in
+prototypes, scoring each candidate's colors from its own row put the median
+bench solve up 21%, this form 8.6%.  Against the uncolored-degree key it
+took bench nodes per op (600 SG(10,3) solves at p = 0.9/0.97, 5,000-node
+budget, seeds 7/11/13) from 552.8/574.3/562.6 to 423.3/419.9/404.3, the
+SG(10,3) parent from 141,879 nodes to 32,387, and it solves SG(11,3) and
+KG(11,3) exactly in 1,282,151 and 485,180 nodes, where the old rule timed
+out at 5M.  It also retired a seeded 200-move TabuCol pass that ran at node
+500 of every long search: with the pass the bench read 1/0/1 timeouts,
+without it and with the probes below 2/1/1, and with neither 3/3/2.
 
 Two facts about the family's graphs guide the search.  A clique is a set of
 pairwise disjoint k-sets of [n], so none has more than n // k members, and
@@ -57,16 +53,17 @@ it only ever replaces its best by a larger one.  And chi(KG(n,k)) =
 chi(SG(n,k)) = n-2k+2 (Lovasz 1978, Schrijver 1978), so every
 (n-2k+1)-coloring of a sample makes a dropped parent edge uv monochromatic,
 and it colors the contraction G/{u,v}.  Near p = 1 chi is mostly n-2k+1,
-whose call must find.  So at m = n-2k+1 a failed pass goes on to probe
-G/{u,v} for each dropped edge inside the kernel: greedy DSATUR, then at most
-PROBE_MOVES TabuCol moves.  A hit gives v the color of u, is checked and
-ends the call as the pass's does.  The parent rows are derived only there.
-A sample that dropped more than PROBE_EDGES edges gets no probe: SG(10,3)
-at p = 0.97 drops 4-25 of its 425, KG(14,4) at p = 0.5 about 52,000, whose
-probes took 90 s.  On coupled SG(10,3) samples 33 of 36 probing calls hit;
-50 moves a probe, a quarter of a pass, left 593-625 nodes per bench op on
-three seeds against 632-675 for DSATUR alone, and 48 edges changed nothing;
-the clique seed then took them to 553-574.
+whose call must find.  So at the node PROBE_AFTER past the start of a
+decide(n-2k+1) search, the loop colors G/{u,v} by greedy DSATUR for each
+dropped edge inside the kernel.  A coloring with at most m colors gives v
+the color of u, is checked edge by edge on G and ends the call; after a
+miss the loop resumes where it stopped, so the DFS visits the same nodes in
+the same order.  Probes are not charged to ``Budget.max_nodes`` and can
+only end a search early, so a row exact without them stays exact with the
+same chi.  The parent rows are derived only there.  A sample that dropped
+more than PROBE_EDGES edges gets no probe: SG(10,3) at p = 0.97 drops 4-25
+of its 425, KG(14,4) at p = 0.5 about 52,000.  On the three bench passes
+34 of 64 probing calls hit.
 """
 
 from __future__ import annotations
@@ -76,16 +73,13 @@ from collections import namedtuple
 from itertools import islice
 
 from .graphs import Graph, _disjointness_adjacency
-from .seeds import mix64
 from .setfam import iter_bits
 
 EXACT = "exact"
 TIMEOUT = "timeout"
-# the TabuCol pass and the contraction probes; see the module docstring
-TABU_AFTER = 500
-TABU_MOVES = 200
+# the contraction probes; see the module docstring
+PROBE_AFTER = 500
 PROBE_EDGES = 24
-PROBE_MOVES = 50
 
 
 class Budget(namedtuple("Budget", "max_nodes max_ms", defaults=[None, None])):
@@ -297,96 +291,6 @@ def _kernelize(adj: tuple[int, ...], active: int, m: int) -> tuple[int, list[int
     return active, removed
 
 
-def _tabu_coloring(
-    adj: tuple[int, ...], kernel: int, m: int, moves: int
-) -> list[int] | None:
-    """TabuCol: a proper m-coloring of the kernel (-1 off it), or None after ``moves``.
-
-    Starts from greedy DSATUR with each color >= m moved, in index order, to
-    its least-conflict color.  A move recolors a conflicting vertex to the
-    color that lowers the conflicting edges most; taking its old color back
-    is tabu for 0.6 * (conflicting vertices) + r moves, r in 0..9, unless
-    that beats the best count so far.  r and the pick among equal moves come
-    from one mix64 draw per move, keyed on (kernel, m).
-    """
-    colors, _ = _dsatur_greedy(adj, kernel)
-    verts = list(iter_bits(kernel))
-    cls = [0] * m  # cls[c]: kernel vertices colored c
-    for v in verts:
-        if colors[v] < m:
-            cls[colors[v]] |= 1 << v
-    for v in verts:
-        if colors[v] >= m:
-            row = adj[v]
-            c = min(range(m), key=lambda c: (row & cls[c]).bit_count())
-            colors[v] = c
-            cls[c] |= 1 << v
-    bad = 0  # vertices with a neighbour of their own color
-    conflicts = 0
-    for v in verts:
-        own = (adj[v] & cls[colors[v]]).bit_count()
-        if own:
-            bad |= 1 << v
-            conflicts += own
-    conflicts //= 2
-    best = conflicts
-    key = mix64(m)
-    for word in range(0, kernel.bit_length(), 64):
-        key = mix64(key ^ kernel >> word)  # mix64 reads the low 64 bits
-    tabu = [0] * (len(colors) * m)  # tabu[v*m + c]: first move v may take c
-    for it in range(moves):
-        if not conflicts:
-            break
-        best_d = _NEVER
-        picks: list[tuple[int, int]] = []
-        cand = bad
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            row = adj[v]
-            cv = colors[v]
-            own = (row & cls[cv]).bit_count()
-            for c in range(m):
-                if c == cv:
-                    continue
-                d = (row & cls[c]).bit_count() - own
-                if d > best_d or (tabu[v * m + c] > it and conflicts + d >= best):
-                    continue
-                if d < best_d:
-                    best_d, picks = d, [(v, c)]
-                else:
-                    picks.append((v, c))
-        if not picks:  # every move tabu: wait for one to expire
-            continue
-        draw = mix64(key ^ it)
-        v, c = picks[draw % len(picks)]
-        a = colors[v]
-        vbit = 1 << v
-        cls[a] ^= vbit
-        cls[c] |= vbit
-        colors[v] = c
-        conflicts += best_d
-        best = min(best, conflicts)
-        touched = adj[v] & (cls[a] | cls[c]) | vbit
-        while touched:
-            low = touched & -touched
-            u = low.bit_length() - 1
-            touched ^= low
-            if adj[u] & cls[colors[u]]:
-                bad |= low
-            else:
-                bad &= ~low
-        tabu[v * m + a] = it + 1 + (bad.bit_count() * 3) // 5 + (draw >> 32) % 10
-    if conflicts:
-        return None
-    for v in verts:  # check edge by edge, apart from the bookkeeping above
-        c = colors[v]
-        if not 0 <= c < m or any(colors[u] == c for u in iter_bits(adj[v] & kernel)):
-            return None
-    return colors
-
-
 def _contraction_probes(
     adj: tuple[int, ...], kernel: int, m: int, sample: Graph
 ) -> list[int] | None:
@@ -407,8 +311,8 @@ def _contraction_probes(
         vbit, ubit = 1 << v, 1 << u
         merged = [row | ubit if row & vbit else row for row in adj]
         merged[u] = adj[u] | adj[v]
-        colors = _tabu_coloring(merged, kernel ^ vbit, m, PROBE_MOVES)
-        if colors is None:
+        colors, used = _dsatur_greedy(merged, kernel ^ vbit)
+        if used > m:
             continue
         colors[v] = colors[u]
         if all(colors[w] != colors[x] for w in iter_bits(kernel)
@@ -432,7 +336,8 @@ def _decide_colorable(
     of its two or more vertices left out; both pass their solve's clique.
     Raises _OutOfBudget when the node budget runs out before a verdict.
     ``chromatic_number`` passes the graph as ``sample`` at m = n-2k+1, where
-    a failed TabuCol pass goes on to the contraction probes.
+    the search runs the contraction probes once it has spent PROBE_AFTER
+    nodes.  A vertex that is not forced is picked by Sewell's rule.
     """
     kernel, removed = _kernelize(adj, active, m)
     colors = [-1] * len(adj)
@@ -456,7 +361,7 @@ def _decide_colorable(
             bucket[(adj[u] & (kernel ^ uncolored)).bit_count()] |= 1 << u
 
         spend = counter.spend
-        rescue_at = counter.nodes + TABU_AFTER
+        probe_at = counter.nodes + PROBE_AFTER if sample is not None else -1
         # a frame per colored vertex above the current one: the vertex, its bit
         # and bucket, the vertices after it and its neighbours among them, the
         # colors used before it, its color and near[c] before it, its color
@@ -468,27 +373,30 @@ def _decide_colorable(
                 sat -= 1
             cand = bucket[sat]
             conflict = 0
+            top = used + 1 if used < m else m
+            vbit = cand & -cand
             if sat == m - 1:
                 # forced: lowest index; a forced neighbour with its color fails
-                vbit = cand & -cand
-                v = vbit.bit_length() - 1
                 c = 0
                 while near[c] & vbit:
                     c += 1
-                conflict = adj[v] & cand & ~near[c]
-            else:
-                # DSATUR pick: saturation desc, uncolored degree desc, lowest index
-                best_v = -1
-                best_deg = -1
+                conflict = adj[vbit.bit_length() - 1] & cand & ~near[c]
+            elif cand ^ vbit:
+                # Sewell's pick: most pairs (uncolored neighbour u, color c < top)
+                # with c free for both, then lowest index; scored color-major
+                free = [uncolored & ~near[c] for c in range(top)]
+                best = -1
                 while cand:
                     low = cand & -cand
-                    v = low.bit_length() - 1
                     cand ^= low
-                    deg = (adj[v] & uncolored).bit_count()
-                    if deg > best_deg:
-                        best_v, best_deg = v, deg
-                v = best_v
-                vbit = 1 << v
+                    row = adj[low.bit_length() - 1]
+                    score = 0
+                    for f in free:
+                        if f & low:
+                            score += (row & f).bit_count()
+                    if score > best:
+                        best, vbit = score, low
+            v = vbit.bit_length() - 1
             if conflict:  # try no color: back into the parent's next one, at no node
                 c, top = -1, 0
             else:
@@ -496,7 +404,6 @@ def _decide_colorable(
                 snap = bucket[:]
                 rest = uncolored ^ vbit
                 nbrs = adj[v] & rest
-                top = used + 1 if used < m else m
                 c = -1
             # try v's next color; once v has none, the parent's snapshot undoes it
             while True:
@@ -512,10 +419,8 @@ def _decide_colorable(
                     v, vbit, sat, rest, nbrs, used, c, old, top, snap = frames.pop()
                     continue
                 spend()
-                if counter.nodes == rescue_at:
-                    found = _tabu_coloring(adj, kernel, m, TABU_MOVES)
-                    if found is None and sample is not None:
-                        found = _contraction_probes(adj, kernel, m, sample)
+                if counter.nodes == probe_at:
+                    found = _contraction_probes(adj, kernel, m, sample)
                     if found is not None:
                         colors = found
                         uncolored = 0

@@ -13,9 +13,6 @@ from kneser_chroma import chromatic, seeds
 from kneser_chroma.chromatic import (
     EXACT,
     PROBE_EDGES,
-    PROBE_MOVES,
-    TABU_AFTER,
-    TABU_MOVES,
     Budget,
     _dsatur_greedy,
     _max_clique_exact,
@@ -150,8 +147,8 @@ class TestChromaticNumber:
         assert is_proper(build_kneser(7, 2), res.coloring)
 
     def test_time_budget(self):
-        # the deadline is read every 1,024 nodes; KG(10,2) takes 32,019
-        g = build_kneser(10, 2)
+        # the deadline is read every 1,024 nodes; SG(10,3) takes 32,387
+        g = build_schrijver(10, 3)
         assert chromatic_number(g, Budget(max_ms=0)).status == "timeout"
         assert chromatic_number(g, Budget(max_ms=10**7)) == chromatic_number(g)
 
@@ -160,7 +157,7 @@ class TestChromaticNumber:
         {"max_nodes": -1},
     ])
     def test_budget_refuses_nan_or_negative(self, fields):
-        # a NaN deadline never passes (SG(10,3) would run all 153,365 nodes)
+        # a NaN deadline never passes (SG(10,3) would run all 32,387 nodes)
         # and a negative cap would time every search out at once
         with pytest.raises(ValueError):
             Budget(**fields)
@@ -168,18 +165,21 @@ class TestChromaticNumber:
             Budget(max_nodes=10)._replace(**fields)
 
     def test_budget_limits_kept(self):
-        g = build_kneser(10, 2)
+        # SG(10,3) takes 32,387 nodes; KG(10,2), used before, now takes 1,119
+        g = build_schrijver(10, 3)
         assert Budget() == Budget(None, None) == (None, None)
         # the node at which each budget fires; a deadline is read every 1,024
-        # nodes, so at 1,024 it comes before a node budget of 1,500
-        for budget, nodes in [
-            (Budget(0), 1), (Budget(1024), 1025), (Budget(2047), 2048),
-            (Budget(max_ms=0), 1024), (Budget(1023, 0.0), 1024),
-            (Budget(1500, 0.0), 1024),
+        # nodes, so at 1,024 it comes before a node budget of 1,500.  Budget(0)
+        # fires at the clique search's first node, which falls back to a greedy
+        # clique of 2, and again at the first node of decide(5)
+        for budget, nodes, lower in [
+            (Budget(0), 2, 2), (Budget(1024), 1025, 3), (Budget(2047), 2048, 3),
+            (Budget(max_ms=0), 1024, 3), (Budget(1023, 0.0), 1024, 3),
+            (Budget(1500, 0.0), 1024, 3),
         ]:
             res = chromatic_number(g, budget)
             assert (res.status, res.nodes_explored, res.lower, res.upper) == (
-                "timeout", nodes, 5, 8
+                "timeout", nodes, lower, 6
             ), budget
         assert chromatic_number(g, Budget(max_ms=math.inf)) == chromatic_number(g)
         assert Budget(5)._replace(max_ms=0.0) == Budget(5, 0.0)
@@ -263,8 +263,9 @@ def pin_grid():
     return cases
 
 
-# pin_grid() rows that timed out before the TabuCol rescue
-PIN_GRID_TIMEOUTS_BEFORE_RESCUE = frozenset(
+# pin_grid() rows that timed out under the uncolored-degree tie-break with no
+# fallback search
+PIN_GRID_TIMEOUTS_UNDER_THE_DEGREE_KEY = frozenset(
     (364, 365, 411, 489, 513, 623, 625, 743, 869, 969, 1041, 1087, 1143, 1173,
      1221, 1225, 1299, 1301, 1349, 1399)
 )
@@ -287,7 +288,8 @@ def assert_against_reference(graph, new, ref):
 
 
 class TestAgainstReference:
-    """The bucketed, uncolored-degree DSATUR against the reference solver."""
+    """The bucketed DSATUR search with Sewell's pick against the reference
+    solver (static degree)."""
 
     def test_criterion_01_grid(self):
         # the reference takes 17 s on this grid, 16 of them on KG(10,3) and
@@ -315,26 +317,30 @@ class TestAgainstReference:
             if ref.status == EXACT and new.status != EXACT:
                 turned_timeout.append(i)
         assert len(cases) == 1400
-        # 12 timeouts before the clique cap and the contraction probes
-        assert timeouts == {"new": 4, "reference": 72}
+        # 12 timeouts before the clique cap and the contraction probes, 4 with
+        # the uncolored-degree tie-break and the TabuCol pass; Sewell's pick
+        # turned rows 364 and 743 exact and lost 869, 875 and 1041
+        assert timeouts == {"new": 5, "reference": 72}
         assert turned_exact == 69
-        # a different search order loses an instance the old one solved within
-        # the budget: 1 of the 1,000 coupled SG(10,3) samples (5 before the
-        # TabuCol rescue, 4 before the probes), none of the 400 smaller graphs
-        assert len(turned_timeout) == 1 and min(turned_timeout) >= 400
+        # a different search order loses instances the old one solved within
+        # the budget: 2 of the 1,000 coupled SG(10,3) samples (5 before the
+        # TabuCol pass, 4 before the probes, 1 with both), none of the 400
+        # smaller graphs
+        assert turned_timeout == [875, 1173]
 
-    def test_coupled_rows_exact_before_the_rescue_pinned(self):
-        # chi/status/lower/upper of the coupled rows exact before the TabuCol
-        # rescue; digest computed then
+    def test_coupled_rows_exact_under_the_degree_key_pinned(self):
+        # chi/status/lower/upper of the coupled rows exact under the
+        # uncolored-degree tie-break with no fallback; digest computed with
+        # Sewell's pick and the DSATUR probes
         h = hashlib.sha256()
         for i, (g, budget) in enumerate(pin_grid()[400:], 400):
-            if i not in PIN_GRID_TIMEOUTS_BEFORE_RESCUE:
+            if i not in PIN_GRID_TIMEOUTS_UNDER_THE_DEGREE_KEY:
                 res = chromatic_number(g, budget)
                 row = {"chi": res.chi, "status": res.status, "lower": res.lower,
                        "upper": res.upper}
                 h.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
         assert h.hexdigest() == (
-            "694d0eddac2400d4026fe0f9b5f06a4235116a11832d6f1412b2577868248bc1"
+            "f04f4aa3fcf1e0bdfb2cd053c4c647794bfc6472d8a9f6855f490229983fe76a"
         )
 
     @pytest.mark.parametrize(
@@ -344,9 +350,9 @@ class TestAgainstReference:
     )
     def test_rows_lost_to_the_dynamic_key(self, master_seed, trial, rescued):
         # coupled SG(10,3) samples at p = 0.97 that the reference solves within
-        # 5,000 nodes (chi 5) and the bucketed search alone did not; the
-        # TabuCol pass rescues 412 and (7, 5), the contraction probes 343, 474
-        # and 499
+        # 5,000 nodes (chi 5) and the bucketed search with the uncolored-degree
+        # tie-break alone did not; Sewell's pick solves 343, 412, 499 and
+        # (7, 5) within 410 nodes, the contraction probes 474
         parent = build_schrijver(10, 3)
         g = sample_subgraph(parent, 0.97, seeds.trial_seed(master_seed, trial))
         res = chromatic_number(g, Budget(max_nodes=5000))
@@ -366,52 +372,35 @@ class TestAgainstReference:
     @pytest.mark.parametrize(
         "build,n,k,nodes",
         [
-            # 153,365 with each search seeded by a greedy clique of its kernel;
-            # forced vertices picked by degree: 149,494; reference 1,120,301
-            (build_schrijver, 10, 3, 141_879),
-            (build_kneser, 10, 3, 69_362),  # by degree 67,411; reference 225,581
-            (build_kneser, 10, 2, 32_019),  # by degree 29,619; reference 36,839
+            # with the uncolored-degree tie-break: 141,879; 153,365 with each
+            # search seeded by a greedy clique of its kernel; reference 1,120,301
+            (build_schrijver, 10, 3, 32_387),
+            (build_kneser, 10, 3, 33_869),  # degree 69,362; reference 225,581
+            (build_kneser, 10, 2, 1_119),  # degree 32,019; reference 36,839
+            # the clique seed cost these two nodes under the degree tie-break:
+            # 7,361 against 4,518 before it, and 2,554 against 2,322
+            (build_schrijver, 10, 2, 931),
+            (build_schrijver, 9, 3, 917),
         ],
-        ids=["build_schrijver-10-3", "build_kneser-10-3", "build_kneser-10-2"],
+        ids=["build_schrijver-10-3", "build_kneser-10-3", "build_kneser-10-2",
+             "build_schrijver-10-2", "build_schrijver-9-3"],
     )
     def test_parent_node_counts_pinned(self, build, n, k, nodes):
         res = chromatic_number(build(n, k))
         assert res.status == EXACT and res.chi == n - 2 * k + 2
         assert res.nodes_explored == nodes
 
-
-class TestTabuRescue:
-    def test_one_pass_per_search_once_it_spends_tabu_after_nodes(self, monkeypatch):
-        searches = []  # [counter, nodes at the start, (nodes, m, found) per pass]
-        decide, tabu = chromatic._decide_colorable, chromatic._tabu_coloring
-
-        def spy_decide(adj, m, active, counter, *sample):
-            searches.append([counter, counter.nodes, []])
-            return decide(adj, m, active, counter, *sample)
-
-        def spy_tabu(adj, kernel, m, moves):
-            if moves == PROBE_MOVES:  # a contraction probe, not the kernel pass
-                return tabu(adj, kernel, m, moves)
-            counter, start, passes = searches[-1]
-            assert moves == TABU_MOVES
-            found = tabu(adj, kernel, m, moves)
-            passes.append((counter.nodes - start, m, found is not None))
-            if found is not None:
-                for v in iter_bits(kernel):
-                    assert 0 <= found[v] < m
-                    assert all(found[u] != found[v] for u in iter_bits(adj[v] & kernel))
-            return found
-
-        monkeypatch.setattr(chromatic, "_decide_colorable", spy_decide)
-        monkeypatch.setattr(chromatic, "_tabu_coloring", spy_tabu)
-        parent = build_schrijver(10, 3)
-        for trial in range(40):
-            g = sample_subgraph(parent, 0.97, seeds.trial_seed(1, trial))
-            res = chromatic_number(g, Budget(max_nodes=5000))
-            assert is_proper(g, res.coloring)
-        passes = [p for _, _, p in searches if p]
-        assert all(len(p) == 1 and p[0][0] == TABU_AFTER for p in passes)
-        assert {found for p in passes for _, _, found in p} == {False, True}
+    @pytest.mark.parametrize(
+        "build,nodes", [(build_schrijver, 1_282_151), (build_kneser, 485_180)],
+        ids=["build_schrijver-11-3", "build_kneser-11-3"],
+    )
+    def test_eleven_three_parents_exact_within_5m_nodes(self, build, nodes):
+        # both timed out at 5,000,001 nodes with [3, 7] under the
+        # uncolored-degree tie-break
+        g = build(11, 3)
+        res = chromatic_number(g, Budget(max_nodes=5_000_000))
+        assert (res.status, res.chi, res.nodes_explored) == (EXACT, 7, nodes)
+        assert is_proper(g, res.coloring)
 
 
 def bench_samples(seed):
@@ -445,22 +434,28 @@ class TestCliqueCap:
 
 
 def spy_probes(monkeypatch):
-    """Per decide(m) search: [m, probe passes, probe result or None if the
-    probes never ran], with every coloring the probes return checked on G."""
+    """Per decide(m) search: [m, probes, probe result or None if the probes
+    never ran], with every coloring the probes return checked on G."""
     searches = []
-    decide, tabu = chromatic._decide_colorable, chromatic._tabu_coloring
+    probing = []
+    decide, greedy = chromatic._decide_colorable, chromatic._dsatur_greedy
     probes = chromatic._contraction_probes
 
     def spy_decide(adj, m, active, counter, *sample):
         searches.append([m, 0, None])
         return decide(adj, m, active, counter, *sample)
 
-    def spy_tabu(adj, kernel, m, moves):
-        searches[-1][1] += moves == PROBE_MOVES
-        return tabu(adj, kernel, m, moves)
+    def spy_greedy(adj, active):  # a probe colors one contraction greedily
+        if probing:
+            searches[-1][1] += 1
+        return greedy(adj, active)
 
     def spy_contraction_probes(adj, kernel, m, sample):
-        found = probes(adj, kernel, m, sample)
+        probing.append(m)
+        try:
+            found = probes(adj, kernel, m, sample)
+        finally:
+            probing.pop()
         if found is not None:  # a proper m-coloring of G's kernel
             for v in iter_bits(kernel):
                 assert 0 <= found[v] < m
@@ -469,14 +464,14 @@ def spy_probes(monkeypatch):
         return found
 
     monkeypatch.setattr(chromatic, "_decide_colorable", spy_decide)
-    monkeypatch.setattr(chromatic, "_tabu_coloring", spy_tabu)
+    monkeypatch.setattr(chromatic, "_dsatur_greedy", spy_greedy)
     monkeypatch.setattr(chromatic, "_contraction_probes", spy_contraction_probes)
     return searches
 
 
 def probe_samples():
-    """Coupled SG(10,3) samples at p = 0.97, master seed 1, trials 0-49: two
-    of their searches probe, trial 8's and trial 48's."""
+    """Coupled SG(10,3) samples at p = 0.97, master seed 1, trials 0-49: three
+    of their searches probe, trial 5's, 39's and 41's."""
     parent = build_schrijver(10, 3)
     return [
         sample_subgraph(parent, 0.97, seeds.trial_seed(1, trial)) for trial in range(50)
@@ -493,26 +488,32 @@ class TestContractionProbes:
         assert all(n == 0 for _, n, found in searches if found is None)
         assert {m for m, _, _ in probed} == {10 - 2 * 3 + 1}
         assert all(1 <= n <= PROBE_EDGES for _, n, _ in probed)
-        # one search finds its coloring at the fourth probe, one misses on all 9
-        assert sorted(probed) == [(5, 4, True), (5, 9, False)]
+        # two searches find their coloring at the third and the tenth probe,
+        # one misses on all 7
+        assert sorted(probed) == [(5, 3, True), (5, 7, False), (5, 10, True)]
 
     def test_no_probe_past_the_limit(self, monkeypatch):
-        # the two searches that probed above each hold more than 3 dropped edges
+        # the three searches that probed above each hold more than 3 dropped
+        # edges
         monkeypatch.setattr(chromatic, "PROBE_EDGES", 3)
         searches = spy_probes(monkeypatch)
         for g in probe_samples():
             chromatic_number(g, Budget(max_nodes=5000))
         probed = [(m, n, found) for m, n, found in searches if found is not None]
-        assert probed == [(5, 0, False), (5, 0, False)]
+        assert probed == [(5, 0, False)] * 3
 
     def test_sample_missing_many_edges_gets_no_probe(self, monkeypatch):
-        # KG(14,4) at p = 0.5 drops about half of its 105,105 edges; the
-        # search reaches m = 7 = n-2k+1, and its probes stop at counting
+        # KG(14,4) at p = 0.5 drops about half of its 105,105 edges, and its
+        # probes stop at counting.  chromatic_number's own descent stalls at
+        # m = 11 on this sample, so its decide(7) = decide(n-2k+1) is called
+        # directly, past its node PROBE_AFTER
         searches = spy_probes(monkeypatch)
         g = sample_subgraph(build_kneser(14, 4), 0.5, 1)
-        chromatic_number(g, Budget(max_nodes=3000))
-        assert [s for s in searches if s[2] is not None] == [[7, 0, False]]
-        assert sum(n for _, n, _ in searches) == 0
+        full = (1 << g.num_vertices) - 1
+        counter = chromatic._Counter(Budget(max_nodes=1000))
+        with pytest.raises(chromatic._OutOfBudget):
+            chromatic._decide_colorable(g.adj, 7, full, counter, (), g)
+        assert searches == [[7, 0, False]]
 
 
 def spy_nodes(monkeypatch):
@@ -527,6 +528,64 @@ def spy_nodes(monkeypatch):
 
     monkeypatch.setattr(chromatic._Counter, "spend", spy_spend)
     return nodes
+
+
+def sewell_pick(adj, colors, colored, uncolored, top, cand):
+    """Sewell's pick by enumeration: the candidate with the most pairs (u, c),
+    u an uncolored neighbour and c < top a color that no colored neighbour
+    of either has; the lowest index among equal scores."""
+    free = {}
+
+    def free_colors(w):
+        if w not in free:
+            taken = {colors[x] for x in iter_bits(adj[w] & colored)}
+            free[w] = [c for c in range(top) if c not in taken]
+        return free[w]
+
+    scores = {
+        v: sum(1 for u in iter_bits(adj[v] & uncolored)
+               for c in free_colors(v) if c in free_colors(u))
+        for v in iter_bits(cand)
+    }
+    best = max(scores.values())
+    return min(v for v, score in scores.items() if score == best)
+
+
+def spy_picks(monkeypatch):
+    """(picked, Sewell's pick) for each non-forced pick from two or more
+    candidates, read off the DFS frame at the node of its first color."""
+    picks = []
+    spend = chromatic._Counter.spend
+
+    def spy_spend(counter):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_decide_colorable":
+            f = frame.f_locals
+            sat, vbit, near = f["sat"], f["vbit"], f["near"]
+            cand = f["snap"][sat] | vbit  # the snapshot is taken once v left
+            first = not any(not near[c] & vbit for c in range(f["c"]))
+            if sat < f["m"] - 1 and cand != vbit and first:
+                uncolored = f["rest"] | vbit
+                want = sewell_pick(f["adj"], f["colors"], f["kernel"] & ~uncolored,
+                                   uncolored, f["top"], cand)
+                picks.append((f["v"], want))
+        spend(counter)
+
+    monkeypatch.setattr(chromatic._Counter, "spend", spy_spend)
+    return picks
+
+
+class TestSewellPick:
+    def test_picks_match_the_enumerated_scores(self, monkeypatch):
+        # every non-forced pick over seed 7's bench solves and the criterion-01
+        # grid; a popped vertex's later colors repeat its pick and are skipped
+        picks = spy_picks(monkeypatch)
+        for g in bench_samples(7):
+            chromatic_number(g, Budget(max_nodes=5000))
+        for g in criterion_01_grid():
+            chromatic_number(g)
+        assert len(picks) == 27_849
+        assert all(got == want for got, want in picks)
 
 
 class TestForcedVertices:
@@ -554,7 +613,7 @@ class TestForcedVertices:
 
     def test_bench_rows_pinned(self):
         # chi/status/lower/upper of seed 7's 600 random-chi-sg solves; digest
-        # computed with forced vertices picked by degree
+        # computed with Sewell's pick and the DSATUR probes
         h = hashlib.sha256()
         for g in bench_samples(7):
             res = chromatic_number(g, Budget(max_nodes=5000))
@@ -562,7 +621,7 @@ class TestForcedVertices:
                    "upper": res.upper}
             h.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
         assert h.hexdigest() == (
-            "e28135f4f7c68e3a0d2c3bcc51c39b2e058927ea43377349e3e5a43e7e001fc9"
+            "5c810aac8fcb8bbbb9afd386346031a71e0fe54401fef79b74b0415390063dec"
         )
 
 
@@ -599,14 +658,13 @@ class TestSeededSearch:
 
     def test_full_results_pinned(self):
         # every field of seed 7's 600 random-chi-sg solves, nodes and colorings
-        # included; digest computed once the searches were seeded with the
-        # solve's clique
+        # included; digest computed with Sewell's pick and the DSATUR probes
         h = hashlib.sha256()
         for g in bench_samples(7):
             res = chromatic_number(g, Budget(max_nodes=5000))
             h.update((repr(tuple(res)) + "\n").encode())
         assert h.hexdigest() == (
-            "eb84b559a4070a9aad6edef9e67348f6390b49ee7fc09bd93270e11d6e2e60e8"
+            "498256bdff851ce4d3bf20fa88d421ae3bea549343d31368ef7ebe44ccda44b9"
         )
 
 
@@ -701,14 +759,14 @@ class TestVertexCritical:
         assert vertex_critical(g) is True
 
     def test_one_budget_for_the_solve_and_the_loop(self):
-        # SG(7, 2): 28 nodes to solve chi, 178 to refute each vertex (248
-        # with each refutation seeded by a greedy clique of its kernel); a
-        # budget of 205 covers either part, not both
+        # SG(7, 2): 31 nodes to solve chi, 186 to refute each vertex (28 and
+        # 178 with the uncolored-degree tie-break); a budget of 216 covers
+        # either part, not both
         g = build_schrijver(7, 2)
-        assert chromatic_number(g).nodes_explored == 28
-        assert vertex_critical(g, Budget(max_nodes=178)) is None
-        assert vertex_critical(g, Budget(max_nodes=205)) is None
-        assert vertex_critical(g, Budget(max_nodes=206)) is True
+        assert chromatic_number(g).nodes_explored == 31
+        assert vertex_critical(g, Budget(max_nodes=186)) is None
+        assert vertex_critical(g, Budget(max_nodes=216)) is None
+        assert vertex_critical(g, Budget(max_nodes=217)) is True
 
     def test_empty_graph_refused(self):
         g = build_schrijver(3, 2)

@@ -201,15 +201,15 @@ class TestChi:
 
     def test_reports_pinned(self):
         # the whole report, nodes and colorings included; digest computed
-        # with the bucketed, uncolored-degree DSATUR search and its TabuCol
-        # rescue (7 timeouts before the rescue), deciding no m below the
-        # clique bound, with the ⌊n/k⌋ clique cap and the contraction probes
-        # (4 timeouts before them), forced vertices picked by index, and
-        # each decide(m) search seeded with the solve's clique
+        # with the bucketed DSATUR search deciding no m below the clique
+        # bound, the ⌊n/k⌋ clique cap, forced vertices picked by index, each
+        # decide(m) search seeded with the solve's clique, Sewell's pick for
+        # the others and contraction probes colored by greedy DSATUR (2
+        # timeouts with the uncolored-degree tie-break and the TabuCol pass)
         reports = [rep for _, rep in chi_grid()]
-        assert sum(r["status"] == "timeout" for r in reports) == 2
+        assert sum(r["status"] == "timeout" for r in reports) == 1
         assert sha256_of_reports(reports) == (
-            "dc672180acdad1c92a652117be69edc0f7a9a0cb95147f21282663fec6204725"
+            "549a1a2bf6ee816f1960dc24c6a93ae938b7fe01a74724b4f4036d8560ee4c12"
         )
 
     def test_brackets_are_open_and_upper_is_the_colors_used(self):

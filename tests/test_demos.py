@@ -50,7 +50,7 @@ def test_demo_02_stdout_pinned_with_its_times_masked():
     masked, times = re.subn(rb"\d+\.\d\ds", b"<time>", proc.stdout)
     assert times == 24
     assert hashlib.sha256(masked).hexdigest() == (
-        "7ff7556282ad6a6d14ebe55cc02fa2b0e09c3fb0c69fb988bc3907f1f62bd32e"
+        "686a1d14eb7a642c785622f822f72c9a67d140708300479c45ae75fdd566aed8"
     )
 
 
