@@ -7,7 +7,6 @@ import time
 
 from kneser_chroma.chromatic import (
     chromatic_number,
-    clique_lower,
     max_independent_set,
     vertex_critical,
 )
@@ -30,7 +29,7 @@ print("\nPetersen graph details:")
 pet = build_kneser(5, 2)
 res = chromatic_number(pet)
 print("  chi =", res.chi, "coloring =", res.coloring)
-print("  clique number =", clique_lower(pet), "(triangle-free)")
+print("  clique number =", len(res.clique), "(triangle-free)")
 print("  independence number =", max_independent_set(pet).size,
       "(the Erdos-Ko-Rado star size)")
 

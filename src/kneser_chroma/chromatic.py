@@ -1,11 +1,13 @@
-"""Exact chromatic number, clique/independence bounds, vertex criticality.
+"""Exact chromatic number, independence number, vertex criticality.
 
 The solver wraps a DSATUR-ordered branch-and-bound m-colorability decision:
-greedy DSATUR gives the upper bound, a clique the lower one, and the answer
-is certified by exhausting the (chi-1)-color search tree.  Each decide(m)
-search first colors the solve's clique inside its kernel, as Brelaz's exact
-DSATUR does (1979): a greedy clique of the kernel had 2 members, not 3, in
-841 of 1,797 bench decide(4) calls.  All tie-breaks are fixed, so results
+greedy DSATUR gives the upper bound, a maximum clique the lower one, and the
+answer is certified by exhausting the (chi-1)-color search tree.  If the
+budget runs out in the clique search, the solve ends there as a timeout with
+a greedy clique and the greedy coloring.  Each decide(m) search colors the
+whole graph it is given, first the solve's clique, as Brelaz's exact DSATUR
+does (1979): a greedy clique of the sample had 2 members, not 3, in 841 of
+1,797 bench decide(4) calls.  All tie-breaks are fixed, so results
 are deterministic under node budgets: the search picks a forced vertex, one
 with a single color left, by lowest index, and any other by Sewell's rule
 below; the greedy upper bound by saturation, then static degree, then
@@ -55,10 +57,9 @@ chi(SG(n,k)) = n-2k+2 (Lovasz 1978, Schrijver 1978), so every
 and it colors the contraction G/{u,v}.  Near p = 1 chi is mostly n-2k+1,
 whose call must find.  So at the node PROBE_AFTER past the start of a
 decide(n-2k+1) search, the loop colors G/{u,v} by greedy DSATUR for each
-dropped edge inside the kernel.  A coloring with at most m colors gives v
-the color of u, is checked edge by edge on G and ends the call; after a
-miss the loop resumes where it stopped, so the DFS visits the same nodes in
-the same order.  Probes are not charged to ``Budget.max_nodes`` and can
+dropped edge.  A coloring with at most m colors gives v the color of u, is
+checked edge by edge on G and ends the call; after a miss the loop resumes
+where it stopped, so the DFS visits the same nodes in the same order.  Probes are not charged to ``Budget.max_nodes`` and can
 only end a search early, so a row exact without them stays exact with the
 same chi.  The parent rows are derived only there.  A sample that dropped
 more than PROBE_EDGES edges gets no probe: SG(10,3) at p = 0.97 drops 4-25
@@ -196,26 +197,6 @@ def _max_clique_exact(
             p = 0
 
 
-def _clique(
-    adj: tuple[int, ...], active: int, counter: _Counter, cap: int = _NEVER
-) -> list[int]:
-    """Maximum clique up to 64 vertices; greedy beyond or once the budget runs out."""
-    if active.bit_length() <= 64:
-        try:
-            return _max_clique_exact(adj, active, counter, cap)
-        except _OutOfBudget:
-            pass
-    return sorted(_greedy_clique(adj, active))
-
-
-def clique_lower(graph: Graph) -> int:
-    """Size of a clique found: exact for <= 64 vertices, greedy beyond."""
-    m = graph.num_vertices
-    if m == 0:
-        raise ValueError("empty graph")
-    return len(_clique(graph.adj, (1 << m) - 1, _Counter(None)))
-
-
 IndependentSetResult = namedtuple(
     "IndependentSetResult", "size vertices status nodes_explored"
 )
@@ -277,32 +258,19 @@ def _dsatur_greedy(adj: tuple[int, ...], active: int) -> tuple[list[int], int]:
     return colors, len(near)
 
 
-def _kernelize(adj: tuple[int, ...], active: int, m: int) -> tuple[int, list[int]]:
-    """Strip vertices with active degree < m; they are always colorable last."""
-    removed: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for v in iter_bits(active):
-            if (adj[v] & active).bit_count() < m:
-                active ^= 1 << v
-                removed.append(v)
-                changed = True
-    return active, removed
-
-
 def _contraction_probes(
-    adj: tuple[int, ...], kernel: int, m: int, sample: Graph
+    adj: tuple[int, ...], active: int, m: int, sample: Graph
 ) -> list[int] | None:
-    """An m-coloring of the kernel from G/{u,v} for a dropped parent edge uv.
+    """An m-coloring of the active vertices from G/{u,v} for a dropped parent
+    edge uv.
 
-    None if more than PROBE_EDGES parent edges inside the kernel are
-    missing from ``adj``, or if no probe finds one.
+    None if more than PROBE_EDGES parent edges among them are missing from
+    ``adj``, or if no probe finds one.
     """
     parent = _disjointness_adjacency(sample.vertices, sample.n)
     dropped = list(islice(
-        ((u, v) for u in iter_bits(kernel)
-         for v in iter_bits((parent[u] & ~adj[u] & kernel) >> u + 1 << u + 1)),
+        ((u, v) for u in iter_bits(active)
+         for v in iter_bits((parent[u] & ~adj[u] & active) >> u + 1 << u + 1)),
         PROBE_EDGES + 1,
     ))
     if len(dropped) > PROBE_EDGES:
@@ -311,12 +279,12 @@ def _contraction_probes(
         vbit, ubit = 1 << v, 1 << u
         merged = [row | ubit if row & vbit else row for row in adj]
         merged[u] = adj[u] | adj[v]
-        colors, used = _dsatur_greedy(merged, kernel ^ vbit)
+        colors, used = _dsatur_greedy(merged, active ^ vbit)
         if used > m:
             continue
         colors[v] = colors[u]
-        if all(colors[w] != colors[x] for w in iter_bits(kernel)
-               for x in iter_bits(adj[w] & kernel)):
+        if all(colors[w] != colors[x] for w in iter_bits(active)
+               for x in iter_bits(adj[w] & active)):
             return colors
     return None
 
@@ -339,123 +307,105 @@ def _decide_colorable(
     the search runs the contraction probes once it has spent PROBE_AFTER
     nodes.  A vertex that is not forced is picked by Sewell's rule.
     """
-    kernel, removed = _kernelize(adj, active, m)
     colors = [-1] * len(adj)
+    clique = [v for v in clique if active >> v & 1]
+    if len(clique) > m:
+        return None
+    # near[c]: active vertices with a neighbour colored c
+    near = [0] * m
+    uncolored = active
+    for i, v in enumerate(clique):
+        colors[v] = i
+        uncolored ^= 1 << v
+        near[i] = adj[v] & active
+    used = len(clique)
+    # bucket[s]: uncolored active vertices with saturation s (s <= m); the
+    # clique's colors are distinct, so saturation counts clique neighbours
+    bucket = [0] * (m + 1)
+    for u in iter_bits(uncolored):
+        bucket[(adj[u] & (active ^ uncolored)).bit_count()] |= 1 << u
 
-    if kernel:
-        clique = [v for v in clique if kernel >> v & 1]
-        if len(clique) > m:
-            return None
-        # near[c]: kernel vertices with a neighbour colored c
-        near = [0] * m
-        uncolored = kernel
-        for i, v in enumerate(clique):
-            colors[v] = i
-            uncolored ^= 1 << v
-            near[i] = adj[v] & kernel
-        used = len(clique)
-        # bucket[s]: uncolored kernel vertices with saturation s (s <= m); the
-        # clique's colors are distinct, so saturation counts clique neighbours
-        bucket = [0] * (m + 1)
-        for u in iter_bits(uncolored):
-            bucket[(adj[u] & (kernel ^ uncolored)).bit_count()] |= 1 << u
-
-        spend = counter.spend
-        probe_at = counter.nodes + PROBE_AFTER if sample is not None else -1
-        # a frame per colored vertex above the current one: the vertex, its bit
-        # and bucket, the vertices after it and its neighbours among them, the
-        # colors used before it, its color and near[c] before it, its color
-        # limit and the buckets as it left its own
-        frames: list[tuple] = []
-        while uncolored:
-            sat = m
-            while not bucket[sat]:
-                sat -= 1
-            cand = bucket[sat]
-            conflict = 0
-            top = used + 1 if used < m else m
-            vbit = cand & -cand
-            if sat == m - 1:
-                # forced: lowest index; a forced neighbour with its color fails
-                c = 0
-                while near[c] & vbit:
-                    c += 1
-                conflict = adj[vbit.bit_length() - 1] & cand & ~near[c]
-            elif cand ^ vbit:
-                # Sewell's pick: most pairs (uncolored neighbour u, color c < top)
-                # with c free for both, then lowest index; scored color-major
-                free = [uncolored & ~near[c] for c in range(top)]
-                best = -1
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    row = adj[low.bit_length() - 1]
-                    score = 0
-                    for f in free:
-                        if f & low:
-                            score += (row & f).bit_count()
-                    if score > best:
-                        best, vbit = score, low
-            v = vbit.bit_length() - 1
-            if conflict:  # try no color: back into the parent's next one, at no node
-                c, top = -1, 0
-            else:
-                bucket[sat] ^= vbit
-                snap = bucket[:]
-                rest = uncolored ^ vbit
-                nbrs = adj[v] & rest
-                c = -1
-            # try v's next color; once v has none, the parent's snapshot undoes it
-            while True:
-                if c >= 0:
-                    near[c] = old
-                    bucket[:] = snap
+    spend = counter.spend
+    probe_at = counter.nodes + PROBE_AFTER if sample is not None else -1
+    # a frame per colored vertex above the current one: the vertex, its bit
+    # and bucket, the vertices after it and its neighbours among them, the
+    # colors used before it, its color and near[c] before it, its color
+    # limit and the buckets as it left its own
+    frames: list[tuple] = []
+    while uncolored:
+        sat = m
+        while not bucket[sat]:
+            sat -= 1
+        cand = bucket[sat]
+        conflict = 0
+        top = used + 1 if used < m else m
+        vbit = cand & -cand
+        if sat == m - 1:
+            # forced: lowest index; a forced neighbour with its color fails
+            c = 0
+            while near[c] & vbit:
                 c += 1
-                while c < top and near[c] & vbit:
-                    c += 1
-                if c == top:
-                    if not frames:
-                        return None
-                    v, vbit, sat, rest, nbrs, used, c, old, top, snap = frames.pop()
-                    continue
-                spend()
-                if counter.nodes == probe_at:
-                    found = _contraction_probes(adj, kernel, m, sample)
-                    if found is not None:
-                        colors = found
-                        uncolored = 0
-                        break
-                colors[v] = c
-                old = near[c]
-                near[c] = old | nbrs
-                moving = nbrs & ~old  # each one gains color c: up one bucket
-                s = sat
-                while moving:
-                    up = moving & bucket[s]
-                    if up:
-                        bucket[s] ^= up
-                        bucket[s + 1] |= up
-                        moving ^= up
-                    s -= 1
-                # a neighbour left with no color fails the subtree at no node
-                if not bucket[m]:
-                    frames.append((v, vbit, sat, rest, nbrs, used, c, old, top, snap))
-                    uncolored = rest
-                    used = used if c < used else c + 1
-                    break
-
-    # reinsert kernel-stripped vertices; a free color always exists for them
-    seen = kernel
-    for v in reversed(removed):
-        forbidden = 0
-        for u in iter_bits(adj[v] & seen):
-            if colors[u] >= 0:
-                forbidden |= 1 << colors[u]
-        c = 0
-        while forbidden >> c & 1:
+            conflict = adj[vbit.bit_length() - 1] & cand & ~near[c]
+        elif cand ^ vbit:
+            # Sewell's pick: most pairs (uncolored neighbour u, color c < top)
+            # with c free for both, then lowest index; scored color-major
+            free = [uncolored & ~near[c] for c in range(top)]
+            best = -1
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                row = adj[low.bit_length() - 1]
+                score = 0
+                for f in free:
+                    if f & low:
+                        score += (row & f).bit_count()
+                if score > best:
+                    best, vbit = score, low
+        v = vbit.bit_length() - 1
+        if conflict:  # try no color: back into the parent's next one, at no node
+            c, top = -1, 0
+        else:
+            bucket[sat] ^= vbit
+            snap = bucket[:]
+            rest = uncolored ^ vbit
+            nbrs = adj[v] & rest
+            c = -1
+        # try v's next color; once v has none, the parent's snapshot undoes it
+        while True:
+            if c >= 0:
+                near[c] = old
+                bucket[:] = snap
             c += 1
-        colors[v] = c
-        seen |= 1 << v
+            while c < top and near[c] & vbit:
+                c += 1
+            if c == top:
+                if not frames:
+                    return None
+                v, vbit, sat, rest, nbrs, used, c, old, top, snap = frames.pop()
+                continue
+            spend()
+            if counter.nodes == probe_at:
+                found = _contraction_probes(adj, active, m, sample)
+                if found is not None:
+                    return found
+            colors[v] = c
+            old = near[c]
+            near[c] = old | nbrs
+            moving = nbrs & ~old  # each one gains color c: up one bucket
+            s = sat
+            while moving:
+                up = moving & bucket[s]
+                if up:
+                    bucket[s] ^= up
+                    bucket[s + 1] |= up
+                    moving ^= up
+                s -= 1
+            # a neighbour left with no color fails the subtree at no node
+            if not bucket[m]:
+                frames.append((v, vbit, sat, rest, nbrs, used, c, old, top, snap))
+                uncolored = rest
+                used = used if c < used else c + 1
+                break
     return colors
 
 
@@ -478,13 +428,17 @@ def _chromatic(graph: Graph, counter: _Counter) -> ColoringResult:
     status = EXACT
 
     if graph.num_edges:
-        # a clique's members are pairwise disjoint k-sets of [n]
-        clique = _clique(graph.adj, active, counter, graph.n // graph.k)
-        lower = max(2, len(clique))
         best, upper = _dsatur_greedy(graph.adj, active)
+        try:
+            # a clique's members are pairwise disjoint k-sets of [n]
+            clique = _max_clique_exact(graph.adj, active, counter, graph.n // graph.k)
+        except _OutOfBudget:  # keep the greedy bounds
+            clique = sorted(_greedy_clique(graph.adj, active))
+            status = TIMEOUT if len(clique) < upper else EXACT
+        lower = max(2, len(clique))
         # try one color fewer than the best coloring until that fails or the
         # clique bound is met
-        while upper > lower:
+        while status == EXACT and upper > lower:
             try:
                 m = upper - 1
                 sample = graph if m == graph.n - 2 * graph.k + 1 else None

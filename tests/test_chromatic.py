@@ -8,6 +8,7 @@ from functools import cache
 
 import chromatic_reference as reference
 import pytest
+from graph_reference import is_proper
 
 from kneser_chroma import chromatic, seeds
 from kneser_chroma.chromatic import (
@@ -17,28 +18,16 @@ from kneser_chroma.chromatic import (
     _dsatur_greedy,
     _max_clique_exact,
     chromatic_number,
-    clique_lower,
     max_independent_set,
     vertex_critical,
 )
-from kneser_chroma.graphs import Graph, build_kneser, build_schrijver, sample_subgraph
+from kneser_chroma.graphs import build_kneser, build_schrijver, sample_subgraph
 from kneser_chroma.setfam import iter_bits
 
 
-def is_proper(graph: Graph, coloring) -> bool:
-    """True iff every vertex is colored and no edge is monochromatic."""
-    colors = list(coloring)
-    if len(colors) != graph.num_vertices or any(c is None for c in colors):
-        raise ValueError("coloring must assign every vertex a color")
-    for u in range(graph.num_vertices):
-        row = graph.adj[u] >> (u + 1)
-        while row:
-            low = row & -row
-            v = u + low.bit_length()
-            row ^= low
-            if colors[u] == colors[v]:
-                return False
-    return True
+def is_clique(graph, vertices) -> bool:
+    """True iff the vertices are pairwise adjacent."""
+    return all(graph.adj[u] >> v & 1 for u in vertices for v in vertices if u != v)
 
 
 def brute_chromatic(graph):
@@ -169,11 +158,12 @@ class TestChromaticNumber:
         g = build_schrijver(10, 3)
         assert Budget() == Budget(None, None) == (None, None)
         # the node at which each budget fires; a deadline is read every 1,024
-        # nodes, so at 1,024 it comes before a node budget of 1,500.  Budget(0)
-        # fires at the clique search's first node, which falls back to a greedy
-        # clique of 2, and again at the first node of decide(5)
+        # nodes, so at 1,024 it comes before a node budget of 1,500.  Budgets
+        # 0-2 fire in the clique search, which ends the solve with a greedy
+        # clique of 2 and no decide(m) node
         for budget, nodes, lower in [
-            (Budget(0), 2, 2), (Budget(1024), 1025, 3), (Budget(2047), 2048, 3),
+            (Budget(0), 1, 2), (Budget(1), 2, 2), (Budget(2), 3, 2),
+            (Budget(1024), 1025, 3), (Budget(2047), 2048, 3),
             (Budget(max_ms=0), 1024, 3), (Budget(1023, 0.0), 1024, 3),
             (Budget(1500, 0.0), 1024, 3),
         ]:
@@ -432,6 +422,14 @@ class TestCliqueCap:
         assert len(graphs) == 24 + 1400 + 600
         assert nodes["capped"] < nodes["uncapped"]
 
+    def test_exact_clique_on_sg_12_4(self):
+        # SG(12,4) has 105 vertices; a greedy clique of it has 2 members
+        g = build_schrijver(12, 4)
+        res = chromatic_number(g, Budget(max_nodes=20_000))
+        assert g.num_vertices == 105
+        assert (res.status, res.clique, res.lower) == ("timeout", (0, 57, 104), 3)
+        assert is_clique(g, res.clique)
+
 
 def spy_probes(monkeypatch):
     """Per decide(m) search: [m, probes, probe result or None if the probes
@@ -450,16 +448,16 @@ def spy_probes(monkeypatch):
             searches[-1][1] += 1
         return greedy(adj, active)
 
-    def spy_contraction_probes(adj, kernel, m, sample):
+    def spy_contraction_probes(adj, active, m, sample):
         probing.append(m)
         try:
-            found = probes(adj, kernel, m, sample)
+            found = probes(adj, active, m, sample)
         finally:
             probing.pop()
-        if found is not None:  # a proper m-coloring of G's kernel
-            for v in iter_bits(kernel):
+        if found is not None:  # a proper m-coloring of G
+            for v in iter_bits(active):
                 assert 0 <= found[v] < m
-                assert all(found[u] != found[v] for u in iter_bits(adj[v] & kernel))
+                assert all(found[u] != found[v] for u in iter_bits(adj[v] & active))
         searches[-1][2] = found is not None
         return found
 
@@ -566,7 +564,7 @@ def spy_picks(monkeypatch):
             first = not any(not near[c] & vbit for c in range(f["c"]))
             if sat < f["m"] - 1 and cand != vbit and first:
                 uncolored = f["rest"] | vbit
-                want = sewell_pick(f["adj"], f["colors"], f["kernel"] & ~uncolored,
+                want = sewell_pick(f["adj"], f["colors"], f["active"] & ~uncolored,
                                    uncolored, f["top"], cand)
                 picks.append((f["v"], want))
         spend(counter)
@@ -670,13 +668,13 @@ class TestSeededSearch:
 
 class TestBoundsHelpers:
     def test_clique_kneser_6_2(self):
-        assert clique_lower(build_kneser(6, 2)) >= 3
+        assert len(chromatic_number(build_kneser(6, 2)).clique) >= 3
 
     def test_clique_petersen_trianglefree(self):
-        assert clique_lower(build_kneser(5, 2)) == 2
+        assert len(chromatic_number(build_kneser(5, 2)).clique) == 2
 
     def test_clique_edgeless(self):
-        assert clique_lower(build_kneser(3, 2)) == 1
+        assert len(chromatic_number(build_kneser(3, 2)).clique) == 1
 
     def test_alpha_examples(self):
         r = max_independent_set(build_kneser(5, 2))
@@ -703,8 +701,8 @@ class TestBoundsHelpers:
         graphs = [build_kneser(6, 2), build_schrijver(8, 2), build_kneser(7, 3)]
         graphs += [sample_subgraph(build_kneser(6, 2), 0.5, s) for s in range(5)]
         for g in graphs:
-            chi = chromatic_number(g).chi
-            assert clique_lower(g) <= chi
+            res = chromatic_number(g)
+            assert is_clique(g, res.clique) and len(res.clique) <= res.chi
 
 
 class TestIsProper:
@@ -771,7 +769,7 @@ class TestVertexCritical:
     def test_empty_graph_refused(self):
         g = build_schrijver(3, 2)
         assert g.num_vertices == 0
-        for fn in (clique_lower, max_independent_set, vertex_critical):
+        for fn in (max_independent_set, vertex_critical):
             with pytest.raises(ValueError, match="empty graph"):
                 fn(g)
 

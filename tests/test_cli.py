@@ -10,7 +10,7 @@ import time
 from functools import cache
 
 import pytest
-from test_chromatic import is_proper
+from graph_reference import is_proper
 
 from kneser_chroma import bounds, cli, events, gale, graphs, seeds
 from kneser_chroma.chromatic import Budget, chromatic_number
@@ -205,11 +205,12 @@ class TestChi:
         # bound, the ⌊n/k⌋ clique cap, forced vertices picked by index, each
         # decide(m) search seeded with the solve's clique, Sewell's pick for
         # the others and contraction probes colored by greedy DSATUR (2
-        # timeouts with the uncolored-degree tie-break and the TabuCol pass)
+        # timeouts with the uncolored-degree tie-break and the TabuCol pass),
+        # every search over the whole graph and an exact clique at every size
         reports = [rep for _, rep in chi_grid()]
         assert sum(r["status"] == "timeout" for r in reports) == 1
         assert sha256_of_reports(reports) == (
-            "549a1a2bf6ee816f1960dc24c6a93ae938b7fe01a74724b4f4036d8560ee4c12"
+            "b4cc87a528c38735ed8bc9be53f6734fee590a8933f1f8783ada80112ed37ed6"
         )
 
     def test_brackets_are_open_and_upper_is_the_colors_used(self):

@@ -28,11 +28,11 @@ CASES = {
     ),
     "chi-exact": (
         ["chi", "g.json"],
-        0, "20a02a116536150b189d36038b2f586854ef4362dfb142008fd599ce8c5731dc",
+        0, "f0b52c96193b0ca643d7bcc61b48be8f544edf2e365706825b9b24c10a506c85",
     ),
     "chi-budget-exit-3": (
         ["chi", "g.json", "--budget-nodes", "1"],
-        3, "93ffd552af12c732bcfbd80725506ba972dc72df743c69ced0a0c55cb3316fb3",
+        3, "c66e7c0d23ae84e6c61b102e831c15c72c0a6b8500092a0f11fcc2fe25d58df4",
     ),
     "random-chi-csv": (
         [*RANDOM_CHI, "--budget-nodes", "2000"],

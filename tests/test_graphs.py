@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_reference import edges as edge_list
-from graph_reference import reference_canonical_json, to_json_dict
-from test_setfam import rank_mask
+from graph_reference import rank_mask, reference_canonical_json, to_json_dict
 
 from kneser_chroma import graphs
 from kneser_chroma.errors import CapacityError

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graph_reference import rank_mask
+
 from kneser_chroma.errors import CapacityError
 from kneser_chroma.setfam import (
     MAX_GROUND_SET,
@@ -18,19 +20,6 @@ from kneser_chroma.setfam import (
     select_bits,
     stable_count,
 )
-
-
-def rank_mask(mask: int) -> int:
-    """Colex rank of a subset given as a bitmask: sum of C(pos_j, j+1)."""
-    r = 0
-    j = 0
-    m = mask
-    while m:
-        low = m & -m
-        r += math.comb(low.bit_length() - 1, j + 1)
-        j += 1
-        m ^= low
-    return r
 
 
 def unrank_ksubset(n: int, k: int, rank: int) -> KSubset:
