@@ -12,7 +12,11 @@ are deterministic under node budgets: the search picks a forced vertex, one
 with a single color left, by lowest index, and any other by Sewell's rule
 below; the greedy upper bound by saturation, then static degree, then
 index.  Both keep the uncolored vertices in per-saturation bitset buckets
-and scan only the top one.
+and scan only the top one.  The greedy passes also hold the vertices as one
+bitset per static degree, highest first: the greedy bound takes the lowest
+bit of the first class that meets the top bucket, and the greedy clique
+walks the classes, each from its lowest index, with one bitset of the
+vertices adjacent to every member so far.
 
 With m colors the forced vertices are bucket[m-1].  (1) While it is
 non-empty it is the top bucket (a vertex with no color left fails the chain
@@ -51,7 +55,8 @@ without it and with the probes below 2/1/1, and with neither 3/3/2.
 Two facts about the family's graphs guide the search.  A clique is a set of
 pairwise disjoint k-sets of [n], so none has more than n // k members, and
 the exact clique search stops at that size: it returns the same clique, as
-it only ever replaces its best by a larger one.  And chi(KG(n,k)) =
+it only ever replaces its best by a larger one, and a greedy clique of that
+size before it spends a node.  And chi(KG(n,k)) =
 chi(SG(n,k)) = n-2k+2 (Lovasz 1978, Schrijver 1978), so every
 (n-2k+1)-coloring of a sample makes a dropped parent edge uv monochromatic,
 and it colors the contraction G/{u,v}.  Near p = 1 chi is mostly n-2k+1,
@@ -140,25 +145,46 @@ ColoringResult = namedtuple(
 )
 
 
+def _degree_classes(adj: tuple[int, ...], active: int) -> list[int]:
+    """The active vertices as one bitset per active degree, highest first."""
+    classes = [0] * len(adj)  # classes[d]: active vertices of degree d
+    bit = 1
+    for row in adj:
+        if active & bit:
+            classes[(row & active).bit_count()] |= bit
+        bit <<= 1
+    return [cls for cls in reversed(classes) if cls]
+
+
 def _greedy_clique(adj: tuple[int, ...], active: int) -> list[int]:
-    """Deterministic maximal clique: grow in (degree desc, index asc) order."""
-    verts = sorted(
-        iter_bits(active), key=lambda v: (-(adj[v] & active).bit_count(), v)
-    )
+    """Deterministic maximal clique: grow in (degree desc, index asc) order.
+
+    Walks the degree classes, each from its lowest index, keeping one bitset
+    of the active vertices adjacent to every member so far.
+    """
     clique: list[int] = []
-    cmask = 0
-    for v in verts:
-        if cmask & ~adj[v] == 0:
+    common = active
+    for cls in _degree_classes(adj, active):
+        cand = cls & common
+        while cand:
+            v = (cand & -cand).bit_length() - 1
             clique.append(v)
-            cmask |= 1 << v
+            common &= adj[v]
+            cand &= adj[v]  # adj[v] lacks v
     return clique
 
 
 def _max_clique_exact(
     adj: tuple[int, ...], active: int, counter: _Counter, cap: int = _NEVER
 ) -> list[int]:
-    """Branch-and-bound maximum clique with a greedy-coloring bound, up to ``cap``."""
+    """Branch-and-bound maximum clique with a greedy-coloring bound, up to ``cap``.
+
+    A greedy clique with ``cap`` members is returned at once: the search only
+    ever replaces its best by a larger one.
+    """
     best = _greedy_clique(adj, active)
+    if len(best) >= cap:
+        return sorted(best)
     stack: list[int] = []  # the clique so far, one vertex per frame below the top
     frames: list[list] = []  # [candidates untried, their (vertex, color) sequence]
     p = active
@@ -221,22 +247,24 @@ def max_independent_set(graph: Graph) -> IndependentSetResult:
 def _dsatur_greedy(adj: tuple[int, ...], active: int) -> tuple[list[int], int]:
     """Greedy DSATUR coloring of the active vertices; returns (colors, used).
 
-    Picks by (saturation desc, static degree desc, lowest index), scanning
-    only the top saturation bucket.
+    Picks by (saturation desc, static degree desc, lowest index): the lowest
+    bit of the first degree class that meets the top saturation bucket.
     """
     colors = [-1] * len(adj)
-    degs = [(row & active).bit_count() for row in adj]
+    classes = _degree_classes(adj, active)
     near: list[int] = []  # near[c]: vertices with a neighbour colored c
     bucket = [active]  # bucket[s]: uncolored vertices with saturation s
     uncolored = active
     while uncolored:
         while not bucket[-1]:
             bucket.pop()
-        best_v, best_deg = -1, -1
-        for v in iter_bits(bucket[-1]):
-            if degs[v] > best_deg:
-                best_v, best_deg = v, degs[v]
-        bit = 1 << best_v
+        top = bucket[-1]
+        for cls in classes:
+            if cls & top:
+                break
+        bit = cls & top
+        bit &= -bit
+        best_v = bit.bit_length() - 1
         c = 0
         while c < len(near) and near[c] & bit:
             c += 1
@@ -320,10 +348,18 @@ def _decide_colorable(
         near[i] = adj[v] & active
     used = len(clique)
     # bucket[s]: uncolored active vertices with saturation s (s <= m); the
-    # clique's colors are distinct, so saturation counts clique neighbours
+    # clique's colors are distinct, so each member's uncolored neighbours
+    # move up one bucket
     bucket = [0] * (m + 1)
-    for u in iter_bits(uncolored):
-        bucket[(adj[u] & (active ^ uncolored)).bit_count()] |= 1 << u
+    bucket[0] = uncolored
+    for i in range(used):
+        moving, s = near[i] & uncolored, i
+        while moving:
+            up = moving & bucket[s]
+            bucket[s] ^= up
+            bucket[s + 1] |= up
+            moving ^= up
+            s -= 1
 
     spend = counter.spend
     probe_at = counter.nodes + PROBE_AFTER if sample is not None else -1
@@ -427,7 +463,7 @@ def _chromatic(graph: Graph, counter: _Counter) -> ColoringResult:
     clique, best, lower, upper = [0], [0] * nv, 1, 1
     status = EXACT
 
-    if graph.num_edges:
+    if any(graph.adj):
         best, upper = _dsatur_greedy(graph.adj, active)
         try:
             # a clique's members are pairwise disjoint k-sets of [n]

@@ -353,11 +353,15 @@ class TestAgainstReference:
             assert res.chi == max(res.coloring) + 1 == 5
 
     def test_greedy_identical(self):
-        graphs = criterion_01_grid() + [g for g, _ in pin_grid()]
-        for g in graphs:
-            active = (1 << g.num_vertices) - 1
-            want = reference._dsatur_greedy(g.adj, active)
-            assert _dsatur_greedy(g.adj, active) == want
+        cases = greedy_cases()
+        assert len(cases) == 2 * (24 + 1400 + 600 + 3)
+        for adj, active in cases:
+            assert _dsatur_greedy(adj, active) == reference._dsatur_greedy(adj, active)
+
+    def test_greedy_clique_identical(self):
+        for adj, active in greedy_cases():
+            want = reference._greedy_clique(adj, active)
+            assert chromatic._greedy_clique(adj, active) == want
 
     @pytest.mark.parametrize(
         "build,n,k,nodes",
@@ -393,6 +397,24 @@ class TestAgainstReference:
         assert is_proper(g, res.coloring)
 
 
+@cache
+def greedy_cases():
+    """(adjacency, active) for the greedy passes: the two grids, seed 7's bench
+    samples and three wide samples, each whole and without one vertex, as a
+    probe colors it.  The vertex left out is below the top one, where the
+    reference's color list ends."""
+    graphs = criterion_01_grid() + [g for g, _ in pin_grid()] + bench_samples(7) + [
+        sample_subgraph(build_kneser(12, 4), 0.5, 2),
+        sample_subgraph(build_schrijver(15, 4), 0.9, 1),
+        sample_subgraph(build_kneser(14, 4), 0.5, 1),
+    ]
+    cases = []
+    for g in graphs:
+        full = (1 << g.num_vertices) - 1
+        cases += [(g.adj, full), (g.adj, full ^ 1 << g.num_vertices // 3)]
+    return cases
+
+
 def bench_samples(seed):
     """The 600 samples of one random-chi-sg bench pass at ``seed``: 300
     master seeds, each sampled at p = 0.9 and 0.97 with trial index 0."""
@@ -421,6 +443,20 @@ class TestCliqueCap:
             nodes["uncapped"] += uncapped.nodes
         assert len(graphs) == 24 + 1400 + 600
         assert nodes["capped"] < nodes["uncapped"]
+
+    def test_greedy_clique_of_the_cap_spends_no_node(self):
+        # the search only replaces its best by a larger one, so a greedy
+        # clique with n // k members is its answer
+        returned = 0
+        for g in criterion_01_grid() + bench_samples(7):
+            active = (1 << g.num_vertices) - 1
+            greedy = chromatic._greedy_clique(g.adj, active)
+            if len(greedy) == g.n // g.k:
+                counter = chromatic._Counter(None)
+                got = _max_clique_exact(g.adj, active, counter, g.n // g.k)
+                assert (got, counter.nodes) == (sorted(greedy), 0)
+                returned += 1
+        assert returned == 20 + 300  # of 24 and 600
 
     def test_exact_clique_on_sg_12_4(self):
         # SG(12,4) has 105 vertices; a greedy clique of it has 2 members
