@@ -21,7 +21,12 @@ from kneser_chroma.chromatic import (
     max_independent_set,
     vertex_critical,
 )
-from kneser_chroma.graphs import build_kneser, build_schrijver, sample_subgraph
+from kneser_chroma.graphs import (
+    _disjointness_adjacency,
+    build_kneser,
+    build_schrijver,
+    sample_subgraph,
+)
 from kneser_chroma.setfam import iter_bits
 
 
@@ -185,6 +190,15 @@ class TestChromaticNumber:
         assert vertex_critical(g, Budget(max_nodes=3000)) is None
         assert sys.getrecursionlimit() == before
 
+    def test_wide_sample_bracket_under_a_small_budget(self):
+        # KG(14,4) at p = 0.5, seed 1: greedy DSATUR uses 12 colors, and the
+        # descent stalled in decide(11) at [3, 12]; the Lovasz coloring's 8
+        # colors start it at decide(7)
+        g = sample_subgraph(build_kneser(14, 4), 0.5, 1)
+        res = chromatic_number(g, Budget(max_nodes=3000))
+        assert (res.status, res.lower, res.upper) == ("timeout", 3, 8)
+        assert is_proper(g, res.coloring) and max(res.coloring) < 8
+
     def test_alpha_search_gets_recursion_room(self):
         # pins that chi and alpha of KG(9,3) leave the limit alone: with it 25
         # frames past the caller both run, neither raising it nor recursing
@@ -309,14 +323,15 @@ class TestAgainstReference:
         assert len(cases) == 1400
         # 12 timeouts before the clique cap and the contraction probes, 4 with
         # the uncolored-degree tie-break and the TabuCol pass; Sewell's pick
-        # turned rows 364 and 743 exact and lost 869, 875 and 1041
-        assert timeouts == {"new": 5, "reference": 72}
-        assert turned_exact == 69
+        # turned rows 364 and 743 exact and lost 869, 875 and 1041; the Lovasz
+        # fold turned 869, 1041 and 1173 exact (5 timeouts before it)
+        assert timeouts == {"new": 2, "reference": 72}
+        assert turned_exact == 71
         # a different search order loses instances the old one solved within
-        # the budget: 2 of the 1,000 coupled SG(10,3) samples (5 before the
-        # TabuCol pass, 4 before the probes, 1 with both), none of the 400
-        # smaller graphs
-        assert turned_timeout == [875, 1173]
+        # the budget: 1 of the 1,000 coupled SG(10,3) samples (5 before the
+        # TabuCol pass, 4 before the probes, 1 with both, 2 before the fold),
+        # none of the 400 smaller graphs
+        assert turned_timeout == [875]
 
     def test_coupled_rows_exact_under_the_degree_key_pinned(self):
         # chi/status/lower/upper of the coupled rows exact under the
@@ -335,14 +350,15 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize(
         "master_seed,trial,rescued",
-        [(1, 343, True), (1, 386, False), (1, 412, True), (1, 474, True),
+        [(1, 343, True), (1, 386, True), (1, 412, True), (1, 474, True),
          (1, 499, True), (7, 5, True)],
     )
     def test_rows_lost_to_the_dynamic_key(self, master_seed, trial, rescued):
         # coupled SG(10,3) samples at p = 0.97 that the reference solves within
         # 5,000 nodes (chi 5) and the bucketed search with the uncolored-degree
         # tie-break alone did not; Sewell's pick solves 343, 412, 499 and
-        # (7, 5) within 410 nodes, the contraction probes 474
+        # (7, 5) within 410 nodes, the contraction probes 474, and the Lovasz
+        # fold 386
         parent = build_schrijver(10, 3)
         g = sample_subgraph(parent, 0.97, seeds.trial_seed(master_seed, trial))
         res = chromatic_number(g, Budget(max_nodes=5000))
@@ -369,7 +385,8 @@ class TestAgainstReference:
             # with the uncolored-degree tie-break: 141,879; 153,365 with each
             # search seeded by a greedy clique of its kernel; reference 1,120,301
             (build_schrijver, 10, 3, 32_387),
-            (build_kneser, 10, 3, 33_869),  # degree 69,362; reference 225,581
+            # 33,869 before the Lovasz coloring's 6 colors replaced greedy's
+            (build_kneser, 10, 3, 33_752),  # degree 69,362; reference 225,581
             (build_kneser, 10, 2, 1_119),  # degree 32,019; reference 36,839
             # the clique seed cost these two nodes under the degree tie-break:
             # 7,361 against 4,518 before it, and 2,554 against 2,322
@@ -479,10 +496,10 @@ def spy_probes(monkeypatch):
         searches.append([m, 0, None])
         return decide(adj, m, active, counter, *sample)
 
-    def spy_greedy(adj, active):  # a probe colors one contraction greedily
+    def spy_greedy(adj, active, *classes):  # a probe colors one contraction greedily
         if probing:
             searches[-1][1] += 1
-        return greedy(adj, active)
+        return greedy(adj, active, *classes)
 
     def spy_contraction_probes(adj, active, m, sample):
         probing.append(m)
@@ -504,43 +521,75 @@ def spy_probes(monkeypatch):
 
 
 def probe_samples():
-    """Coupled SG(10,3) samples at p = 0.97, master seed 1, trials 0-49: three
-    of their searches probe, trial 5's, 39's and 41's."""
+    """Coupled SG(10,3) samples at p = 0.97, master seed 1, trials 0-49."""
     parent = build_schrijver(10, 3)
     return [
         sample_subgraph(parent, 0.97, seeds.trial_seed(1, trial)) for trial in range(50)
     ]
 
 
+def probe_searches():
+    """(sample, its solve's clique) for each of probe_samples() that greedy
+    DSATUR colors with more than n-2k+1 colors: the solves that searched
+    decide(n-2k+1) before the Lovasz fold answered most of them.  Three of
+    those searches probe, trial 5's, 39's and 41's."""
+    cases = []
+    for g in probe_samples():
+        full = (1 << g.num_vertices) - 1
+        if _dsatur_greedy(g.adj, full)[1] > g.n - 2 * g.k + 1:
+            cases.append((g, chromatic_number(g, Budget(max_nodes=5000)).clique))
+    return cases
+
+
+def decide_n_minus_2k_plus_1(cases):
+    """decide(n-2k+1) on each (sample, clique) as the solve calls it, with a
+    5,000-node budget of its own."""
+    for g, clique in cases:
+        full, m = (1 << g.num_vertices) - 1, g.n - 2 * g.k + 1
+        counter = chromatic._Counter(Budget(max_nodes=5000))
+        try:
+            chromatic._decide_colorable(g.adj, m, full, counter, clique, g)
+        except chromatic._OutOfBudget:
+            pass
+
+
 class TestContractionProbes:
     def test_probes_only_at_n_minus_2k_plus_1_and_within_the_limit(self, monkeypatch):
+        cases = probe_searches()
         searches = spy_probes(monkeypatch)
         for g in probe_samples():
             res = chromatic_number(g, Budget(max_nodes=5000))
             assert is_proper(g, res.coloring)
-        probed = [(m, n, found) for m, n, found in searches if found is not None]
+        # the fold answers the other solves before any decide(5)
+        solver = [(m, n, found) for m, n, found in searches if found is not None]
+        assert solver == [(5, 7, False)]
+        start = len(searches)
+        decide_n_minus_2k_plus_1(cases)
+        probed = [(m, n, found) for m, n, found in searches[start:]
+                  if found is not None]
         assert all(n == 0 for _, n, found in searches if found is None)
-        assert {m for m, _, _ in probed} == {10 - 2 * 3 + 1}
-        assert all(1 <= n <= PROBE_EDGES for _, n, _ in probed)
+        assert {m for m, _, _ in solver + probed} == {10 - 2 * 3 + 1}
+        assert all(1 <= n <= PROBE_EDGES for _, n, _ in solver + probed)
         # two searches find their coloring at the third and the tenth probe,
-        # one misses on all 7
+        # one misses on all 7 (the solve's own search above)
         assert sorted(probed) == [(5, 3, True), (5, 7, False), (5, 10, True)]
 
     def test_no_probe_past_the_limit(self, monkeypatch):
         # the three searches that probed above each hold more than 3 dropped
         # edges
+        cases = probe_searches()
         monkeypatch.setattr(chromatic, "PROBE_EDGES", 3)
         searches = spy_probes(monkeypatch)
-        for g in probe_samples():
-            chromatic_number(g, Budget(max_nodes=5000))
+        decide_n_minus_2k_plus_1(cases)
         probed = [(m, n, found) for m, n, found in searches if found is not None]
         assert probed == [(5, 0, False)] * 3
 
     def test_sample_missing_many_edges_gets_no_probe(self, monkeypatch):
         # KG(14,4) at p = 0.5 drops about half of its 105,105 edges, and its
-        # probes stop at counting.  chromatic_number's own descent stalls at
-        # m = 11 on this sample, so its decide(7) = decide(n-2k+1) is called
-        # directly, past its node PROBE_AFTER
+        # probes stop at counting.  chromatic_number's own descent starts at
+        # decide(7) = decide(n-2k+1) on this sample, from the Lovasz
+        # coloring's 8 colors; that call is made here directly, with a
+        # 1,000-node budget, past its node PROBE_AFTER
         searches = spy_probes(monkeypatch)
         g = sample_subgraph(build_kneser(14, 4), 0.5, 1)
         full = (1 << g.num_vertices) - 1
@@ -548,6 +597,53 @@ class TestContractionProbes:
         with pytest.raises(chromatic._OutOfBudget):
             chromatic._decide_colorable(g.adj, 7, full, counter, (), g)
         assert searches == [[7, 0, False]]
+
+
+def fold_graphs():
+    """The criterion-01 grid, pin_grid() and seed 7's bench samples, each with
+    n-2k+1 >= 2."""
+    graphs = criterion_01_grid() + [g for g, _ in pin_grid()] + bench_samples(7)
+    return [g for g in graphs if g.n - 2 * g.k + 1 >= 2]
+
+
+class TestLovaszFold:
+    def test_fold_is_proper_with_n_minus_2k_plus_1_colors(self):
+        # a fold the solver would not call (greedy met n-2k+1) is checked too
+        graphs = fold_graphs()
+        folded = 0
+        for g in graphs:
+            colors, used = chromatic._lovasz_fold(g)
+            m = g.n - 2 * g.k + 1
+            assert used in (m, m + 1)
+            assert is_proper(g, colors) and len(set(colors)) == max(colors) + 1 == used
+            folded += used == m
+        assert (len(graphs), folded) == (1944, 1646)
+
+    def test_unfolded_coloring_is_lovasz_and_proper_on_the_parent(self):
+        # on the parent no fold exists, as chi = n-2k+2; the first ordering is
+        # 0, 1, ..., n-1, so a vertex S is colored min(min S, n-2k+1)
+        for g in fold_graphs():
+            parent = g._replace(adj=_disjointness_adjacency(g.vertices, g.n),
+                                provenance=None)
+            colors, used = chromatic._lovasz_fold(parent)
+            m = g.n - 2 * g.k + 1
+            assert used == m + 1 == len(set(colors))
+            assert colors == [min((v.mask & -v.mask).bit_length() - 1, m)
+                              for v in g.vertices]
+            assert is_proper(parent, colors) and is_proper(g, colors)
+
+    def test_bench_hits_pinned(self):
+        # of seed 7's 600 samples the fold colors 540 with 5 colors; greedy
+        # DSATUR uses 6 or more on 385, where the solver calls the fold, and
+        # of those it folds 334
+        hits = called = folded = 0
+        for g in bench_samples(7):
+            used = chromatic._lovasz_fold(g)[1]
+            greedy = _dsatur_greedy(g.adj, (1 << g.num_vertices) - 1)[1]
+            hits += used == 5
+            called += greedy > 5
+            folded += greedy > 5 and used == 5
+        assert (hits, called, folded) == (540, 385, 334)
 
 
 def spy_nodes(monkeypatch):
@@ -618,7 +714,7 @@ class TestSewellPick:
             chromatic_number(g, Budget(max_nodes=5000))
         for g in criterion_01_grid():
             chromatic_number(g)
-        assert len(picks) == 27_849
+        assert len(picks) == 17_978  # 27,849 before the Lovasz fold
         assert all(got == want for got, want in picks)
 
 
@@ -647,7 +743,8 @@ class TestForcedVertices:
 
     def test_bench_rows_pinned(self):
         # chi/status/lower/upper of seed 7's 600 random-chi-sg solves; digest
-        # computed with Sewell's pick and the DSATUR probes
+        # computed with Sewell's pick, the DSATUR probes and the Lovasz fold,
+        # which turned row 577 from a [3, 6] timeout to an exact 5
         h = hashlib.sha256()
         for g in bench_samples(7):
             res = chromatic_number(g, Budget(max_nodes=5000))
@@ -655,7 +752,7 @@ class TestForcedVertices:
                    "upper": res.upper}
             h.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
         assert h.hexdigest() == (
-            "5c810aac8fcb8bbbb9afd386346031a71e0fe54401fef79b74b0415390063dec"
+            "e28135f4f7c68e3a0d2c3bcc51c39b2e058927ea43377349e3e5a43e7e001fc9"
         )
 
 
@@ -675,9 +772,9 @@ class TestSeededSearch:
             finally:
                 inside.pop()
 
-        def spy_greedy(adj, active):
+        def spy_greedy(adj, active, *classes):
             assert not inside, "decide(m) built a clique of its own"
-            return greedy(adj, active)
+            return greedy(adj, active, *classes)
 
         monkeypatch.setattr(chromatic, "_decide_colorable", spy_decide)
         monkeypatch.setattr(chromatic, "_greedy_clique", spy_greedy)
@@ -692,13 +789,14 @@ class TestSeededSearch:
 
     def test_full_results_pinned(self):
         # every field of seed 7's 600 random-chi-sg solves, nodes and colorings
-        # included; digest computed with Sewell's pick and the DSATUR probes
+        # included; digest computed with Sewell's pick, the DSATUR probes and
+        # the Lovasz fold
         h = hashlib.sha256()
         for g in bench_samples(7):
             res = chromatic_number(g, Budget(max_nodes=5000))
             h.update((repr(tuple(res)) + "\n").encode())
         assert h.hexdigest() == (
-            "498256bdff851ce4d3bf20fa88d421ae3bea549343d31368ef7ebe44ccda44b9"
+            "c4817d4e45765080c7df1e117b866101c1b0f2c666ed90fc9df5a8d8685118e1"
         )
 
 

@@ -206,11 +206,12 @@ class TestChi:
         # decide(m) search seeded with the solve's clique, Sewell's pick for
         # the others and contraction probes colored by greedy DSATUR (2
         # timeouts with the uncolored-degree tie-break and the TabuCol pass),
-        # every search over the whole graph and an exact clique at every size
+        # every search over the whole graph, an exact clique at every size
+        # and the Lovasz fold
         reports = [rep for _, rep in chi_grid()]
         assert sum(r["status"] == "timeout" for r in reports) == 1
         assert sha256_of_reports(reports) == (
-            "b4cc87a528c38735ed8bc9be53f6734fee590a8933f1f8783ada80112ed37ed6"
+            "12dfa4c8e6f582776e09ff888b49d3f7c33298954325a749643b41d97583a9de"
         )
 
     def test_brackets_are_open_and_upper_is_the_colors_used(self):

@@ -50,7 +50,7 @@ def test_demo_02_stdout_pinned_with_its_times_masked():
     masked, times = re.subn(rb"\d+\.\d\ds", b"<time>", proc.stdout)
     assert times == 24
     assert hashlib.sha256(masked).hexdigest() == (
-        "686a1d14eb7a642c785622f822f72c9a67d140708300479c45ae75fdd566aed8"
+        "1b2d746697720323d800a3126dd5de075b5194309fcd2b1aec949b1b59a692c2"
     )
 
 
